@@ -8,14 +8,12 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .dielectric import (Dielectric, DielectricStack, FieldSpec, QuadratureError,
-                         Superconductor,
-                         external_potential, image_series_oracle,
-                         perpendicular_potential, reflection_coefficient,
-                         total_perpendicular_potential)
+from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
+                         external_potential, perpendicular_potential,
+                         reflection_coefficient, total_perpendicular_potential)
 from .growth import (DEFAULT_NEON, NeonMaterialData, diffusion_length,
                      gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
@@ -34,13 +32,12 @@ from .perpendicular import (BoundStateSolution, EigensolverError, Grid1D,
 __all__ = [
     "DEFAULT_CONSTANTS", "PhysicalConstants",
     "Dielectric", "DielectricStack", "FieldSpec", "Superconductor",
-    "external_potential", "image_series_oracle", "perpendicular_potential",
+    "external_potential", "perpendicular_potential",
     "reflection_coefficient", "total_perpendicular_potential",
     "DEFAULT_NEON", "NeonMaterialData", "diffusion_length",
     "gibbs_thomson_coefficient", "gibbs_thomson_shift",
     "gravity_potential_difference",
     "CurveValidationError", "EigensolverError", "ModelInvalidError",
-    "QuadratureError",
     "EnergyCurve", "FieldResponse", "LateralSpectrum", "PillarProfile",
     "QuadraticProfile", "build_energy_curve", "field_response",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",

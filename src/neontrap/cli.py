@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -26,10 +25,10 @@ from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
 from .lateral import (PillarProfile, build_energy_curve, field_response,
-                      fit_harmonic_field_model, lta_potential, pillar_spectrum,
-                      thickness_at)
-from .perpendicular import (Grid1D, UnboundStateError, aligned_grid, default_grid,
-                            mean_height, perpendicular_gap, solve_perpendicular)
+                      fit_harmonic_field_model, lta_potential, ordered_map,
+                      pillar_spectrum, thickness_at)
+from .perpendicular import (UnboundStateError, default_grid, mean_height,
+                            perpendicular_gap, solve_perpendicular)
 from .tables import ResultTable
 
 
@@ -47,10 +46,6 @@ def _stack(cfg: RunConfig, thickness: float) -> DielectricStack:
     sub = Superconductor() if cfg.substrate_type == "superconductor" \
         else Dielectric(cfg.eps_b)
     return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon)
-
-
-def _grid(cfg: RunConfig, stack: DielectricStack) -> Grid1D:
-    return aligned_grid(max(-stack.thickness_L, -2.0), cfg.z_max, cfg.n_points)
 
 
 def _base_metadata(cfg: RunConfig, command: str) -> dict:
@@ -115,7 +110,8 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
             return (L, e_ex, math.nan, math.nan, math.nan, False)
         try:
             sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
-                                      grid=_grid(cfg, stack), constants=constants)
+                                      grid=default_grid(stack, cfg.z_max, cfg.n_points),
+                                      constants=constants)
             if not sol.is_bound():
                 raise UnboundStateError("escaping tail")
             return (L, e_ex, float(sol.energies[0]), mean_height(sol),
@@ -123,7 +119,7 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
         except UnboundStateError:
             return (L, e_ex, math.nan, math.nan, math.nan, False)
 
-    results = _parallel_map(solve, points, cfg.effective_threads())
+    results = ordered_map(solve, points, cfg.effective_threads())
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
                                  ("h_e", "nm"), ("gap", "meV"), ("bound", "")],
                         metadata=_base_metadata(cfg, "ground-sweep"))
@@ -141,7 +137,8 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     field = FieldSpec(cfg.E_ex[0])
     l_lo = cfg.L0 - max(cfg.delta_L) - 0.5
     curve = build_energy_curve(stack0, field, (l_lo, cfg.L0 + 0.5), cfg.n_knots,
-                               grid=_grid(cfg, stack0), constants=constants,
+                               grid=default_grid(stack0, cfg.z_max, cfg.n_points),
+                               constants=constants,
                                n_workers=cfg.effective_threads())
     written = []
     spectrum = ResultTable(
@@ -193,7 +190,8 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     resp = field_response(stack0, profile, sorted(cfg.E_ex),
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
                           rho_max=cfg.rho_max, n_points=cfg.n_points_radial,
-                          grid=_grid(cfg, stack0), constants=constants,
+                          grid=default_grid(stack0, cfg.z_max, cfg.n_points),
+                          constants=constants,
                           n_workers=cfg.effective_threads())
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
@@ -275,14 +273,6 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
                 raise NumericalFailure(f"row {i}: {va!r} != {vb!r}")
     print(f"verify OK: {len(stored.rows)} rows, worst relative error {worst:.3e}")
     return []
-
-
-def _parallel_map(fn, items, n_workers: int):
-    """Order-preserving parallel map; determinism is independent of n_workers."""
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(fn, items))
 
 
 _COMMANDS = {

@@ -5,14 +5,13 @@ The electron at height z above the neon surface feels the image potential
     V_perp(L, z) = (e^2 / 8 pi eps0) * Integral_0^inf Lambda_L(k) e^{-2kz} dk
 
 where Lambda_L(k) is the reflection coefficient of the three-layer stack.
-The integral is evaluated as the analytic bulk term plus an adaptive
-Gauss-Legendre quadrature of the exponentially confined residual.  An
-independent multiple-image series expansion is provided as a test oracle.
+Expanding Lambda_L geometrically in e^{-2kL} and integrating term by term
+gives the multiple-image series (M. W. Cole, Phys. Rev. B 2, 4239 (1970)),
+which is summed in closed form to double precision for every L >= 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -20,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, V_PER_M_TO_MEV_PER_NM
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -120,97 +115,41 @@ def reflection_coefficient(stack: DielectricStack, k):
     return float(out) if np.isscalar(k) else out
 
 
-@functools.lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _series_terms(lam: float, mu: float) -> int:
+    """Image terms needed for double precision.
 
-
-def _residual_integral(stack: DielectricStack, z: np.ndarray, rtol: float = 1e-8,
-                       n_start: int = 64, n_max: int = 8192) -> np.ndarray:
-    """Integral of (Lambda_L(k) - lam) e^{-2kz} dk over k in [0, inf).
-
-    The residual decays like e^{-2k(L+z)}, so the integrand is truncated at
-    K with e^{-2K(L+z_min)} < 1e-12 and integrated by Gauss-Legendre with
-    node doubling until the result is stable to rtol of the full potential.
+    The substrate images form a geometric series in (-lam mu) with
+    |lam mu| <= |lam|, so the truncated tail after n terms is below
+    |lam mu|^n / (1 - |lam mu|) of the leading image: 18 terms for a
+    superconductor, 1 when mu = 0 (no substrate contrast).
     """
-    lam, mu = _lambda_mu(stack)
-    L = stack.thickness_L
-    z = np.asarray(z, dtype=float)
-    k_max = 14.0 / (L + float(z.min()))
-    scale = np.abs(lam / (2.0 * z))  # bulk term sets the relative scale
-
-    prev = None
-    n = n_start
-    while n <= n_max:
-        x, w = _leggauss(n)
-        k = 0.5 * k_max * (x + 1.0)
-        wk = 0.5 * k_max * w
-        q = np.exp(-2.0 * k * L)
-        dlam = mu * (1.0 - lam * lam) * q / (1.0 + lam * mu * q)
-        # chunk over z to bound the (n, nz) kernel matrix
-        cur = np.empty_like(z)
-        step = max(1, int(4e6 // n))
-        for i in range(0, z.size, step):
-            zc = z[i:i + step]
-            cur[i:i + step] = (wk * dlam) @ np.exp(-2.0 * np.outer(k, zc))
-        if prev is not None:
-            err = np.abs(cur - prev) / np.maximum(scale + np.abs(cur), 1e-300)
-            if float(err.max()) <= rtol:
-                return cur
-        prev = cur
-        n *= 2
-    raise QuadratureError(
-        f"image-potential quadrature did not converge to rtol={rtol} "
-        f"with {n_max} nodes (L={L} nm)")
+    ratio = abs(lam * mu)
+    if ratio == 0.0:
+        return 1
+    return math.ceil(math.log(1e-17) / math.log(ratio))
 
 
 def perpendicular_potential(stack: DielectricStack, z, *,
-                            constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                            rtol: float = 1e-8):
+                            constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Image potential V_perp(L, z) in meV for z > 0 (nm); scalar or array.
 
-    Bulk (L = inf) and mirror-charge (L = 0) configurations use the closed
-    forms; finite L adds the quadrature of the residual reflection
-    coefficient to the analytic bulk term.
+    Sums the multiple-image series
+
+        V = pref * [ lam/(2z) + mu (1-lam^2) sum_{n>=1} (-lam mu)^{n-1} / (2(z+nL)) ]
+
+    with the term count fixed by _series_terms.  Bulk (L = inf) keeps only
+    the neon-surface image; L = 0 sums to the bare substrate mirror.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr <= 0.0):
         raise ValueError("perpendicular_potential requires z > 0 (divergent integrand)")
     lam, mu = _lambda_mu(stack)
-    pref = constants.image_prefactor
-    if stack.is_bulk:
-        out = pref * lam / (2.0 * z_arr)
-    elif stack.thickness_L == 0.0:
-        lam0 = (lam + mu) / (1.0 + lam * mu)  # = (eps0 - eps_B)/(eps0 + eps_B)
-        out = pref * lam0 / (2.0 * z_arr)
-    else:
-        out = pref * (lam / (2.0 * z_arr) + _residual_integral(stack, z_arr, rtol=rtol))
-    return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
-
-
-def image_series_oracle(stack: DielectricStack, z, n_terms: int, *,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Multiple-image partial sum for V_perp; independent check of the quadrature.
-
-    Expanding Lambda_L(k) geometrically in e^{-2kL} and integrating term by
-    term gives
-
-        V = pref * [ lam/(2z) + mu (1-lam^2) sum_{n>=1} (-lam mu)^{n-1} / (2(z+nL)) ]
-
-    n_terms counts retained terms including the leading bulk one.
-    """
-    if stack.is_bulk:
-        raise ValueError("image series is for finite L; bulk is already closed form")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr <= 0.0):
-        raise ValueError("image_series_oracle requires z > 0")
-    lam, mu = _lambda_mu(stack)
     L = stack.thickness_L
     total = lam / (2.0 * z_arr)
-    for n in range(1, n_terms):
-        total = total + mu * (1.0 - lam * lam) * (-lam * mu) ** (n - 1) / (2.0 * (z_arr + n * L))
+    weight = mu * (1.0 - lam * lam)
+    for n in range(1, _series_terms(lam, mu) + 1):
+        total = total + weight / (2.0 * (z_arr + n * L))
+        weight *= -lam * mu
     out = constants.image_prefactor * total
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 

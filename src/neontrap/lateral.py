@@ -21,7 +21,8 @@ import scipy.linalg
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import Grid1D, ground_state_energy, mean_height, solve_perpendicular
+from .perpendicular import (EigensolverError, Grid1D, UnboundStateError,
+                            ground_state_energy, mean_height, solve_perpendicular)
 
 
 class CurveValidationError(RuntimeError):
@@ -131,7 +132,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         stack = replace(stack_template, thickness_L=float(L))
         return ground_state_energy(stack, field, grid=grid, constants=constants)
 
-    w_knots = np.array(_ordered_map(solve_at, l_knots, n_workers))
+    w_knots = np.array(ordered_map(solve_at, l_knots, n_workers))
 
     mids = 0.5 * (l_knots[:-1] + l_knots[1:])
     take = mids[np.linspace(0, mids.size - 1, n_validation).astype(int)]
@@ -145,11 +146,16 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
     return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
 
 
-def _ordered_map(fn, values, n_workers: int | None):
-    if n_workers is not None and n_workers <= 1:
-        return [fn(v) for v in values]
+def ordered_map(fn, items, n_workers: int | None) -> list:
+    """Order-preserving map over a thread pool; the result is independent of n_workers.
+
+    Runs serially for n_workers <= 1 or a single item; None leaves the pool
+    size to ThreadPoolExecutor's default.
+    """
+    if (n_workers is not None and n_workers <= 1) or len(items) <= 1:
+        return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(fn, values))
+        return list(ex.map(fn, items))
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho, *,
@@ -313,7 +319,7 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
                                    constants=constants)
             rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
                                          spec.rho_e, spec.rho_e_line, spec.bound))
-        except Exception:
+        except (UnboundStateError, CurveValidationError, EigensolverError):
             rows.append(FieldResponseRow(float(e_ex), math.nan, math.nan,
                                          math.nan, False))
     rows.sort(key=lambda r: r.e_ex)

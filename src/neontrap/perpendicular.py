@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, V_PER_M_TO_MEV_PER_NM
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
                          external_potential, perpendicular_potential)
 
@@ -85,17 +85,18 @@ def default_grid(stack: DielectricStack, z_max: float = 40.0,
     return aligned_grid(z_min, z_max, n_points)
 
 
-def build_hamiltonian(potential_sampler, grid: Grid1D, *,
+def build_hamiltonian(potential, grid: Grid1D, *,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Symmetric tridiagonal Hamiltonian (diag, offdiag) on the interior points.
 
-    Second-order central differences for the kinetic term; the Dirichlet
-    boundary rows are eliminated.
+    potential holds V in meV at grid.interior.  Second-order central
+    differences for the kinetic term; the Dirichlet boundary rows are
+    eliminated.
     """
     z = grid.interior
-    v = np.asarray(potential_sampler(z), dtype=float)
+    v = np.asarray(potential, dtype=float)
     if v.shape != z.shape:
-        raise ValueError("potential sampler must return one value per interior point")
+        raise ValueError("potential must hold one value per interior point")
     if not np.all(np.isfinite(v)):
         bad = z[~np.isfinite(v)][0]
         raise ValueError(f"non-finite potential sample at z = {bad} nm")
@@ -158,33 +159,28 @@ def solve_lowest(diag: np.ndarray, offdiag: np.ndarray, grid: Grid1D,
                               wavefunctions=psi, grid=grid, converged=converged)
 
 
-def _potential_sampler(stack: DielectricStack, field: FieldSpec, grid: Grid1D,
-                       constants: PhysicalConstants):
-    """Total-potential sampler with the image part memoized per (stack, grid)."""
+def _total_potential(stack: DielectricStack, field: FieldSpec, grid: Grid1D,
+                     constants: PhysicalConstants) -> np.ndarray:
+    """Total potential on grid.interior, with the image part memoized per (stack, grid)."""
     z = grid.interior
     tol = 1e-9  # nm; detects the grid node sitting on the neon surface
     above = z >= constants.cutoff_zc
     clamp = (z > tol) & ~above
     surface = np.abs(z) <= tol
     v_img = np.full(z.size, constants.barrier_height)
+    v_img[above] = cached_perpendicular_potential(stack, grid, z[above],
+                                                  constants=constants)
+    v_zc = perpendicular_potential(stack, constants.cutoff_zc, constants=constants)
     if stack.is_bulk:
-        lam = (1.0 - stack.eps_neon) / (1.0 + stack.eps_neon)
-        v_img[above] = constants.image_prefactor * lam / (2.0 * z[above])
-        v_zc = constants.image_prefactor * lam / (2.0 * constants.cutoff_zc)
         if field.e_ex != 0.0:
             raise ValueError("bulk stack supports only zero external field")
         v_ex = 0.0
     else:
-        v_img[above] = cached_perpendicular_potential(stack, grid, z[above],
-                                                      constants=constants)
-        v_zc = perpendicular_potential(stack, constants.cutoff_zc,
-                                       constants=constants)
         v_ex = external_potential(field, stack.thickness_L, z, eps_neon=stack.eps_neon)
     v_img[clamp] = v_zc
     # two-sided average at the step keeps the discretization second order
     v_img[surface] = 0.5 * (constants.barrier_height + v_zc)
-    v = v_img + v_ex
-    return lambda _z: v
+    return v_img + v_ex
 
 
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
@@ -195,8 +191,8 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
         grid = default_grid(stack)
     if not (grid.z_min < constants.cutoff_zc < grid.z_max):
         raise ValueError("grid must straddle the cutoff distance")
-    sampler = _potential_sampler(stack, field, grid, constants)
-    diag, offdiag = build_hamiltonian(sampler, grid, constants=constants)
+    v = _total_potential(stack, field, grid, constants)
+    diag, offdiag = build_hamiltonian(v, grid, constants=constants)
     return solve_lowest(diag, offdiag, grid, n_states)
 
 
@@ -234,12 +230,11 @@ def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: floa
     if not sol.is_bound():
         raise UnboundStateError("unbound at the central field point")
     g = sol.grid
-    z = g.points
-    # dV_ex/dE_ex in meV per (V/m), piecewise per the field potential
-    L = stack.thickness_L
-    dv = np.where(z < 0.0, (z + L) / stack.eps_neon, L / stack.eps_neon + z)
-    dv = dv * V_PER_M_TO_MEV_PER_NM
-    expect = float(np.sum(dv * sol.wavefunctions[0] ** 2) * g.spacing)
+    # dV_ex/dE_ex in meV per (V/m); psi vanishes at both walls, and the
+    # lower wall may sit just below -L, where the field potential is undefined
+    dv = external_potential(FieldSpec(1.0), stack.thickness_L, g.interior,
+                            eps_neon=stack.eps_neon)
+    expect = float(np.sum(dv * sol.wavefunctions[0, 1:-1] ** 2) * g.spacing)
     w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), grid=g,
                                  constants=constants)
     w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), grid=g,

@@ -1,5 +1,5 @@
 """Electrostatics of the three-layer stack: reflection coefficient, image
-potential (quadrature vs multiple-image series), and the field potential."""
+potential (multiple-image series vs k-space quadrature), and the field potential."""
 
 import math
 
@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neontrap import (DEFAULT_CONSTANTS, Dielectric, DielectricStack, FieldSpec,
-                      Superconductor, external_potential, image_series_oracle,
-                      perpendicular_potential, reflection_coefficient,
+                      Superconductor, external_potential, perpendicular_potential, reflection_coefficient,
                       total_perpendicular_potential)
 
 SC = Superconductor()
@@ -94,18 +93,26 @@ class TestPerpendicularPotential:
         expected = -DEFAULT_CONSTANTS.image_prefactor / 2.0
         assert perpendicular_potential(stack, 1.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_quadrature_agrees_with_image_series(self):
+    def test_quadrature_agrees_with_image_series(self, kspace_potential):
         stack = DielectricStack(SC, 10.0)
-        v_quad = perpendicular_potential(stack, 2.0)
-        v_series = image_series_oracle(stack, 2.0, 50)
-        assert v_quad == pytest.approx(v_series, rel=1e-6)
+        v_series = perpendicular_potential(stack, 2.0)
+        v_quad = float(kspace_potential(stack, 2.0))
+        assert v_series == pytest.approx(v_quad, rel=1e-6)
 
-    def test_quadrature_vs_series_dielectric_substrate(self):
+    def test_quadrature_vs_series_dielectric_substrate(self, kspace_potential):
         stack = DielectricStack(Dielectric(12.0), 5.0)
         z = np.array([0.23, 1.0, 4.0, 12.0])
-        v_quad = perpendicular_potential(stack, z)
-        v_series = image_series_oracle(stack, z, 80)
-        assert np.allclose(v_quad, v_series, rtol=1e-6)
+        v_series = perpendicular_potential(stack, z)
+        v_quad = kspace_potential(stack, z)
+        assert np.allclose(v_series, v_quad, rtol=1e-6)
+
+    def test_far_field_recovers_substrate_mirror(self):
+        # for z >> L the layer is invisible: the summed images reduce to a
+        # single mirror in the superconductor, V -> -pref/(2z)
+        stack = DielectricStack(SC, 10.0)
+        z = 100.0 * stack.thickness_L
+        mirror = -DEFAULT_CONSTANTS.image_prefactor / (2.0 * z)
+        assert perpendicular_potential(stack, z) == pytest.approx(mirror, rel=0.02)
 
     def test_large_l_approaches_bulk(self):
         # convergence to bulk is O(1/L): the nearest substrate image still
@@ -139,26 +146,6 @@ class TestPerpendicularPotential:
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
             perpendicular_potential(DielectricStack(SC, 10.0), 0.0)
-
-
-class TestImageSeries:
-    def test_single_term_is_bulk(self):
-        stack = DielectricStack(SC, 10.0)
-        expected = DEFAULT_CONSTANTS.image_prefactor * LAM_BULK / (2.0 * 2.0)
-        assert image_series_oracle(stack, 2.0, 1) == pytest.approx(expected, rel=1e-12)
-
-    def test_far_field_recovers_substrate_mirror(self):
-        # for z >> L the layer is invisible: the summed images reduce to a
-        # single mirror in the superconductor, V -> -pref/(2z)
-        stack = DielectricStack(SC, 10.0)
-        z = 100.0 * stack.thickness_L
-        full = image_series_oracle(stack, z, 400)
-        mirror = -DEFAULT_CONSTANTS.image_prefactor / (2.0 * z)
-        assert full == pytest.approx(mirror, rel=0.02)
-
-    def test_bulk_stack_unsupported(self):
-        with pytest.raises(ValueError):
-            image_series_oracle(DielectricStack(SC, math.inf), 1.0, 5)
 
 
 class TestExternalPotential:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import neontrap.lateral
 from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       ModelInvalidError, PillarProfile, QuadraticProfile,
-                      Superconductor, build_energy_curve,
+                      Superconductor, build_energy_curve, field_response,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
@@ -94,6 +95,13 @@ class TestEnergyCurve:
         with pytest.raises(ValueError):
             build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
                                (0.5, 10.0), n_knots=20, grid=GRID)
+
+    def test_knots_independent_of_worker_count(self):
+        curves = [build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
+                                     (9.0, 10.5), n_knots=20, grid=GRID,
+                                     n_workers=n)
+                  for n in (1, 2)]
+        assert np.array_equal(curves[0].w_knots, curves[1].w_knots)
 
 
 class TestLtaPotential:
@@ -210,6 +218,29 @@ class TestFieldCoupling:
         shift = depth(e_ex) - depth(0.0)
         expected = 1e-6 * e_ex * dl / 1.244
         assert shift == pytest.approx(expected, rel=0.2)
+
+
+class TestFieldResponse:
+    PROFILE = PillarProfile(L0, DL, R_PILLAR, B)
+
+    def test_unbound_field_keeps_flagged_row(self):
+        # -5e6 V/m pulls the electron off the surface at these thicknesses
+        resp = field_response(DielectricStack(SC, L0), self.PROFILE, (0.0, -5e6),
+                              n_knots=20, grid=GRID, n_points=8192)
+        assert [r.e_ex for r in resp.rows] == [-5e6, 0.0]
+        unbound, bound = resp.rows
+        assert not unbound.bound
+        assert all(math.isnan(v) for v in
+                   (unbound.delta_u_uev, unbound.rho_e, unbound.rho_e_line))
+        assert bound.bound and math.isfinite(bound.delta_u_uev)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+        monkeypatch.setattr(neontrap.lateral, "pillar_spectrum", broken)
+        with pytest.raises(TypeError, match="bug"):
+            field_response(DielectricStack(SC, L0), self.PROFILE, (0.0,),
+                           n_knots=20, grid=GRID)
 
 
 class TestHarmonicFieldModel:

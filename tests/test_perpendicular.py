@@ -24,7 +24,7 @@ SC = Superconductor()
 
 def _solve(vfun, z_min, z_max, n, n_states):
     grid = Grid1D(z_min, z_max, n)
-    diag, off = build_hamiltonian(lambda z: vfun(z), grid)
+    diag, off = build_hamiltonian(vfun(grid.interior), grid)
     return solve_lowest(diag, off, grid, n_states)
 
 
@@ -97,11 +97,11 @@ class TestSolverContracts:
     def test_nonfinite_potential_names_offender(self):
         grid = Grid1D(0.0, 10.0, 1000)
         with pytest.raises(ValueError, match="non-finite"):
-            build_hamiltonian(lambda z: np.where(z > 5.0, np.inf, 0.0), grid)
+            build_hamiltonian(np.where(grid.interior > 5.0, np.inf, 0.0), grid)
 
     def test_n_states_bounds(self):
         grid = Grid1D(0.0, 10.0, 1000)
-        diag, off = build_hamiltonian(lambda z: np.zeros_like(z), grid)
+        diag, off = build_hamiltonian(np.zeros_like(grid.interior), grid)
         with pytest.raises(ValueError):
             solve_lowest(diag, off, grid, 11)
 
@@ -168,6 +168,12 @@ class TestHellmannFeynman:
     def test_residual_small_at_finite_field(self):
         res = hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(5e5), 1e4)
         assert res <= 1e-3
+
+    def test_residual_small_when_wall_meets_substrate(self):
+        # at L = 1 nm the aligned lower wall lies just below -L
+        stack = DielectricStack(SC, 1.0)
+        assert default_grid(stack).z_min < -1.0
+        assert hellmann_feynman_check(stack, FieldSpec(0.0), 1e4) <= 1e-3
 
     def test_unbound_endpoint_flagged(self):
         with pytest.raises(UnboundStateError):
