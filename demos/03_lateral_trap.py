@@ -17,7 +17,7 @@ print(f"energy curve over L in [6.5, 10.5] nm: "
       f"validation error {curve.validation_error:.2e} meV")
 
 deep = PillarProfile(L0, 3.0, 110.0, B)
-depth = -lta_potential(curve, deep, 0.0, warn_on_narrow_step=False)
+depth = -lta_potential(curve, deep, 0.0)
 print(f"trap depth for delta_L = 3 nm: {depth:.2f} meV")
 
 print(f"\n{'R [nm]':>8} {'dU [ueV]':>10} {'rho_e [nm]':>11}")

@@ -72,26 +72,34 @@ def _write_effective_config(cfg: RunConfig):
         fh.write(cfg.effective_text())
 
 
+def _single_field(cfg: RunConfig, command: str) -> FieldSpec:
+    if len(cfg.E_ex) != 1:
+        raise ConfigError(f"{command} needs exactly one E_ex")
+    return FieldSpec(cfg.E_ex[0])
+
+
 def cmd_potential_z(cfg: RunConfig) -> list[str]:
     """Perpendicular potential profile V(z); one file per layer thickness."""
+    field = _single_field(cfg, "potential-z")
+    if field.e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
+        raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
+                          f"got {field.e_ex:g} V/m")
     constants = _constants(cfg)
     written = []
     for L in cfg.L:
         stack = _stack(cfg, L)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
         v_perp = np.asarray(perpendicular_potential(stack, z, constants=constants))
-        if stack.is_bulk:
-            v_ex = np.zeros_like(z)
-        else:
-            v_ex = np.asarray(external_potential(FieldSpec(cfg.E_ex[0]), L, z,
-                                                 eps_neon=cfg.eps_neon))
+        v_ex = np.zeros_like(z) if stack.is_bulk else \
+            np.asarray(external_potential(field, L, z, eps_neon=cfg.eps_neon))
+        v_total = total_perpendicular_potential(stack, field, z, constants=constants)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata=_base_metadata(cfg, "potential-z"))
         table.metadata["L_nm"] = _fmt_axis(L)
         for i in range(z.size):
             table.add_row(float(z[i]), float(v_perp[i]), float(v_ex[i]),
-                          float(v_perp[i] + v_ex[i]))
+                          float(v_total[i]))
         path = _out_path(cfg, f"_L{_fmt_axis(L)}")
         _write(cfg, table, path)
         written.append(path)
@@ -106,18 +114,16 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
     def solve(point):
         L, e_ex = point
         stack = _stack(cfg, L)
+        unbound = (L, e_ex, math.nan, math.nan, math.nan, False)
         if stack.is_bulk and e_ex != 0.0:
-            return (L, e_ex, math.nan, math.nan, math.nan, False)
-        try:
-            sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
-                                      grid=default_grid(stack, cfg.z_max, cfg.n_points),
-                                      constants=constants)
-            if not sol.is_bound():
-                raise UnboundStateError("escaping tail")
-            return (L, e_ex, float(sol.energies[0]), mean_height(sol),
-                    perpendicular_gap(sol), True)
-        except UnboundStateError:
-            return (L, e_ex, math.nan, math.nan, math.nan, False)
+            return unbound
+        sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
+                                  grid=default_grid(stack, cfg.z_max, cfg.n_points),
+                                  constants=constants)
+        if not sol.is_bound():
+            return unbound
+        return (L, e_ex, float(sol.energies[0]), mean_height(sol),
+                perpendicular_gap(sol), True)
 
     results = ordered_map(solve, points, cfg.effective_threads())
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
@@ -132,9 +138,9 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
 
 def cmd_lateral(cfg: RunConfig) -> list[str]:
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
+    field = _single_field(cfg, "lateral")
     constants = _constants(cfg)
     stack0 = _stack(cfg, cfg.L0)
-    field = FieldSpec(cfg.E_ex[0])
     l_lo = cfg.L0 - max(cfg.delta_L) - 0.5
     curve = build_energy_curve(stack0, field, (l_lo, cfg.L0 + 0.5), cfg.n_knots,
                                grid=default_grid(stack0, cfg.z_max, cfg.n_points),
@@ -151,9 +157,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
             rho_max = cfg.rho_max or max(3.0 * R, R + 200.0)
             rho = np.linspace(rho_max / cfg.z_samples, rho_max, cfg.z_samples)
-            v_par = np.asarray(lta_potential(curve, profile, rho,
-                                             constants=constants,
-                                             warn_on_narrow_step=False))
+            v_par = np.asarray(lta_potential(curve, profile, rho))
             prof_table = ResultTable(
                 columns=[("rho", "nm"), ("L_rho", "nm"), ("V_par", "meV")],
                 metadata=_base_metadata(cfg, "lateral"))

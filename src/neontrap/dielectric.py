@@ -173,56 +173,71 @@ def external_potential(field: FieldSpec, L: float, z, *,
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
+def _field_term(stack: DielectricStack, field: FieldSpec, z: np.ndarray):
+    """Field part of the total potential; bulk has no grounded substrate, so no field."""
+    if not stack.is_bulk:
+        return np.asarray(external_potential(field, stack.thickness_L, z,
+                                             eps_neon=stack.eps_neon))
+    if field.e_ex != 0.0:
+        raise ValueError("bulk stack supports only zero external field")
+    return 0.0
+
+
+def _field_free_potential(stack: DielectricStack, z: np.ndarray,
+                          constants: PhysicalConstants) -> np.ndarray:
+    """Barrier, surface average, clamped image and image series on z (meV)."""
+    tol = 1e-9  # nm; detects a grid node sitting on the neon surface
+    above = z >= constants.cutoff_zc
+    out = np.full_like(z, constants.barrier_height)
+    out[above] = perpendicular_potential(stack, z[above], constants=constants)
+    v_zc = perpendicular_potential(stack, constants.cutoff_zc, constants=constants)
+    out[(z > tol) & ~above] = v_zc
+    # two-sided average at the step keeps the discretization second order
+    out[np.abs(z) <= tol] = 0.5 * (constants.barrier_height + v_zc)
+    return out
+
+
 def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *,
                                   constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Potential entering the perpendicular Schroedinger equation, in meV.
 
-    For z >= cutoff_zc: image potential plus field term.  Between the
-    surface and the cutoff the image potential is held at its finite
-    cutoff value; inside the neon layer (z < 0) the Pauli barrier applies.
-    Bulk stacks are only supported at zero field, where the
-    grounded-substrate gauge is ill-defined.
+    Inside the neon layer (z < 0) the Pauli barrier applies; a node on the
+    surface (z = 0) takes the two-sided average of barrier and clamped
+    image value; between the surface and cutoff_zc the image potential is
+    held at its cutoff value; from cutoff_zc on it is the image series.
+    The field term is added throughout.  Bulk stacks are only supported at
+    zero field, where the grounded-substrate gauge is ill-defined.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if stack.is_bulk:
-        if field.e_ex != 0.0:
-            raise ValueError("bulk stack supports only zero external field")
-        v_ex = np.zeros_like(z_arr)
-    else:
-        v_ex = np.asarray(external_potential(field, stack.thickness_L, z_arr,
-                                             eps_neon=stack.eps_neon))
-    out = np.full_like(z_arr, constants.barrier_height)
-    clamp = (z_arr >= 0.0) & (z_arr < constants.cutoff_zc)
-    if np.any(clamp):
-        out[clamp] = perpendicular_potential(stack, constants.cutoff_zc,
-                                             constants=constants)
-    above = z_arr >= constants.cutoff_zc
-    if np.any(above):
-        out[above] = perpendicular_potential(stack, z_arr[above], constants=constants)
-    out = out + v_ex
+    v_ex = _field_term(stack, field, z_arr)
+    out = _field_free_potential(stack, z_arr, constants) + v_ex
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 # The lateral module re-solves the perpendicular problem for hundreds of
-# thickness values; memoize the field-independent image potential per
-# (stack, z-grid) key.  Keys are frozen dataclasses plus the grid identity.
+# thickness values; memoize the field-free part per (stack, constants, grid).
 _POTENTIAL_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX_ENTRIES = 4096
 
 
-def cached_perpendicular_potential(stack: DielectricStack, z_key, z_values: np.ndarray, *,
+def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, grid, *,
                                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Image potential on a reusable grid; z_key must uniquely identify z_values."""
-    key = (stack, constants, z_key)
+    """total_perpendicular_potential on grid.interior, field-free part memoized.
+
+    grid is a hashable grid (perpendicular.Grid1D); the key is
+    (stack, constants, grid), so cached values always match grid.interior.
+    """
+    z = grid.interior
+    v_ex = _field_term(stack, field, z)
+    key = (stack, constants, grid)
     with _CACHE_LOCK:
-        hit = _POTENTIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    val = np.asarray(perpendicular_potential(stack, z_values, constants=constants))
-    val.setflags(write=False)
-    with _CACHE_LOCK:
-        if len(_POTENTIAL_CACHE) >= _CACHE_MAX_ENTRIES:
-            _POTENTIAL_CACHE.clear()
-        _POTENTIAL_CACHE[key] = val
-    return val
+        static = _POTENTIAL_CACHE.get(key)
+    if static is None:
+        static = _field_free_potential(stack, z, constants)
+        static.setflags(write=False)
+        with _CACHE_LOCK:
+            if len(_POTENTIAL_CACHE) >= _CACHE_MAX_ENTRIES:
+                _POTENTIAL_CACHE.clear()
+            _POTENTIAL_CACHE[key] = static
+    return static + v_ex

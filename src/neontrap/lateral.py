@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,8 +20,8 @@ import scipy.linalg
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (EigensolverError, Grid1D, UnboundStateError,
-                            ground_state_energy, mean_height, solve_perpendicular)
+from .perpendicular import (TAIL_DENSITY_THRESHOLD, TAIL_FRACTION, EigensolverError,
+                            Grid1D, UnboundStateError, ground_state_energy)
 
 
 class CurveValidationError(RuntimeError):
@@ -116,7 +115,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
                        l_range: tuple[float, float], n_knots: int = 60, *,
                        grid: Grid1D | None = None,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                       n_workers: int | None = None,
+                       n_workers: int = 1,
                        n_validation: int = 5) -> EnergyCurve:
     """Solve W^G at log-spaced knots over l_range and fit a validated spline."""
     lo, hi = l_range
@@ -146,35 +145,26 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
     return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
 
 
-def ordered_map(fn, items, n_workers: int | None) -> list:
-    """Order-preserving map over a thread pool; the result is independent of n_workers.
+def ordered_map(fn, items, n_workers: int) -> list:
+    """Order-preserving map over n_workers threads; the result is independent of n_workers.
 
-    Runs serially for n_workers <= 1 or a single item; None leaves the pool
-    size to ThreadPoolExecutor's default.
+    Runs serially for n_workers <= 1 or a single item.
     """
-    if (n_workers is not None and n_workers <= 1) or len(items) <= 1:
+    if n_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
         return list(ex.map(fn, items))
 
 
-def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho, *,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                  warn_on_narrow_step: bool = True):
+def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
     """Lateral potential V_par(rho) = W^G(L(rho)) - W^G(L0) in meV.
 
-    The local-thickness approximation degrades when the transition width is
-    smaller than the electron height above the surface; a warning is issued
-    but the computation proceeds.
+    The local-thickness approximation holds while the thickness varies
+    slowly on the scale of the electron height above the surface, i.e. for
+    a transition width b >~ h_e (perpendicular.mean_height: 1.63 nm over a
+    superconductor at L = 10 nm, E_ex = 0); narrower steps are computed all
+    the same.
     """
-    if warn_on_narrow_step and isinstance(profile, PillarProfile):
-        stack0 = replace(curve.stack_template, thickness_L=profile.L0)
-        h_e = mean_height(solve_perpendicular(stack0, curve.field, constants=constants))
-        if profile.b < h_e:
-            warnings.warn(
-                f"transition width b={profile.b} nm below electron height "
-                f"{h_e:.2f} nm; local-thickness approximation is marginal",
-                stacklevel=2)
     return curve(thickness_at(profile, rho)) - curve(profile.L0)
 
 
@@ -250,9 +240,9 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
     # bound if the ground state sits below the far-field potential rim and
     # does not lean on the outer wall
     rim = float(v[-1])
-    n_tail = max(2, int(0.02 * n_points))
+    n_tail = max(2, int(TAIL_FRACTION * n_points))
     tail = float(np.max(states[0][-n_tail:] ** 2))
-    bound = (u_alpha[0] < rim) and (tail < 1e-6)
+    bound = (u_alpha[0] < rim) and (tail < TAIL_DENSITY_THRESHOLD)
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
                            rho_grid=rho, potential=v, radial_states=states,
                            bound=bound)
@@ -265,8 +255,7 @@ def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
     """Radial spectrum of the trap formed by a pillar profile."""
     if rho_max is None:
         rho_max = max(3.0 * profile.R, profile.R + 200.0)
-    pot = lambda r: lta_potential(curve, profile, r, constants=constants,
-                                  warn_on_narrow_step=False)
+    pot = lambda r: lta_potential(curve, profile, r)
     return radial_spectrum(pot, alpha_max, rho_max=rho_max, n_points=n_points,
                            constants=constants)
 
@@ -300,7 +289,7 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
                    alpha_max: int = 1, rho_max: float | None = None,
                    n_points: int = 16384, grid: Grid1D | None = None,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                   n_workers: int | None = None) -> FieldResponse:
+                   n_workers: int = 1) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
     Unbound entries are flagged in their row, never dropped.

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
-                         external_potential, perpendicular_potential)
+                         external_potential)
 
 
 class UnboundStateError(RuntimeError):
@@ -159,30 +159,6 @@ def solve_lowest(diag: np.ndarray, offdiag: np.ndarray, grid: Grid1D,
                               wavefunctions=psi, grid=grid, converged=converged)
 
 
-def _total_potential(stack: DielectricStack, field: FieldSpec, grid: Grid1D,
-                     constants: PhysicalConstants) -> np.ndarray:
-    """Total potential on grid.interior, with the image part memoized per (stack, grid)."""
-    z = grid.interior
-    tol = 1e-9  # nm; detects the grid node sitting on the neon surface
-    above = z >= constants.cutoff_zc
-    clamp = (z > tol) & ~above
-    surface = np.abs(z) <= tol
-    v_img = np.full(z.size, constants.barrier_height)
-    v_img[above] = cached_perpendicular_potential(stack, grid, z[above],
-                                                  constants=constants)
-    v_zc = perpendicular_potential(stack, constants.cutoff_zc, constants=constants)
-    if stack.is_bulk:
-        if field.e_ex != 0.0:
-            raise ValueError("bulk stack supports only zero external field")
-        v_ex = 0.0
-    else:
-        v_ex = external_potential(field, stack.thickness_L, z, eps_neon=stack.eps_neon)
-    v_img[clamp] = v_zc
-    # two-sided average at the step keeps the discretization second order
-    v_img[surface] = 0.5 * (constants.barrier_height + v_zc)
-    return v_img + v_ex
-
-
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
                         n_states: int = 1, grid: Grid1D | None = None,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BoundStateSolution:
@@ -191,7 +167,7 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
         grid = default_grid(stack)
     if not (grid.z_min < constants.cutoff_zc < grid.z_max):
         raise ValueError("grid must straddle the cutoff distance")
-    v = _total_potential(stack, field, grid, constants)
+    v = cached_perpendicular_potential(stack, field, grid, constants=constants)
     diag, offdiag = build_hamiltonian(v, grid, constants=constants)
     return solve_lowest(diag, offdiag, grid, n_states)
 

@@ -156,7 +156,7 @@ def test_criterion_07_lateral_trap_properties(energy_curve_e0):
     with criterion(7, "lateral trap properties"):
         t0 = time.perf_counter()
         deep = PillarProfile(10.0, 3.0, 110.0, 2.0)
-        depth = -lta_potential(energy_curve_e0, deep, 0.0, warn_on_narrow_step=False)
+        depth = -lta_potential(energy_curve_e0, deep, 0.0)
         assert depth == pytest.approx(10.0, rel=0.30)
 
         splittings = []

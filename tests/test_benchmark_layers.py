@@ -1,0 +1,25 @@
+"""The benchmark's span tracer names neontrap functions by string; each name
+must still resolve, so a rename fails here rather than in a traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+@pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, *_ in _layers()])
+def test_traced_layer_resolves(module_name, attr):
+    target = importlib.import_module(module_name)
+    for part in attr.split("."):
+        target = getattr(target, part)
+    assert callable(target)

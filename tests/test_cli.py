@@ -187,6 +187,19 @@ class TestCliEndToEnd:
         assert z[0] == pytest.approx(0.23, rel=1e-6)
         assert all(a < 0.0 for a in v)
 
+    def test_potential_z_bulk_at_nonzero_field_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\nE_ex = 1e6 V/m\n")
+        out = tmp_path / "pot.csv"
+        assert main(["potential-z", "--config", cfg, "--out", str(out)]) == 2
+        assert "L = inf" in capsys.readouterr().err
+        assert not (tmp_path / "pot_L5.csv").exists()
+
+    @pytest.mark.parametrize("command", ["potential-z", "lateral"])
+    def test_single_field_commands_reject_extra_fields(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm\nE_ex = 0 V/m, 1e6 V/m\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "exactly one E_ex" in capsys.readouterr().err
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "growth.json"
         assert main(["growth", "--format", "json", "--out", str(out)]) == 0

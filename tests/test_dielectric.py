@@ -184,6 +184,18 @@ class TestTotalPotential:
         got = total_perpendicular_potential(stack, FieldSpec(0.0), zc / 2.0)
         assert got == pytest.approx(perpendicular_potential(stack, zc), rel=1e-12)
 
+    def test_surface_node_is_two_sided_average(self):
+        # a node on z = 0 sees the mean of the barrier and the clamped image value
+        stack = DielectricStack(SC, 10.0)
+        got = total_perpendicular_potential(stack, FieldSpec(0.0), 0.0)
+        v_zc = perpendicular_potential(stack, DEFAULT_CONSTANTS.cutoff_zc)
+        assert got == pytest.approx(0.5 * (DEFAULT_CONSTANTS.barrier_height + v_zc),
+                                    rel=1e-12)
+
+    def test_bulk_rejects_nonzero_field(self):
+        with pytest.raises(ValueError, match="bulk"):
+            total_perpendicular_potential(DielectricStack(SC, math.inf), FieldSpec(1e6), 1.0)
+
     def test_inside_neon_is_barrier(self):
         stack = DielectricStack(SC, 10.0)
         got = total_perpendicular_potential(stack, FieldSpec(0.0), -1.0)

@@ -107,28 +107,16 @@ class TestEnergyCurve:
 class TestLtaPotential:
     def test_far_field_vanishes(self, curve):
         p = PillarProfile(L0, DL, R_PILLAR, B)
-        v = lta_potential(curve, p, 5e4, warn_on_narrow_step=False)
+        v = lta_potential(curve, p, 5e4)
         assert v == pytest.approx(0.0, abs=1e-6)
 
     def test_depth_at_center(self, curve):
         p = PillarProfile(L0, DL, R_PILLAR, B)
-        v0 = lta_potential(curve, p, 0.0, warn_on_narrow_step=False)
+        v0 = lta_potential(curve, p, 0.0)
         direct = (ground_state_energy(DielectricStack(SC, thickness_at(p, 0.0)), grid=GRID)
                   - ground_state_energy(DielectricStack(SC, L0), grid=GRID))
         assert v0 == pytest.approx(direct, abs=0.02)
         assert v0 < 0.0
-
-    def test_narrow_step_warns(self, curve):
-        p = PillarProfile(L0, DL, R_PILLAR, 0.5)  # below h_e ~ 1.6 nm
-        with pytest.warns(UserWarning, match="local-thickness"):
-            lta_potential(curve, p, 100.0)
-
-    def test_wide_step_silent(self, curve):
-        import warnings
-        p = PillarProfile(L0, DL, R_PILLAR, 5.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lta_potential(curve, p, 100.0)
 
 
 class TestRadialOracles:
@@ -202,7 +190,7 @@ class TestPillarTrap:
         c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
                                (6.5, 10.5), n_knots=30, grid=GRID)
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
-        depth = -lta_potential(c, p, 0.0, warn_on_narrow_step=False)
+        depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
 
 

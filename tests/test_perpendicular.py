@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import neontrap.perpendicular as perpendicular
 from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       Superconductor, UnboundStateError, build_hamiltonian,
                       ground_state_energy, hellmann_feynman_check, mean_height,
-                      perpendicular_gap, solve_lowest, solve_perpendicular)
+                      perpendicular_gap, solve_lowest, solve_perpendicular,
+                      total_perpendicular_potential)
 from neontrap.perpendicular import Grid1D, aligned_grid, default_grid
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
@@ -189,3 +191,24 @@ class TestAlignedGrid:
         g = aligned_grid(-2.0, 40.0, 8192)
         assert g.z_max == 40.0
         assert g.z_min == pytest.approx(-2.0, abs=0.01)
+
+
+class TestSolverPotential:
+    @pytest.mark.parametrize("L, e_ex", [(10.0, 1e6), (math.inf, 0.0)])
+    def test_hamiltonian_diagonal_is_total_potential(self, monkeypatch, L, e_ex):
+        # the solver's Hamiltonian holds the public potential at every node,
+        # the surface node z = 0 included
+        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+        grid = default_grid(stack)
+        seen = {}
+
+        def capture(diag, offdiag, grid, n_states):
+            seen["diag"] = diag
+            return solve_lowest(diag, offdiag, grid, n_states)
+
+        monkeypatch.setattr(perpendicular, "solve_lowest", capture)
+        solve_perpendicular(stack, field, grid=grid)
+        kinetic = 2.0 * C / grid.spacing ** 2
+        expected = total_perpendicular_potential(stack, field, grid.interior)
+        assert np.min(np.abs(grid.interior)) < 1e-12
+        np.testing.assert_allclose(seen["diag"] - kinetic, expected, rtol=0.0, atol=1e-8)
