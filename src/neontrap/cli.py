@@ -1,8 +1,8 @@
 """Sweep-driving command line interface.
 
 Subcommands: potential-z, ground-sweep, lateral, field-sweep, growth,
-verify.  All outputs are deterministic: identical (config, version) pairs
-produce byte-identical files regardless of worker count.
+verify.  Every sweep runs serially, and all outputs are deterministic:
+identical (config, version) pairs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -24,9 +26,10 @@ from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
 from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
-from .lateral import (PillarProfile, build_energy_curve, field_response,
-                      fit_harmonic_field_model, lta_potential, ordered_map,
-                      pillar_spectrum, thickness_at)
+from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve,
+                      curve_range, default_rho_max, field_response,
+                      fit_harmonic_field_model, lta_potential, pillar_spectrum,
+                      thickness_at)
 from .perpendicular import (UnboundStateError, default_grid, mean_height,
                             perpendicular_gap, solve_perpendicular)
 from .tables import ResultTable
@@ -78,6 +81,15 @@ def _single_field(cfg: RunConfig, command: str) -> FieldSpec:
     return FieldSpec(cfg.E_ex[0])
 
 
+def _curve_range(cfg: RunConfig) -> tuple[float, float]:
+    """Thickness range of the pillar energy curves, checked before any solve."""
+    lo, hi = curve_range(cfg.L0, max(cfg.delta_L))
+    if not (CURVE_L_LIMITS[0] <= lo and hi <= CURVE_L_LIMITS[1]):
+        raise ConfigError(f"L0 and delta_L need an energy curve over [{lo:g}, {hi:g}] nm, "
+                          "outside [%g, %g] nm" % CURVE_L_LIMITS)
+    return lo, hi
+
+
 def cmd_potential_z(cfg: RunConfig) -> list[str]:
     """Perpendicular potential profile V(z); one file per layer thickness."""
     field = _single_field(cfg, "potential-z")
@@ -109,28 +121,21 @@ def cmd_potential_z(cfg: RunConfig) -> list[str]:
 def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
     """W^G, h_e and the perpendicular gap over the (L, E_ex) grid."""
     constants = _constants(cfg)
-    points = sorted((L, e) for L in cfg.L for e in cfg.E_ex)
-
-    def solve(point):
-        L, e_ex = point
-        stack = _stack(cfg, L)
-        unbound = (L, e_ex, math.nan, math.nan, math.nan, False)
-        if stack.is_bulk and e_ex != 0.0:
-            return unbound
-        sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
-                                  grid=default_grid(stack, cfg.z_max, cfg.n_points),
-                                  constants=constants)
-        if not sol.is_bound():
-            return unbound
-        return (L, e_ex, float(sol.energies[0]), mean_height(sol),
-                perpendicular_gap(sol), True)
-
-    results = ordered_map(solve, points, cfg.effective_threads())
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
                                  ("h_e", "nm"), ("gap", "meV"), ("bound", "")],
                         metadata=_base_metadata(cfg, "ground-sweep"))
-    for row in results:
-        table.add_row(*row)
+    for L, e_ex in sorted((L, e) for L in cfg.L for e in cfg.E_ex):
+        stack = _stack(cfg, L)
+        sol = None
+        if not (stack.is_bulk and e_ex != 0.0):
+            sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
+                                      grid=default_grid(stack, cfg.z_max, cfg.n_points),
+                                      constants=constants)
+        if sol is not None and sol.is_bound():
+            table.add_row(L, e_ex, float(sol.energies[0]), mean_height(sol),
+                          perpendicular_gap(sol), True)
+        else:
+            table.add_row(L, e_ex, math.nan, math.nan, math.nan, False)
     path = _out_path(cfg)
     _write(cfg, table, path)
     return [path]
@@ -139,13 +144,12 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
 def cmd_lateral(cfg: RunConfig) -> list[str]:
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     field = _single_field(cfg, "lateral")
+    l_range = _curve_range(cfg)
     constants = _constants(cfg)
     stack0 = _stack(cfg, cfg.L0)
-    l_lo = cfg.L0 - max(cfg.delta_L) - 0.5
-    curve = build_energy_curve(stack0, field, (l_lo, cfg.L0 + 0.5), cfg.n_knots,
+    curve = build_energy_curve(stack0, field, l_range, cfg.n_knots,
                                grid=default_grid(stack0, cfg.z_max, cfg.n_points),
-                               constants=constants,
-                               n_workers=cfg.effective_threads())
+                               constants=constants)
     written = []
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
@@ -155,7 +159,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     for R in sorted(cfg.R):
         for dL in sorted(cfg.delta_L):
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
-            rho_max = cfg.rho_max or max(3.0 * R, R + 200.0)
+            rho_max = cfg.rho_max or default_rho_max(R)
             rho = np.linspace(rho_max / cfg.z_samples, rho_max, cfg.z_samples)
             v_par = np.asarray(lta_potential(curve, profile, rho))
             prof_table = ResultTable(
@@ -171,7 +175,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
             written.append(path)
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=cfg.rho_max,
+                                   rho_max=rho_max,
                                    n_points=cfg.n_points_radial,
                                    constants=constants)
             for alpha in range(cfg.alpha_max + 1):
@@ -188,6 +192,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     """Delta U and rho_e versus external field for one pillar geometry."""
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
+    _curve_range(cfg)
     constants = _constants(cfg)
     stack0 = _stack(cfg, cfg.L0)
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
@@ -195,8 +200,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
                           rho_max=cfg.rho_max, n_points=cfg.n_points_radial,
                           grid=default_grid(stack0, cfg.z_max, cfg.n_points),
-                          constants=constants,
-                          n_workers=cfg.effective_threads())
+                          constants=constants)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")],
@@ -241,6 +245,11 @@ def cmd_growth(cfg: RunConfig) -> list[str]:
     return [path]
 
 
+def _table_identity(table: ResultTable) -> tuple:
+    """Columns plus the metadata naming the thickness / pillar a table belongs to."""
+    return table.columns, [table.metadata.get(k) for k in ("L_nm", "R_nm", "delta_L_nm")]
+
+
 def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     """Re-run the stored table's command and compare within rtol."""
     with open(stored_path) as fh:
@@ -248,17 +257,21 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     command = stored.metadata.get("command")
     if command not in _COMMANDS or command == "verify":
         raise ConfigError(f"stored table has no re-runnable command ({command!r})")
-    # re-run into the configured output, then compare against the stored file
-    paths = _COMMANDS[command](cfg)
-    fresh = None
-    for path in paths:
-        with open(path) as fh:
-            candidate = ResultTable.from_csv(fh.read())
-        if [c for c in candidate.columns] == [tuple(c) for c in stored.columns]:
-            fresh = candidate
-            break
+    # re-run into a scratch directory: the configured output may be the
+    # stored file itself, which must survive a failed comparison
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = dataclasses.replace(
+            cfg, out_path=os.path.join(tmp, os.path.basename(cfg.out_path)),
+            out_format="csv")
+        fresh = None
+        for path in _COMMANDS[command](scratch):
+            with open(path) as fh:
+                candidate = ResultTable.from_csv(fh.read())
+            if _table_identity(candidate) == _table_identity(stored):
+                fresh = candidate
+                break
     if fresh is None:
-        raise NumericalFailure("no regenerated table matches the stored schema")
+        raise NumericalFailure("no regenerated table matches the stored schema and axes")
     if len(fresh.rows) != len(stored.rows):
         raise NumericalFailure(
             f"row count changed: {len(stored.rows)} stored vs {len(fresh.rows)} fresh")
@@ -309,7 +322,8 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (overrides [output] path)")
     p.add_argument("--format", choices=("csv", "json"),
                    help="output format (overrides [output] format)")
-    p.add_argument("--threads", type=int, help="worker count (overrides [parallel])")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility and ignored: every run is serial")
 
 
 def main(argv=None) -> int:

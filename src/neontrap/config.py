@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 
 from .tables import emit_quantity, parse_quantity
@@ -20,7 +19,8 @@ class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
 
 
-# section -> key -> (kind, unit).  kind: float | float_list | int | str | choice
+# section -> key -> (kind, unit).
+# kind: float | float_or_auto (auto -> None) | float_list | int | str | choice
 _SCHEMA = {
     "substrate": {
         "type": ("choice", ("superconductor", "dielectric")),
@@ -35,7 +35,7 @@ _SCHEMA = {
         "n_points": ("int", None),
         "z_max": ("float", "nm"),
         "z_samples": ("int", None),
-        "rho_max": ("float", "nm"),
+        "rho_max": ("float_or_auto", "nm"),
         "n_points_radial": ("int", None),
     },
     "sweep": {
@@ -90,20 +90,7 @@ class RunConfig:
     delta_h: float = 25.0
     out_path: str = "out.csv"
     out_format: str = "csv"
-    threads: int = 0
-
-    def effective_threads(self) -> int:
-        env = os.environ.get("NEONTRAP_THREADS")
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"NEONTRAP_THREADS must be an integer, got {env!r}") from exc
-            if n > 0:
-                return n
-        if self.threads > 0:
-            return self.threads
-        return os.cpu_count() or 1
+    threads: int = 0  # accepted and echoed for old configs; every run is serial
 
     def effective_text(self) -> str:
         """Canonical resolved-config echo; also the hash input."""
@@ -151,7 +138,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        # neither output destination nor worker count affects the numbers,
+        # neither the output destination nor [parallel] affects the numbers,
         # so the hash covers only the physics-relevant sections
         text = self.effective_text().split("[output]")[0]
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -162,6 +149,8 @@ def _parse_value(section: str, key: str, raw: str):
     try:
         if kind == "float":
             return parse_quantity(raw, unit)
+        if kind == "float_or_auto":
+            return None if raw.strip() == "auto" else parse_quantity(raw, unit)
         if kind == "float_list":
             return [parse_quantity(part, unit) for part in raw.split(",")]
         if kind == "int":
@@ -235,4 +224,4 @@ def _validate(cfg: RunConfig):
     if cfg.diffusion_time <= 0.0 or cfg.delta_h < 0.0:
         raise ConfigError("diffusion_time must be positive, delta_h non-negative")
     if cfg.threads < 0:
-        raise ConfigError("threads must be >= 0 (0 = auto)")
+        raise ConfigError("threads must be >= 0")

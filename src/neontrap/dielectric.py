@@ -12,8 +12,8 @@ which is summed in closed form to double precision for every L >= 0.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,9 +216,12 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
 
 # The lateral module re-solves the perpendicular problem for hundreds of
 # thickness values; memoize the field-free part per (stack, constants, grid).
-_POTENTIAL_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-_CACHE_MAX_ENTRIES = 4096
+@functools.lru_cache(maxsize=4096)
+def _cached_field_free_potential(stack: DielectricStack, constants: PhysicalConstants,
+                                 grid) -> np.ndarray:
+    static = _field_free_potential(stack, grid.interior, constants)
+    static.setflags(write=False)
+    return static
 
 
 def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, grid, *,
@@ -228,16 +231,5 @@ def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, gri
     grid is a hashable grid (perpendicular.Grid1D); the key is
     (stack, constants, grid), so cached values always match grid.interior.
     """
-    z = grid.interior
-    v_ex = _field_term(stack, field, z)
-    key = (stack, constants, grid)
-    with _CACHE_LOCK:
-        static = _POTENTIAL_CACHE.get(key)
-    if static is None:
-        static = _field_free_potential(stack, z, constants)
-        static.setflags(write=False)
-        with _CACHE_LOCK:
-            if len(_POTENTIAL_CACHE) >= _CACHE_MAX_ENTRIES:
-                _POTENTIAL_CACHE.clear()
-            _POTENTIAL_CACHE[key] = static
-    return static + v_ex
+    v_ex = _field_term(stack, field, grid.interior)
+    return _cached_field_free_potential(stack, constants, grid) + v_ex

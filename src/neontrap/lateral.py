@@ -10,7 +10,6 @@ eigenvalue per alpha yields the qubit spectrum U_alpha, Delta U = U1 - U0.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, replace
 
@@ -111,16 +110,23 @@ class EnergyCurve:
         return float(out) if np.isscalar(L) else out
 
 
+CURVE_L_LIMITS = (1.0, 200.0)  # nm; thickness span an energy curve may cover
+
+
+def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
+    """Energy-curve thickness range for steps up to delta_L below L0, 0.5 nm margin each side."""
+    return L0 - delta_L - 0.5, L0 + 0.5
+
+
 def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
                        l_range: tuple[float, float], n_knots: int = 60, *,
                        grid: Grid1D | None = None,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                       n_workers: int = 1,
                        n_validation: int = 5) -> EnergyCurve:
     """Solve W^G at log-spaced knots over l_range and fit a validated spline."""
     lo, hi = l_range
-    if not (1.0 <= lo < hi <= 200.0):
-        raise ValueError("l_range must lie within [1, 200] nm")
+    if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
+        raise ValueError("l_range must lie within [%g, %g] nm" % CURVE_L_LIMITS)
     if n_knots < 20:
         raise ValueError("need at least 20 knots")
     # log spacing concentrates knots at small L where W^G varies fastest
@@ -131,7 +137,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         stack = replace(stack_template, thickness_L=float(L))
         return ground_state_energy(stack, field, grid=grid, constants=constants)
 
-    w_knots = np.array(ordered_map(solve_at, l_knots, n_workers))
+    w_knots = np.array([solve_at(L) for L in l_knots])
 
     mids = 0.5 * (l_knots[:-1] + l_knots[1:])
     take = mids[np.linspace(0, mids.size - 1, n_validation).astype(int)]
@@ -143,17 +149,6 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
             f"spline mid-knot error {validation_error:.4f} meV exceeds "
             f"{EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
     return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
-
-
-def ordered_map(fn, items, n_workers: int) -> list:
-    """Order-preserving map over n_workers threads; the result is independent of n_workers.
-
-    Runs serially for n_workers <= 1 or a single item.
-    """
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
@@ -248,13 +243,18 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
                            bound=bound)
 
 
+def default_rho_max(R: float) -> float:
+    """Radial box (nm) for a pillar of radius R: wide enough that V_par is flat at the wall."""
+    return max(3.0 * R, R + 200.0)
+
+
 def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                     alpha_max: int = 1, rho_max: float | None = None,
                     n_points: int = 16384,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
     """Radial spectrum of the trap formed by a pillar profile."""
     if rho_max is None:
-        rho_max = max(3.0 * profile.R, profile.R + 200.0)
+        rho_max = default_rho_max(profile.R)
     pot = lambda r: lta_potential(curve, profile, r)
     return radial_spectrum(pot, alpha_max, rho_max=rho_max, n_points=n_points,
                            constants=constants)
@@ -285,24 +285,21 @@ class FieldResponse:
 
 
 def field_response(stack_template: DielectricStack, profile: PillarProfile,
-                   fields, *, l_margin: float = 0.5, n_knots: int = 60,
+                   fields, *, n_knots: int = 60,
                    alpha_max: int = 1, rho_max: float | None = None,
                    n_points: int = 16384, grid: Grid1D | None = None,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                   n_workers: int = 1) -> FieldResponse:
+                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
     Unbound entries are flagged in their row, never dropped.
     """
-    l_lo = profile.L0 - profile.delta_L - l_margin
-    l_hi = profile.L0 + l_margin
+    l_range = curve_range(profile.L0, profile.delta_L)
     rows = []
     for e_ex in fields:
         fs = FieldSpec(float(e_ex))
         try:
-            curve = build_energy_curve(stack_template, fs, (l_lo, l_hi), n_knots,
-                                       grid=grid, constants=constants,
-                                       n_workers=n_workers)
+            curve = build_energy_curve(stack_template, fs, l_range, n_knots,
+                                       grid=grid, constants=constants)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
                                    rho_max=rho_max, n_points=n_points,
                                    constants=constants)

@@ -1,5 +1,6 @@
-"""The benchmark's span tracer names neontrap functions by string; each name
-must still resolve, so a rename fails here rather than in a traced run."""
+"""The benchmark's span tracer names neontrap functions by string, and its
+committed configs go through the strict config parser; a rename or a schema
+change fails here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from neontrap.config import load_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _layers():
@@ -23,3 +27,8 @@ def test_traced_layer_resolves(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("configs/*.ini")), ids=lambda p: p.name)
+def test_benchmark_config_loads(path):
+    load_config(str(path))

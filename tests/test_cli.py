@@ -127,20 +127,24 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         with pytest.raises(ConfigError, match="delta_L"):
             load_config(path)
 
-    def test_env_thread_override(self, monkeypatch):
-        cfg = RunConfig(threads=2)
-        monkeypatch.setenv("NEONTRAP_THREADS", "7")
-        assert cfg.effective_threads() == 7
-        monkeypatch.setenv("NEONTRAP_THREADS", "banana")
-        with pytest.raises(ConfigError):
-            cfg.effective_threads()
-
     def test_hash_ignores_output_and_threads(self):
         a = RunConfig(threads=1, out_path="a.csv")
         b = RunConfig(threads=8, out_path="b.json", out_format="json")
         c = RunConfig(L=[12.0])
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "[substrate]\ntype = dielectric\neps_b = 12\n[sweep]\nL = inf\n",
+    ], ids=["default", "dielectric_bulk"])
+    def test_effective_config_loads_back(self, tmp_path, body):
+        cfg_path = write_config(tmp_path, body)
+        out = tmp_path / "g.csv"
+        assert main(["growth", "--config", cfg_path, "--out", str(out)]) == 0
+        echoed = load_config(str(tmp_path / "g.effective.ini"))
+        assert echoed.rho_max is None
+        assert echoed.config_hash() == load_config(cfg_path).config_hash()
 
 
 class TestCliEndToEnd:
@@ -221,6 +225,30 @@ class TestCliEndToEnd:
         text = out.read_text().replace("9.12805346e+00", "9.22805346e+00")
         out.write_text(text)
         assert main(["verify", str(out), "--out", str(fresh)]) == 3
+
+    def test_verify_keeps_stored_file_at_default_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["growth"]) == 0
+        out = tmp_path / "out.csv"
+        tampered = out.read_text().replace("9.12805346e+00", "9.22805346e+00")
+        out.write_text(tampered)
+        assert main(["verify", "out.csv"]) == 3
+        assert out.read_text() == tampered
+
+    def test_verify_compares_table_with_same_axes(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\nn_knots = 20\n")
+        out = tmp_path / "lat.csv"
+        assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
+        stored = tmp_path / "lat_R110_dL0.5.csv"
+        assert main(["verify", str(stored), "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["lateral", "field-sweep"])
+    def test_curve_range_outside_limits_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL0 = 1.2 nm\ndelta_L = 0.5 nm\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "energy curve over [0.2, 1.7] nm" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, 10 nm, 20 nm\nE_ex = 0 V/m, 1e6 V/m\n")

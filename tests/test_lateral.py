@@ -96,13 +96,6 @@ class TestEnergyCurve:
             build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
                                (0.5, 10.0), n_knots=20, grid=GRID)
 
-    def test_knots_independent_of_worker_count(self):
-        curves = [build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                                     (9.0, 10.5), n_knots=20, grid=GRID,
-                                     n_workers=n)
-                  for n in (1, 2)]
-        assert np.array_equal(curves[0].w_knots, curves[1].w_knots)
-
 
 class TestLtaPotential:
     def test_far_field_vanishes(self, curve):
