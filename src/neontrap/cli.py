@@ -159,7 +159,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     for R in sorted(cfg.R):
         for dL in sorted(cfg.delta_L):
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
-            rho_max = cfg.rho_max or default_rho_max(R)
+            rho_max = default_rho_max(R) if cfg.rho_max is None else cfg.rho_max
             rho = np.linspace(rho_max / cfg.z_samples, rho_max, cfg.z_samples)
             v_par = np.asarray(lta_potential(curve, profile, rho))
             prof_table = ResultTable(
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
             if args.threads < 0:
                 raise ConfigError("--threads must be >= 0")
             cfg.threads = args.threads
+        out_dir = os.path.dirname(cfg.out_path) or "."
+        if args.command != "verify" and not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory {out_dir} does not exist")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

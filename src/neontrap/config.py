@@ -215,6 +215,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("need 0 < delta_L < L0")
     if any(r <= 0.0 for r in cfg.R) or cfg.b <= 0.0:
         raise ConfigError("R and b must be positive")
+    if cfg.rho_max is not None and not 0.0 < cfg.rho_max < math.inf:
+        raise ConfigError("rho_max must be a positive finite length (or auto)")
     if cfg.n_knots < 20:
         raise ConfigError("n_knots must be >= 20")
     if cfg.alpha_max < 1:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.interpolate
 import scipy.linalg
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
@@ -79,23 +78,61 @@ def thickness_at(profile: ThicknessProfile, rho):
     return float(out) if np.isscalar(rho) else out
 
 
+class _NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4 knots.
+
+    Built and evaluated exactly as scipy's CubicSpline with its default
+    boundary condition: the knot slopes solve a tridiagonal system, and c
+    holds the (4, n - 1) piecewise-power coefficients, highest first.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        ab = np.zeros((3, x.size))  # banded rows: upper, diagonal, lower
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b = np.empty(x.size)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[-1, -2] = dx[-2], d
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = scipy.linalg.solve_banded((1, 1), ab, b, check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self.y = x, y
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, L):
+        i = np.clip(np.searchsorted(self.x, L, side="right") - 1, 0, self.x.size - 2)
+        s = L - self.x[i]
+        z = s * s
+        c = self.c[:, i]
+        # PPoly's summation order, so values match CubicSpline bit for bit
+        return c[3] + c[2] * s + c[1] * z + c[0] * (z * s)
+
+
 class EnergyCurve:
     """Cubic-spline interpolant of W^G(L) at fixed substrate and field.
 
-    Knots are solved directly; construction validates the spline against
-    fresh solves at held-out midpoints (budget 0.01 meV).
+    Knots are solved directly; build_energy_curve validates the spline
+    against fresh solves at held-out midpoints (budget 0.01 meV).
     """
 
     VALIDATION_BUDGET_MEV = 0.01
 
     def __init__(self, stack_template: DielectricStack, field: FieldSpec,
-                 l_knots: np.ndarray, w_knots: np.ndarray, validation_error: float):
+                 spline: _NotAKnotSpline, validation_error: float):
         self.stack_template = stack_template
         self.field = field
-        self.l_knots = l_knots
-        self.w_knots = w_knots
+        self.l_knots = spline.x
+        self.w_knots = spline.y
         self.validation_error = validation_error
-        self._spline = scipy.interpolate.CubicSpline(l_knots, w_knots)
+        self._spline = spline
 
     @property
     def l_range(self) -> tuple[float, float]:
@@ -141,14 +178,14 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
 
     mids = 0.5 * (l_knots[:-1] + l_knots[1:])
     take = mids[np.linspace(0, mids.size - 1, n_validation).astype(int)]
-    spline = scipy.interpolate.CubicSpline(l_knots, w_knots)
+    spline = _NotAKnotSpline(l_knots, w_knots)
     errs = [abs(float(spline(L)) - solve_at(float(L))) for L in take]
     validation_error = max(errs)
     if validation_error > EnergyCurve.VALIDATION_BUDGET_MEV:
         raise CurveValidationError(
             f"spline mid-knot error {validation_error:.4f} meV exceeds "
             f"{EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
+    return EnergyCurve(stack_template, field, spline, validation_error)
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,20 @@ class TestCliEndToEnd:
         assert "energy curve over [0.2, 1.7] nm" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
+    @pytest.mark.parametrize("rho_max", ["-50 nm", "0 nm", "inf"])
+    @pytest.mark.parametrize("command", ["lateral", "field-sweep"])
+    def test_bad_rho_max_exits_2(self, tmp_path, capsys, command, rho_max):
+        cfg = write_config(tmp_path, FAST_GRID + f"rho_max = {rho_max}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "rho_max must be a positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "o.csv"
+        assert main(["lateral", "--out", str(out)]) == 2
+        assert f"output directory {out.parent} does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, 10 nm, 20 nm\nE_ex = 0 V/m, 1e6 V/m\n")
         out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
@@ -293,3 +311,18 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         ratio = float(table.metadata["asymmetry_ratio"])
         assert ratio > 1.0  # negative fields tune the splitting harder
         assert float(table.metadata["harmonic_fit_hbar_omega0_ueV"]) > 0.0
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    """`import neontrap.cli` needs numpy and scipy.linalg only.
+
+    Runs in a fresh interpreter: the test modules import scipy.special.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate")
+    code = f"import neontrap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

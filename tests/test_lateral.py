@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import jn_zeros
 
 import neontrap.lateral
@@ -14,6 +15,7 @@ from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
+from neontrap.lateral import _NotAKnotSpline
 from neontrap.perpendicular import aligned_grid
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
@@ -87,6 +89,11 @@ class TestEnergyCurve:
         with pytest.raises(ValueError):
             curve(11.0)
 
+    def test_scalar_in_float_out(self, curve):
+        assert type(curve(8.0)) is float
+        assert type(curve(np.float64(10.5))) is float
+        assert curve(np.array([8.0, 9.0])).shape == (2,)
+
     def test_monotone_increasing_in_thickness(self, curve):
         w = curve(np.linspace(6.5, 10.5, 200))
         assert np.all(np.diff(w) > 0.0)
@@ -95,6 +102,38 @@ class TestEnergyCurve:
         with pytest.raises(ValueError):
             build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
                                (0.5, 10.0), n_knots=20, grid=GRID)
+
+
+def _log_knots(lo, hi, n):
+    """Knot placement of build_energy_curve: log-spaced, ends pinned."""
+    x = np.exp(np.linspace(math.log(lo), math.log(hi), n))
+    x[0], x[-1] = lo, hi
+    return x
+
+
+def _probe_points(x):
+    """Knots, mid-knots and both ends (the last one is L = hi exactly)."""
+    return np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1]]])
+
+
+class TestSplineOracle:
+    """scipy's CubicSpline is the oracle for the not-a-knot spline of W^G(L)."""
+
+    @pytest.mark.parametrize("lo, hi, n", [(6.5, 10.5, 30), (1.0, 200.0, 60), (9.5, 20.5, 65)])
+    def test_bit_equal_to_cubic_spline(self, lo, hi, n):
+        x = _log_knots(lo, hi, n)
+        y = -7.9 / (1.0 + 2.0 / x) + 1e-3 * np.sin(x)
+        ours, ref = _NotAKnotSpline(x, y), CubicSpline(x, y)
+        assert np.array_equal(ours.c, ref.c)
+        pts = _probe_points(x)
+        assert np.array_equal(ours(pts), ref(pts))
+
+    def test_energy_curve_equals_oracle(self, curve):
+        ref = CubicSpline(curve.l_knots, curve.w_knots)
+        assert np.array_equal(curve._spline.c, ref.c)
+        pts = _probe_points(curve.l_knots)
+        assert np.array_equal(curve(pts), ref(pts))
+        assert [curve(float(L)) for L in pts] == [float(ref(L)) for L in pts]
 
 
 class TestLtaPotential:
