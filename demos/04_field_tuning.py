@@ -8,14 +8,13 @@ import math
 
 from neontrap import (DielectricStack, PillarProfile, Superconductor,
                       field_response, fit_harmonic_field_model)
-from neontrap.perpendicular import aligned_grid
 
 SC = Superconductor()
 profile = PillarProfile(10.0, 0.5, 110.0, 2.0)
 fields = (-2e6, -1e6, 0.0, 1e6, 2e6)
 
 resp = field_response(DielectricStack(SC, 10.0), profile, fields,
-                      n_knots=30, grid=aligned_grid(-2.0, 40.0, 4096))
+                      n_knots=30, n_points_z=4096)
 
 print(f"{'E_ex [V/m]':>12} {'dU [ueV]':>10} {'rho_e [nm]':>11} bound")
 for row in resp.rows:

@@ -148,7 +148,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     constants = _constants(cfg)
     stack0 = _stack(cfg, cfg.L0)
     curve = build_energy_curve(stack0, field, l_range, cfg.n_knots,
-                               grid=default_grid(stack0, cfg.z_max, cfg.n_points),
+                               z_max=cfg.z_max, n_points=cfg.n_points,
                                constants=constants)
     written = []
     spectrum = ResultTable(
@@ -199,7 +199,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     resp = field_response(stack0, profile, sorted(cfg.E_ex),
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
                           rho_max=cfg.rho_max, n_points=cfg.n_points_radial,
-                          grid=default_grid(stack0, cfg.z_max, cfg.n_points),
+                          z_max=cfg.z_max, n_points_z=cfg.n_points,
                           constants=constants)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),

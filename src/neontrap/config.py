@@ -146,13 +146,21 @@ class RunConfig:
 
 def _parse_value(section: str, key: str, raw: str):
     kind, unit = _SCHEMA[section][key]
+
+    def number(text: str) -> float:
+        value = parse_quantity(text, unit)
+        # nan means nothing, and inf only the bulk sentinel of [sweep] L
+        if not math.isfinite(value) and (value != math.inf or (section, key) != ("sweep", "L")):
+            raise ValueError(f"expected a finite value, got {text.strip()!r}")
+        return value
+
     try:
         if kind == "float":
-            return parse_quantity(raw, unit)
+            return number(raw)
         if kind == "float_or_auto":
-            return None if raw.strip() == "auto" else parse_quantity(raw, unit)
+            return None if raw.strip() == "auto" else number(raw)
         if kind == "float_list":
-            return [parse_quantity(part, unit) for part in raw.split(",")]
+            return [number(part) for part in raw.split(",")]
         if kind == "int":
             if not raw.strip().lstrip("+-").isdigit():
                 raise ValueError(f"expected an integer, got {raw!r}")
@@ -209,14 +217,14 @@ def _validate(cfg: RunConfig):
         raise ConfigError("grids need at least 500 points")
     if cfg.z_max <= cfg.cutoff_zc:
         raise ConfigError("z_max must exceed the cutoff distance")
-    if any((l <= 0.0 and not math.isinf(l)) for l in cfg.L):
+    if any(l <= 0.0 for l in cfg.L):
         raise ConfigError("layer thicknesses must be positive (or inf for bulk)")
     if not (0.0 < min(cfg.delta_L) and max(cfg.delta_L) < cfg.L0):
         raise ConfigError("need 0 < delta_L < L0")
     if any(r <= 0.0 for r in cfg.R) or cfg.b <= 0.0:
         raise ConfigError("R and b must be positive")
-    if cfg.rho_max is not None and not 0.0 < cfg.rho_max < math.inf:
-        raise ConfigError("rho_max must be a positive finite length (or auto)")
+    if cfg.rho_max is not None and cfg.rho_max <= 0.0:
+        raise ConfigError("rho_max must be a positive length (or auto)")
     if cfg.n_knots < 20:
         raise ConfigError("n_knots must be >= 20")
     if cfg.alpha_max < 1:

@@ -214,8 +214,8 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-# The lateral module re-solves the perpendicular problem for hundreds of
-# thickness values; memoize the field-free part per (stack, constants, grid).
+# A field sweep re-solves the same energy-curve nodes at every field;
+# memoize the field-free part per (stack, constants, grid).
 @functools.lru_cache(maxsize=4096)
 def _cached_field_free_potential(stack: DielectricStack, constants: PhysicalConstants,
                                  grid) -> np.ndarray:

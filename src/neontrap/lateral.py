@@ -2,7 +2,7 @@
 
 The thickness profile L(rho) maps, through the local-thickness
 approximation, onto a lateral potential V_par(rho) = W^G(L(rho)) - W^G(L0)
-built from a spline of ground-state energies.  The radial Schroedinger
+built from a Chebyshev interpolant of W^G in log L.  The radial Schroedinger
 equation for each angular momentum alpha is discretized with a cylindrical
 finite-volume scheme, symmetrized by u = sqrt(rho) R, and the lowest
 eigenvalue per alpha yields the qubit spectrum U_alpha, Delta U = U1 - U0.
@@ -15,15 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import Chebyshev, polyutils
+from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
 from .perpendicular import (TAIL_DENSITY_THRESHOLD, TAIL_FRACTION, EigensolverError,
-                            Grid1D, UnboundStateError, ground_state_energy)
+                            UnboundStateError, default_grid, ground_state_energy)
 
 
 class CurveValidationError(RuntimeError):
-    """Energy-curve spline failed its held-out validation budget."""
+    """Energy curve failed its held-out validation budget."""
 
 
 class ModelInvalidError(ValueError):
@@ -78,61 +80,23 @@ def thickness_at(profile: ThicknessProfile, rho):
     return float(out) if np.isscalar(rho) else out
 
 
-class _NotAKnotSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4 knots.
-
-    Built and evaluated exactly as scipy's CubicSpline with its default
-    boundary condition: the knot slopes solve a tridiagonal system, and c
-    holds the (4, n - 1) piecewise-power coefficients, highest first.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        ab = np.zeros((3, x.size))  # banded rows: upper, diagonal, lower
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[-1, :-2] = dx[1:]
-        b = np.empty(x.size)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-        d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1], ab[-1, -2] = dx[-2], d
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = scipy.linalg.solve_banded((1, 1), ab, b, check_finite=False)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x, self.y = x, y
-        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
-    def __call__(self, L):
-        i = np.clip(np.searchsorted(self.x, L, side="right") - 1, 0, self.x.size - 2)
-        s = L - self.x[i]
-        z = s * s
-        c = self.c[:, i]
-        # PPoly's summation order, so values match CubicSpline bit for bit
-        return c[3] + c[2] * s + c[1] * z + c[0] * (z * s)
-
-
 class EnergyCurve:
-    """Cubic-spline interpolant of W^G(L) at fixed substrate and field.
+    """Chebyshev interpolant of W^G(L) in log L at fixed substrate and field.
 
-    Knots are solved directly; build_energy_curve validates the spline
-    against fresh solves at held-out midpoints (budget 0.01 meV).
+    The nodes are solved directly; build_energy_curve validates the
+    interpolant against fresh solves at held-out points (budget 0.01 meV).
     """
 
     VALIDATION_BUDGET_MEV = 0.01
 
     def __init__(self, stack_template: DielectricStack, field: FieldSpec,
-                 spline: _NotAKnotSpline, validation_error: float):
+                 l_knots: np.ndarray, w_knots: np.ndarray, validation_error: float):
         self.stack_template = stack_template
         self.field = field
-        self.l_knots = spline.x
-        self.w_knots = spline.y
+        self.l_knots = l_knots
+        self.w_knots = w_knots
         self.validation_error = validation_error
-        self._spline = spline
+        self._poly = _log_chebyshev(l_knots, w_knots)
 
     @property
     def l_range(self) -> tuple[float, float]:
@@ -143,11 +107,20 @@ class EnergyCurve:
         lo, hi = self.l_range
         if np.any(L_arr < lo) or np.any(L_arr > hi):
             raise ValueError(f"thickness outside tabulated range [{lo}, {hi}] nm")
-        out = self._spline(L_arr)
+        out = self._poly(np.log(L_arr))
         return float(out) if np.isscalar(L) else out
 
 
+def _log_chebyshev(l_nodes: np.ndarray, w_nodes: np.ndarray) -> Chebyshev:
+    """Polynomial in log L through every (L, W) node: a square solve, exact to rounding."""
+    x = np.log(l_nodes)
+    domain = (x[0], x[-1])
+    u = polyutils.mapdomain(x, domain, (-1.0, 1.0))
+    return Chebyshev(np.linalg.solve(chebvander(u, x.size - 1), w_nodes), domain=domain)
+
+
 CURVE_L_LIMITS = (1.0, 200.0)  # nm; thickness span an energy curve may cover
+NODE_TOL_MEV = 1e-8  # held-out agreement that stops node doubling, ~20x solver noise
 
 
 def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
@@ -157,35 +130,47 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
 
 def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
                        l_range: tuple[float, float], n_knots: int = 60, *,
-                       grid: Grid1D | None = None,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                       n_validation: int = 5) -> EnergyCurve:
-    """Solve W^G at log-spaced knots over l_range and fit a validated spline."""
+                       z_max: float = 40.0, n_points: int = 8192,
+                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EnergyCurve:
+    """Interpolate W^G at nested Chebyshev-Lobatto nodes in log L over l_range.
+
+    The next level's new nodes are held out; while their worst error exceeds
+    NODE_TOL_MEV and n_knots allows, they join the nodes (9, 17, 33, ...).
+    Each solve runs on its own default_grid(stack, z_max, n_points).
+    """
     lo, hi = l_range
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
         raise ValueError("l_range must lie within [%g, %g] nm" % CURVE_L_LIMITS)
     if n_knots < 20:
         raise ValueError("need at least 20 knots")
-    # log spacing concentrates knots at small L where W^G varies fastest
-    l_knots = np.exp(np.linspace(math.log(lo), math.log(hi), n_knots))
+    mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+
+    def solve_at(l: np.ndarray) -> np.ndarray:
+        # l ascends, so an unbound field fails on its first (thinnest) solve
+        stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
+        return np.array([ground_state_energy(s, field, grid=default_grid(s, z_max, n_points),
+                                             constants=constants) for s in stacks])
+
+    n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
+    l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
     l_knots[0], l_knots[-1] = lo, hi
-
-    def solve_at(L: float) -> float:
-        stack = replace(stack_template, thickness_L=float(L))
-        return ground_state_energy(stack, field, grid=grid, constants=constants)
-
-    w_knots = np.array([solve_at(L) for L in l_knots])
-
-    mids = 0.5 * (l_knots[:-1] + l_knots[1:])
-    take = mids[np.linspace(0, mids.size - 1, n_validation).astype(int)]
-    spline = _NotAKnotSpline(l_knots, w_knots)
-    errs = [abs(float(spline(L)) - solve_at(float(L))) for L in take]
-    validation_error = max(errs)
+    w_knots = solve_at(l_knots)
+    while True:
+        # level 2n adds u = -cos(pi (2k + 1) / 2n) between the current nodes
+        l_held = np.exp(mid + half * -np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        w_held = solve_at(l_held)
+        poly = _log_chebyshev(l_knots, w_knots)
+        validation_error = float(np.max(np.abs(poly(np.log(l_held)) - w_held)))
+        if validation_error <= NODE_TOL_MEV or 2 * n + 1 > n_knots:
+            break
+        l_knots = np.insert(l_knots, slice(1, n + 1), l_held)
+        w_knots = np.insert(w_knots, slice(1, n + 1), w_held)
+        n *= 2
     if validation_error > EnergyCurve.VALIDATION_BUDGET_MEV:
         raise CurveValidationError(
-            f"spline mid-knot error {validation_error:.4f} meV exceeds "
-            f"{EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(stack_template, field, spline, validation_error)
+            f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
+            f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
+    return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
@@ -324,11 +309,12 @@ class FieldResponse:
 def field_response(stack_template: DielectricStack, profile: PillarProfile,
                    fields, *, n_knots: int = 60,
                    alpha_max: int = 1, rho_max: float | None = None,
-                   n_points: int = 16384, grid: Grid1D | None = None,
+                   n_points: int = 16384, z_max: float = 40.0, n_points_z: int = 8192,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
-    Unbound entries are flagged in their row, never dropped.
+    n_points is the radial grid; z_max and n_points_z set the perpendicular
+    grids of the curve.  Unbound entries are flagged in their row, never dropped.
     """
     l_range = curve_range(profile.L0, profile.delta_L)
     rows = []
@@ -336,7 +322,8 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
         fs = FieldSpec(float(e_ex))
         try:
             curve = build_energy_curve(stack_template, fs, l_range, n_knots,
-                                       grid=grid, constants=constants)
+                                       z_max=z_max, n_points=n_points_z,
+                                       constants=constants)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
                                    rho_max=rho_max, n_points=n_points,
                                    constants=constants)

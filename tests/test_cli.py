@@ -259,8 +259,47 @@ class TestCliEndToEnd:
     def test_bad_rho_max_exits_2(self, tmp_path, capsys, command, rho_max):
         cfg = write_config(tmp_path, FAST_GRID + f"rho_max = {rho_max}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "rho_max must be a positive" in capsys.readouterr().err
+        # inf is refused by the parser, like every non-finite value
+        expected = ("rho_max: expected a finite value" if rho_max == "inf"
+                    else "rho_max must be a positive")
+        assert expected in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize("command, body", [
+        ("ground-sweep", "[sweep]\nL = 10 nm, nan nm\n"),
+        ("ground-sweep", "[sweep]\nE_ex = inf V/m\n"),
+        ("ground-sweep", "[grid]\nz_max = inf\n"),
+        ("ground-sweep", "[constants]\ncutoff_zc = nan nm\n"),
+        ("ground-sweep", "[constants]\neps_neon = nan\n"),
+        ("lateral", "[sweep]\nb = nan nm\n"),
+        ("lateral", "[sweep]\nR = nan nm\n"),
+        ("lateral", "[sweep]\nb = inf\n"),
+        ("growth", "[growth]\ndelta_h = nan nm\n"),
+    ], ids=["L_nan", "E_ex_inf", "z_max_inf", "cutoff_zc_nan", "eps_neon_nan",
+            "b_nan", "R_nan", "b_inf", "delta_h_nan"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, body):
+        cfg = write_config(tmp_path, body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "expected a finite value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize("command, table", [("lateral", "thin_spectrum.csv"),
+                                                ("field-sweep", "thin.csv")],
+                             ids=["lateral", "field-sweep"])
+    def test_thin_layer_curve_below_2nm(self, tmp_path, command, table):
+        # the curve spans [1.9, 3.5] nm: its thinnest nodes need a wall above -2 nm
+        cfg = write_config(tmp_path, FAST_GRID + """
+[sweep]
+L0 = 3 nm
+delta_L = 0.6 nm
+b = 2 nm
+R = 50 nm
+n_knots = 20
+""")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "thin.csv")]) == 0
+        result = ResultTable.from_csv((tmp_path / table).read_text())
+        assert set(result.column("bound")) == {1.0}
+        assert all(math.isfinite(v) and v > 0.0 for v in result.column("delta_U"))
 
     def test_missing_output_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "o.csv"

@@ -1,35 +1,47 @@
-"""Lateral trap: thickness profiles, the W^G(L) spline, the local-thickness
-potential, and the radial spectrum against 2D-oscillator / disk oracles."""
+"""Lateral trap: thickness profiles, the W^G(L) Chebyshev curve, the
+local-thickness potential, and the radial spectrum against 2D-oscillator /
+disk oracles."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BarycentricInterpolator
 from scipy.special import jn_zeros
 
 import neontrap.lateral
-from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
-                      ModelInvalidError, PillarProfile, QuadraticProfile,
+from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
+                      EnergyCurve, FieldSpec, ModelInvalidError, PillarProfile,
+                      QuadraticProfile,
                       Superconductor, build_energy_curve, field_response,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
-from neontrap.lateral import _NotAKnotSpline
-from neontrap.perpendicular import aligned_grid
+from neontrap.lateral import NODE_TOL_MEV
+from neontrap.perpendicular import aligned_grid, default_grid
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
 
-# shared solver settings for the slow pillar-trap tests
-GRID = aligned_grid(-2.0, 40.0, 4096)
+# shared solver settings for the slow pillar-trap tests: N_Z perpendicular
+# points per curve node, GRID for direct solves at L >= 2 nm (the same grid)
+N_Z = 4096
+GRID = aligned_grid(-2.0, 40.0, N_Z)
 L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0
 
 
 @pytest.fixture(scope="module")
 def curve():
     return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                              (6.5, 10.5), n_knots=30, grid=GRID)
+                              (6.5, 10.5), n_knots=30, n_points=N_Z)
+
+
+@pytest.fixture(scope="module")
+def wide_curve():
+    # [1, 2] nm nodes get their own lower wall at -L, so W^G carries ~1e-4 meV
+    # of grid noise and the node doubling runs into the n_knots cap
+    return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
+                              (1.0, 200.0), n_knots=60, n_points=N_Z)
 
 
 class TestThicknessProfiles:
@@ -101,39 +113,70 @@ class TestEnergyCurve:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
-                               (0.5, 10.0), n_knots=20, grid=GRID)
+                               (0.5, 10.0), n_knots=20, n_points=N_Z)
 
 
-def _log_knots(lo, hi, n):
-    """Knot placement of build_energy_curve: log-spaced, ends pinned."""
-    x = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    x[0], x[-1] = lo, hi
-    return x
+def _held_out(curve):
+    """Points build_energy_curve solved to validate the accepted nodes."""
+    n = curve.l_knots.size - 1
+    lo, hi = curve.l_range
+    u = -np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
+    return np.exp(0.5 * math.log(hi * lo) + 0.5 * math.log(hi / lo) * u)
 
 
-def _probe_points(x):
-    """Knots, mid-knots and both ends (the last one is L = hi exactly)."""
-    return np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1]]])
+class TestChebyshevCurve:
+    """Barycentric Lagrange interpolation in log L is the oracle for the curve."""
 
+    @pytest.mark.parametrize("which", ["curve", "wide_curve"])
+    def test_equals_barycentric_oracle(self, request, which):
+        c = request.getfixturevalue(which)
+        lo, hi = c.l_range
+        pts = np.concatenate([c.l_knots, _held_out(c), [lo, hi]])
+        oracle = BarycentricInterpolator(np.log(c.l_knots), c.w_knots)
+        assert np.max(np.abs(c(pts) - oracle(np.log(pts)))) <= 1e-12
+        assert abs(c(hi) - float(oracle(math.log(hi)))) <= 1e-12
 
-class TestSplineOracle:
-    """scipy's CubicSpline is the oracle for the not-a-knot spline of W^G(L)."""
+    def test_levels_reuse_nodes_and_solve_ascending(self, monkeypatch):
+        solved = []
+        solve = neontrap.lateral.ground_state_energy
+        def spy(stack, *args, **kwargs):
+            solved.append(stack.thickness_L)
+            return solve(stack, *args, **kwargs)
+        monkeypatch.setattr(neontrap.lateral, "ground_state_energy", spy)
+        c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
+                               (1.0, 200.0), n_knots=60, n_points=N_Z)
+        # 9 nodes, then held-out levels of 8, 16 and 32 points, each once
+        levels = np.split(np.array(solved), [9, 17, 33])
+        assert [lv.size for lv in levels] == [9, 8, 16, 32]
+        assert solved[0] == 1.0 and all(np.all(np.diff(lv) > 0.0) for lv in levels)
+        assert np.array_equal(np.sort(np.concatenate(levels[:3])), c.l_knots)
+        assert np.array_equal(levels[3], _held_out(c))
 
-    @pytest.mark.parametrize("lo, hi, n", [(6.5, 10.5, 30), (1.0, 200.0, 60), (9.5, 20.5, 65)])
-    def test_bit_equal_to_cubic_spline(self, lo, hi, n):
-        x = _log_knots(lo, hi, n)
-        y = -7.9 / (1.0 + 2.0 / x) + 1e-3 * np.sin(x)
-        ours, ref = _NotAKnotSpline(x, y), CubicSpline(x, y)
-        assert np.array_equal(ours.c, ref.c)
-        pts = _probe_points(x)
-        assert np.array_equal(ours(pts), ref(pts))
+    def test_smooth_range_accepts_nine_nodes(self, curve):
+        assert curve.l_knots.size == 9
+        assert curve.validation_error <= NODE_TOL_MEV
 
-    def test_energy_curve_equals_oracle(self, curve):
-        ref = CubicSpline(curve.l_knots, curve.w_knots)
-        assert np.array_equal(curve._spline.c, ref.c)
-        pts = _probe_points(curve.l_knots)
-        assert np.array_equal(curve(pts), ref(pts))
-        assert [curve(float(L)) for L in pts] == [float(ref(L)) for L in pts]
+    def test_wide_range_stops_at_node_cap(self, wide_curve):
+        # 9 -> 17 -> 33 nodes; 65 would exceed n_knots = 60
+        assert wide_curve.l_knots.size == 33
+        assert NODE_TOL_MEV < wide_curve.validation_error <= EnergyCurve.VALIDATION_BUDGET_MEV
+
+    def test_fresh_solves_agree(self, curve):
+        ls = 8.5 + 2.0 * (np.arange(20) + 0.5) / 20
+        direct = [ground_state_energy(s, grid=default_grid(s, n_points=N_Z))
+                  for s in (DielectricStack(SC, float(L)) for L in ls)]
+        assert np.max(np.abs(curve(ls) - np.array(direct))) <= 1e-8
+
+    def test_budget_exceeded_raises_and_flags_row(self, monkeypatch):
+        monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
+        with pytest.raises(CurveValidationError, match="held-out error"):
+            build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
+                               (9.0, 10.5), n_knots=20, n_points=N_Z)
+        resp = field_response(DielectricStack(SC, L0), PillarProfile(L0, DL, R_PILLAR, B),
+                              (0.0,), n_knots=20, n_points_z=N_Z)
+        (row,) = resp.rows
+        assert not row.bound
+        assert all(math.isnan(v) for v in (row.delta_u_uev, row.rho_e, row.rho_e_line))
 
 
 class TestLtaPotential:
@@ -220,7 +263,7 @@ class TestPillarTrap:
     def test_trap_depth_with_deep_etch(self):
         # Delta L = 3 nm gives a trap of order 10 meV
         c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (6.5, 10.5), n_knots=30, grid=GRID)
+                               (6.5, 10.5), n_knots=30, n_points=N_Z)
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
         depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
@@ -246,7 +289,7 @@ class TestFieldResponse:
     def test_unbound_field_keeps_flagged_row(self):
         # -5e6 V/m pulls the electron off the surface at these thicknesses
         resp = field_response(DielectricStack(SC, L0), self.PROFILE, (0.0, -5e6),
-                              n_knots=20, grid=GRID, n_points=8192)
+                              n_knots=20, n_points_z=N_Z, n_points=8192)
         assert [r.e_ex for r in resp.rows] == [-5e6, 0.0]
         unbound, bound = resp.rows
         assert not unbound.bound
@@ -260,7 +303,7 @@ class TestFieldResponse:
         monkeypatch.setattr(neontrap.lateral, "pillar_spectrum", broken)
         with pytest.raises(TypeError, match="bug"):
             field_response(DielectricStack(SC, L0), self.PROFILE, (0.0,),
-                           n_knots=20, grid=GRID)
+                           n_knots=20, n_points_z=N_Z)
 
 
 class TestHarmonicFieldModel:
