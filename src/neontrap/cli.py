@@ -4,7 +4,8 @@ Subcommands: potential-z, ground-sweep, lateral, field-sweep, growth,
 verify.  Every sweep runs serially, and all outputs are deterministic:
 identical (config, version) pairs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
 from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
-from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve,
-                      curve_range, default_rho_max, field_response,
-                      fit_harmonic_field_model, lta_potential, pillar_spectrum,
-                      thickness_at)
-from .perpendicular import (UnboundStateError, default_grid, mean_height,
-                            perpendicular_gap, solve_perpendicular)
+from .lateral import (CURVE_L_LIMITS, CurveValidationError, ModelInvalidError,
+                      PillarProfile, build_energy_curve, curve_range,
+                      default_rho_max, field_response, fit_harmonic_field_model,
+                      lta_potential, pillar_spectrum, thickness_at)
+from .perpendicular import (EigensolverError, UnboundStateError, default_grid,
+                            mean_height, perpendicular_gap, solve_perpendicular)
 from .tables import ResultTable
 
 
@@ -252,8 +253,11 @@ def _table_identity(table: ResultTable) -> tuple:
 
 def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     """Re-run the stored table's command and compare within rtol."""
-    with open(stored_path) as fh:
-        stored = ResultTable.from_csv(fh.read())
+    try:
+        with open(stored_path) as fh:
+            stored = ResultTable.from_csv(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read stored table {stored_path}: {exc}") from exc
     command = stored.metadata.get("command")
     if command not in _COMMANDS or command == "verify":
         raise ConfigError(f"stored table has no re-runnable command ({command!r})")
@@ -355,7 +359,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, UnboundStateError, ValueError, RuntimeError) as exc:
+    except (NumericalFailure, UnboundStateError, EigensolverError, CurveValidationError,
+            ModelInvalidError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

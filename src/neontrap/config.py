@@ -215,8 +215,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eps_neon must exceed 1")
     if cfg.n_points < 500 or cfg.n_points_radial < 500:
         raise ConfigError("grids need at least 500 points")
+    if cfg.cutoff_zc <= 0.0:
+        raise ConfigError("cutoff_zc must be a positive length")
     if cfg.z_max <= cfg.cutoff_zc:
         raise ConfigError("z_max must exceed the cutoff distance")
+    if cfg.z_samples < 1:
+        raise ConfigError("z_samples must be >= 1")
     if any(l <= 0.0 for l in cfg.L):
         raise ConfigError("layer thicknesses must be positive (or inf for bulk)")
     if not (0.0 < min(cfg.delta_L) and max(cfg.delta_L) < cfg.L0):

@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import Chebyshev, polyutils
 from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (TAIL_DENSITY_THRESHOLD, TAIL_FRACTION, EigensolverError,
-                            UnboundStateError, default_grid, ground_state_energy)
+from .perpendicular import (COARSE_FACTOR, MIN_GRID_POINTS, TAIL_DENSITY_THRESHOLD,
+                            TAIL_FRACTION, EigensolverError, UnboundStateError,
+                            default_grid, ground_state_energy, lowest_eigenpairs)
 
 
 class CurveValidationError(RuntimeError):
@@ -214,6 +214,19 @@ class LateralSpectrum:
         return 1.0e3 * self.u_alpha[alpha]
 
 
+def _radial_operator(potential, rho_max: float, n_points: int, c: float):
+    """Cell centres, V_par there, and the symmetrized operator without the centrifugal term."""
+    h = rho_max / n_points
+    rho = (np.arange(n_points) + 0.5) * h
+    faces = np.arange(n_points + 1) * h
+    v = np.asarray(potential(rho), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite lateral potential sample")
+    kin_diag = c * (faces[1:] + faces[:-1]) / (h * h * rho)
+    offdiag = -c * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
+    return rho, v, kin_diag + v, offdiag
+
+
 def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
                     n_points: int = 16384,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
@@ -222,32 +235,29 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
     potential is a callable rho[nm] -> V_par[meV].  Cell-centered
     finite-volume discretization of -(hbar^2/2m_e) (1/rho) d/drho(rho d/drho)
     plus the centrifugal term, symmetrized with u = sqrt(rho) R; no-flux
-    regularity at the axis, hard wall at rho_max.
+    regularity at the axis, hard wall at rho_max.  Each alpha starts from its
+    state on COARSE_FACTOR times fewer cells (see lowest_eigenpairs).
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
     c = constants.hbar2_over_2me
     h = rho_max / n_points
-    rho = (np.arange(n_points) + 0.5) * h
-    faces_out = (np.arange(n_points) + 1.0) * h
-    faces_in = np.arange(n_points) * h
-    v = np.asarray(potential(rho), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite lateral potential sample")
-    kin_diag = c * (faces_out + faces_in) / (h * h * rho)
-    offdiag = -c * faces_out[:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
+    rho, v, diag0, offdiag = _radial_operator(potential, rho_max, n_points, c)
+    coarse = None
+    if n_points // COARSE_FACTOR >= MIN_GRID_POINTS:
+        coarse = _radial_operator(potential, rho_max, n_points // COARSE_FACTOR, c)
 
     u_alpha: dict = {}
     states: dict = {}
     for alpha in range(alpha_max + 1):
-        diag = kin_diag + v + c * alpha * alpha / rho ** 2
-        w, vec = scipy.linalg.eigh_tridiagonal(diag, offdiag, select="i",
-                                               select_range=(0, 0))
-        u = vec[:, 0] / math.sqrt(np.sum(vec[:, 0] ** 2) * h)
-        if u[np.argmax(np.abs(u))] < 0.0:
-            u = -u
+        guess = None
+        if coarse is not None:
+            rho_c, _, diag_c, offdiag_c = coarse
+            _, u_c = lowest_eigenpairs(diag_c + c * alpha * alpha / rho_c ** 2, offdiag_c, 1)
+            guess = np.interp(rho, rho_c, u_c[:, 0])[:, None]
+        w, u = lowest_eigenpairs(diag0 + c * alpha * alpha / rho ** 2, offdiag, 1, guess)
         u_alpha[alpha] = float(w[0])
-        states[alpha] = u
+        states[alpha] = u[:, 0] / math.sqrt(h)
 
     u1 = states[1]
     rho_e = float(np.sum(rho * u1 ** 2) * h)

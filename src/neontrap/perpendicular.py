@@ -2,7 +2,9 @@
 
 Discretizes -(hbar^2/2m_e) d^2/dz^2 + V(z) on a uniform grid with hard
 walls at both ends and extracts the lowest eigenpairs of the resulting
-symmetric tridiagonal operator (LAPACK bisection + inverse iteration).
+symmetric tridiagonal operator: Rayleigh-quotient iteration from the
+solution on an 8x coarser grid, certified by Sturm (inertia) counts, with
+LAPACK bisection + inverse iteration as the fallback.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class EigensolverError(RuntimeError):
 # the probability-density threshold (1/nm) that flags a quasi-bound state.
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
+MIN_GRID_POINTS = 500  # fewest points of a solver grid, the guess grids included
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 500:
-            raise ValueError(f"n_points must be >= 500, got {self.n_points}")
+        if self.n_points < MIN_GRID_POINTS:
+            raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {self.n_points}")
         if not self.z_min < self.z_max:
             raise ValueError("z_min must be below z_max")
 
@@ -136,27 +139,131 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
+COARSE_FACTOR = 8  # fine-to-coarse ratio of the grid that supplies the eigensolver's guess
+RQI_MAX_ITER = 8
+RESIDUAL_TOL_EPS = 64.0  # RQI stops at a residual of 64 eps ||T||
+CERTIFICATE_MARGIN_MEV = 1e-7  # smallest delta of the Sturm certificate
+
+
+def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, n_states: int,
+                      guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_states eigenpairs of the symmetric tridiagonal matrix T = (diag, offdiag).
+
+    Returns ascending eigenvalues and unit-norm eigenvectors (columns), each
+    signed so that its largest-magnitude entry is positive.  guess holds one
+    starting vector per state (columns), e.g. a coarse-grid solution
+    interpolated onto this grid.  Each state is then refined by Rayleigh-
+    quotient iteration, deflated against the states below it, and the set is
+    kept only if Sturm counts prove it is the lowest: T - (E_0 - delta) I is
+    positive definite and exactly n_states eigenvalues lie in
+    (E_0 - delta, E_last + delta], with delta = max(2 max residual,
+    CERTIFICATE_MARGIN_MEV).  Without a guess, or when the iteration or the
+    certificate fails, LAPACK bisection + inverse iteration solves T.
+    """
+    if guess is not None and np.shape(guess) != (diag.size, n_states):
+        raise ValueError("guess must hold one column of diag.size values per state")
+    pairs = None if guess is None else _refine(diag, offdiag, guess)
+    if pairs is None:
+        try:
+            pairs = scipy.linalg.eigh_tridiagonal(
+                diag, offdiag, select="i", select_range=(0, n_states - 1))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    w, v = pairs
+    v = v / np.linalg.norm(v, axis=0)
+    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(n_states)] < 0.0] *= -1.0
+    return np.asarray(w, dtype=float), v
+
+
+def _refine(diag, offdiag, guess):
+    """Certified RQI eigenpairs from the guess columns, or None."""
+    # x^T T x = sum r_i x_i^2 - sum e_i (x_{i+1} - x_i)^2 with row sums r_i:
+    # no cancellation between the large kinetic diagonal and offdiagonal
+    row_sum = diag.copy()
+    row_sum[:-1] += offdiag
+    row_sum[1:] += offdiag
+
+    def rayleigh_quotient(x):  # x has unit norm
+        return row_sum @ (x * x) - offdiag @ np.diff(x) ** 2
+
+    def residual_norm(x, mu):  # ||(T - mu I) x||, in the same cancellation-free form
+        edx = offdiag * np.diff(x)
+        y = (row_sum - mu) * x
+        y[:-1] += edx
+        y[1:] -= edx
+        return np.linalg.norm(y)
+
+    def deflate(x):
+        for u in vectors:
+            x = x - (u @ x) * u
+        return x / np.linalg.norm(x)
+
+    tol = RESIDUAL_TOL_EPS * np.finfo(float).eps * (
+        np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag)))
+    energies, vectors, worst = [], [], 0.0
+    for x in np.asarray(guess, dtype=float).T:
+        x = deflate(x)
+        mu = rayleigh_quotient(x)
+        for _ in range(RQI_MAX_ITER):
+            *_, y, info = scipy.linalg.lapack.dgtsv(offdiag, diag - mu, offdiag, x[:, None])
+            if info != 0:
+                return None
+            x = deflate(y[:, 0])
+            mu = rayleigh_quotient(x)
+            residual = residual_norm(x, mu)
+            if residual <= tol:
+                break
+        else:
+            return None
+        energies.append(mu)
+        vectors.append(x)
+        worst = max(worst, residual)
+    w = np.array(energies)
+    if np.any(np.diff(w) <= 0.0):
+        return None
+    delta = max(2.0 * worst, CERTIFICATE_MARGIN_MEV)
+    *_, info = scipy.linalg.lapack.dpttrf(diag - (w[0] - delta), offdiag)
+    if info != 0:
+        return None
+    if w.size > 1:
+        lo, hi = w[0] - delta, w[-1] + delta
+        # count only: an absolute tolerance as wide as the interval stops bisection at once
+        count, *_, info = scipy.linalg.lapack.dstebz(diag, offdiag, 1, lo, hi, 0, 0,
+                                                     hi - lo, "E")
+        if info != 0 or count != w.size:
+            return None
+    return w, np.column_stack(vectors)
+
+
 def solve_lowest(diag: np.ndarray, offdiag: np.ndarray, grid: Grid1D,
-                 n_states: int) -> BoundStateSolution:
-    """Lowest n_states eigenpairs of the tridiagonal operator, node-count verified."""
+                 n_states: int, guess: np.ndarray | None = None) -> BoundStateSolution:
+    """Lowest n_states eigenpairs of the tridiagonal operator, node-count verified.
+
+    guess, if given, holds one starting vector per state on grid.interior
+    (columns); see lowest_eigenpairs.
+    """
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(
-            diag, offdiag, select="i", select_range=(0, n_states - 1))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    h = grid.spacing
+    w, v = lowest_eigenpairs(diag, offdiag, n_states, guess)
     psi = np.zeros((n_states, grid.n_points))
-    converged = []
-    for i in range(n_states):
-        vec = v[:, i] / math.sqrt(np.sum(v[:, i] ** 2) * h)
-        if vec[np.argmax(np.abs(vec))] < 0.0:
-            vec = -vec
-        psi[i, 1:-1] = vec
-        converged.append(_count_nodes(vec) == i)
-    return BoundStateSolution(energies=np.asarray(w, dtype=float),
-                              wavefunctions=psi, grid=grid, converged=converged)
+    psi[:, 1:-1] = v.T / math.sqrt(grid.spacing)
+    converged = [_count_nodes(psi[i, 1:-1]) == i for i in range(n_states)]
+    return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
+                              converged=converged)
+
+
+def _coarse_guess(stack: DielectricStack, field: FieldSpec, grid: Grid1D, n_states: int,
+                  constants: PhysicalConstants) -> np.ndarray | None:
+    """Lowest states on a COARSE_FACTOR times coarser grid, interpolated onto grid.interior."""
+    n_coarse = (grid.n_points - 1) // COARSE_FACTOR + 1
+    if n_coarse < MIN_GRID_POINTS:
+        return None
+    coarse = aligned_grid(grid.z_min, grid.z_max, n_coarse)
+    v = cached_perpendicular_potential(stack, field, coarse, constants=constants)
+    _, vec = lowest_eigenpairs(*build_hamiltonian(v, coarse, constants=constants), n_states)
+    psi = np.zeros((n_coarse, n_states))
+    psi[1:-1] = vec
+    return np.column_stack([np.interp(grid.interior, coarse.points, p) for p in psi.T])
 
 
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
@@ -169,7 +276,8 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
         raise ValueError("grid must straddle the cutoff distance")
     v = cached_perpendicular_potential(stack, field, grid, constants=constants)
     diag, offdiag = build_hamiltonian(v, grid, constants=constants)
-    return solve_lowest(diag, offdiag, grid, n_states)
+    return solve_lowest(diag, offdiag, grid, n_states,
+                        _coarse_guess(stack, field, grid, n_states, constants))
 
 
 def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,

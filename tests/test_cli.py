@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import neontrap.cli
+import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
 from neontrap.tables import (ResultTable, emit_quantity, format_value,
@@ -300,6 +302,44 @@ n_knots = 20
         result = ResultTable.from_csv((tmp_path / table).read_text())
         assert set(result.column("bound")) == {1.0}
         assert all(math.isfinite(v) and v > 0.0 for v in result.column("delta_U"))
+
+    def test_programming_fault_propagates(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("bug")
+
+        monkeypatch.setitem(neontrap.cli._COMMANDS, "growth", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["growth", "--out", str(tmp_path / "g.csv")])
+
+    def test_injected_eigensolver_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise neontrap.perpendicular.EigensolverError("injected")
+
+        monkeypatch.setattr(neontrap.perpendicular, "solve_lowest", failing)
+        cfg = write_config(tmp_path, FAST_GRID)
+        assert main(["ground-sweep", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 3
+        assert "numerical failure: injected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, message", [
+        ("ground-sweep", "[constants]\ncutoff_zc = 0 nm\n", "cutoff_zc must be a positive"),
+        ("potential-z", "[constants]\ncutoff_zc = -0.1 nm\n", "cutoff_zc must be a positive"),
+        ("lateral", "[grid]\nz_samples = 0\n", "z_samples must be >= 1"),
+        ("potential-z", "[grid]\nz_samples = -3\n", "z_samples must be >= 1"),
+    ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative"])
+    def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
+                                                    message):
+        cfg = write_config(tmp_path, body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize("content", [None, "not a table\n"], ids=["missing", "malformed"])
+    def test_verify_unreadable_stored_table_exits_2(self, tmp_path, capsys, content):
+        stored = tmp_path / "stored.csv"
+        if content is not None:
+            stored.write_text(content)
+        assert main(["verify", str(stored), "--out", str(tmp_path / "fresh.csv")]) == 2
+        assert "cannot read stored table" in capsys.readouterr().err
 
     def test_missing_output_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "o.csv"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import BarycentricInterpolator
 from scipy.special import jn_zeros
 
@@ -17,8 +18,8 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
-from neontrap.lateral import NODE_TOL_MEV
-from neontrap.perpendicular import aligned_grid, default_grid
+from neontrap.lateral import NODE_TOL_MEV, default_rho_max
+from neontrap.perpendicular import EigensolverError, aligned_grid, default_grid
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
@@ -238,6 +239,48 @@ class TestRadialOracles:
     def test_nonfinite_potential_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             radial_spectrum(lambda r: np.full_like(r, np.inf), rho_max=10.0)
+
+
+class TestRadialKernel:
+    """The certified Rayleigh-quotient path against LAPACK bisection as the oracle."""
+
+    @pytest.mark.parametrize("R, dL", [(50.0, 1.0), (200.0, 0.25)])
+    def test_pillar_states_match_bisection(self, curve, monkeypatch, R, dL):
+        p = PillarProfile(L0, dL, R, B)
+        rho_max, n = default_rho_max(R), 16384
+        pot = lambda r: lta_potential(curve, p, r)
+        # the same finite-volume operator, assembled here independently
+        h = rho_max / n
+        rho = (np.arange(n) + 0.5) * h
+        faces = np.arange(n + 1) * h
+        kinetic = C * (faces[1:] + faces[:-1]) / (h * h * rho)
+        off = -C * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
+        oracle = [scipy.linalg.eigh_tridiagonal(kinetic + pot(rho) + C * alpha ** 2 / rho ** 2,
+                                                off, select="i", select_range=(0, 0))
+                  for alpha in (0, 1)]
+
+        calls = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def spy(diag, offdiag, **kwargs):
+            calls.append(diag.size)
+            return original(diag, offdiag, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        spec = radial_spectrum(pot, alpha_max=1, rho_max=rho_max, n_points=n)
+        assert calls == [n // 8, n // 8]  # the coarse guesses only
+        for alpha, (w, v) in enumerate(oracle):
+            assert spec.u_alpha[alpha] == pytest.approx(w[0], rel=0.0, abs=2e-9)
+            u = spec.radial_states[alpha] * math.sqrt(h)
+            assert abs(u @ v[:, 0]) >= 1.0 - 1e-10
+
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(EigensolverError, match="injected"):
+            radial_spectrum(lambda r: np.zeros_like(r), rho_max=10.0, n_points=2048)
 
 
 class TestPillarTrap:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import neontrap.perpendicular as perpendicular
 from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
@@ -12,7 +13,8 @@ from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       ground_state_energy, hellmann_feynman_check, mean_height,
                       perpendicular_gap, solve_lowest, solve_perpendicular,
                       total_perpendicular_potential)
-from neontrap.perpendicular import Grid1D, aligned_grid, default_grid
+from neontrap.dielectric import cached_perpendicular_potential
+from neontrap.perpendicular import Grid1D, aligned_grid, default_grid, lowest_eigenpairs
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
@@ -202,13 +204,120 @@ class TestSolverPotential:
         grid = default_grid(stack)
         seen = {}
 
-        def capture(diag, offdiag, grid, n_states):
-            seen["diag"] = diag
-            return solve_lowest(diag, offdiag, grid, n_states)
+        def capture(diag, offdiag, grid, n_states, guess=None):
+            seen["diag"], seen["grid"] = diag, grid
+            return solve_lowest(diag, offdiag, grid, n_states, guess)
 
         monkeypatch.setattr(perpendicular, "solve_lowest", capture)
         solve_perpendicular(stack, field, grid=grid)
+        assert seen["grid"] is grid and seen["diag"].shape == grid.interior.shape
         kinetic = 2.0 * C / grid.spacing ** 2
         expected = total_perpendicular_potential(stack, field, grid.interior)
         assert np.min(np.abs(grid.interior)) < 1e-12
         np.testing.assert_allclose(seen["diag"] - kinetic, expected, rtol=0.0, atol=1e-8)
+
+
+def _bisection_calls(monkeypatch) -> list:
+    """Matrix sizes of every eigh_tridiagonal (bisection) call from now on."""
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def spy(diag, offdiag, **kwargs):
+        calls.append(diag.size)
+        return original(diag, offdiag, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return calls
+
+
+class TestLowestEigenpairs:
+    """The certified Rayleigh-quotient path against LAPACK bisection as the oracle."""
+
+    @pytest.mark.parametrize("n_states", [1, 2])
+    @pytest.mark.parametrize("L, e_ex", [(L, e) for L in (1.0, 2.0, 10.0, 200.0)
+                                         for e in (-2e6, 0.0, 1e6)] + [(math.inf, 0.0)])
+    def test_refined_pairs_match_bisection(self, monkeypatch, L, e_ex, n_states):
+        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+        grid = default_grid(stack)
+        diag, off = build_hamiltonian(cached_perpendicular_potential(stack, field, grid), grid)
+        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                                     select_range=(0, n_states - 1))
+        calls = _bisection_calls(monkeypatch)
+        sol = solve_perpendicular(stack, field, n_states=n_states, grid=grid)
+        # only the 8x coarser guess grid is bisected; the fine solve is certified
+        assert calls == [(grid.n_points - 1) // perpendicular.COARSE_FACTOR - 1]
+        np.testing.assert_allclose(sol.energies, w_ref, rtol=0.0, atol=2e-9)
+        psi = sol.wavefunctions[:, 1:-1] * math.sqrt(grid.spacing)
+        assert np.all(np.abs(np.sum(psi * v_ref.T, axis=1)) >= 1.0 - 1e-10)
+
+    def test_excited_guess_falls_back_to_bisection(self, monkeypatch):
+        # RQI from the first excited state converges to it; the Sturm
+        # certificate then finds an eigenvalue below and rejects it
+        stack = DielectricStack(SC, 10.0)
+        grid = default_grid(stack)
+        diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
+                                      grid)
+        _, excited = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
+        calls = _bisection_calls(monkeypatch)
+        w, v = lowest_eigenpairs(diag, off, 1, guess=excited)
+        assert calls == [diag.size]
+        w_bisect, v_bisect = lowest_eigenpairs(diag, off, 1)
+        np.testing.assert_array_equal(w, w_bisect)
+        np.testing.assert_array_equal(v, v_bisect)
+
+    def test_skipped_state_falls_back_to_bisection(self, monkeypatch):
+        # guesses for states 0 and 2: both converge and T - (E_0 - delta) I is
+        # positive definite, but the count finds E_1 inside (E_0 - delta, E_2 + delta]
+        stack = DielectricStack(SC, 10.0)
+        grid = default_grid(stack)
+        diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
+                                      grid)
+        _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
+        calls = _bisection_calls(monkeypatch)
+        w, vec = lowest_eigenpairs(diag, off, 2, guess=v[:, [0, 2]])
+        assert calls == [diag.size]
+        w_bisect, v_bisect = lowest_eigenpairs(diag, off, 2)
+        np.testing.assert_array_equal(w, w_bisect)
+        np.testing.assert_array_equal(vec, v_bisect)
+
+    def test_deflation_separates_mixed_guess(self, monkeypatch):
+        # a state-1 guess dominated by the ground state still yields state 1,
+        # because each guess is deflated against the states already found
+        stack = DielectricStack(SC, 10.0)
+        grid = default_grid(stack)
+        diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
+                                      grid)
+        w_ref, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+        calls = _bisection_calls(monkeypatch)
+        mixed = np.column_stack([v[:, 0], v[:, 0] + 0.5 * v[:, 1]])
+        w, _ = lowest_eigenpairs(diag, off, 2, guess=mixed)
+        assert calls == []
+        np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=2e-9)
+
+    def test_oscillator_ladder_from_coarse_guess(self, monkeypatch):
+        hw = 1.0
+        pot = lambda z: hw * hw * z * z / (4.0 * C)
+        coarse, fine = Grid1D(-60.0, 60.0, 1024), Grid1D(-60.0, 60.0, 8185)
+        _, vc = lowest_eigenpairs(*build_hamiltonian(pot(coarse.interior), coarse), 5)
+        guess = np.column_stack([np.interp(fine.interior, coarse.interior, u) for u in vc.T])
+        calls = _bisection_calls(monkeypatch)
+        sol = solve_lowest(*build_hamiltonian(pot(fine.interior), fine), fine, 5, guess)
+        assert calls == []
+        assert all(sol.converged)
+        for n, e in enumerate(sol.energies):
+            assert e == pytest.approx((n + 0.5) * hw, abs=1e-3)
+
+    def test_guess_below_500_coarse_points_is_skipped(self, monkeypatch):
+        stack = DielectricStack(SC, 10.0)
+        grid = default_grid(stack, n_points=3000)  # coarse grid would have 375 points
+        calls = _bisection_calls(monkeypatch)
+        solve_perpendicular(stack, grid=grid)
+        assert calls == [grid.n_points - 2]
+
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(perpendicular.EigensolverError, match="injected"):
+            lowest_eigenpairs(np.full(600, 2.0), np.full(599, -1.0), 1)
