@@ -42,8 +42,7 @@ class NumericalFailure(RuntimeError):
 
 def _constants(cfg: RunConfig) -> PhysicalConstants:
     return PhysicalConstants(barrier_height=cfg.barrier_height,
-                             cutoff_zc=cfg.cutoff_zc,
-                             eps_neon_default=cfg.eps_neon)
+                             cutoff_zc=cfg.cutoff_zc)
 
 
 def _stack(cfg: RunConfig, thickness: float) -> DielectricStack:
@@ -253,6 +252,8 @@ def _table_identity(table: ResultTable) -> tuple:
 
 def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     """Re-run the stored table's command and compare within rtol."""
+    if not 0.0 <= rtol < math.inf:
+        raise ConfigError(f"--rtol must be finite and >= 0, got {rtol!r}")
     try:
         with open(stored_path) as fh:
             stored = ResultTable.from_csv(fh.read())
@@ -283,13 +284,13 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     for i, (a, b) in enumerate(zip(stored.rows, fresh.rows)):
         for va, vb in zip(a, b):
             if isinstance(va, float) and isinstance(vb, float):
-                if math.isnan(va) and math.isnan(vb):
+                if va == vb or (math.isnan(va) and math.isnan(vb)):
                     continue
                 err = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
-                worst = max(worst, err)
-                if err > rtol:
+                if not err <= rtol:  # a NaN or inf on one side only is a mismatch
                     raise NumericalFailure(
                         f"row {i}: {va!r} vs {vb!r} differ beyond rtol={rtol}")
+                worst = max(worst, err)
             elif va != vb:
                 raise NumericalFailure(f"row {i}: {va!r} != {vb!r}")
     print(f"verify OK: {len(stored.rows)} rows, worst relative error {worst:.3e}")
@@ -334,14 +335,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.out:
-            cfg.out_path = args.out
-        if args.format:
-            cfg.out_format = args.format
-        if args.threads is not None:
-            if args.threads < 0:
-                raise ConfigError("--threads must be >= 0")
-            cfg.threads = args.threads
+        overrides = {"out_path": args.out or None, "out_format": args.format,
+                     "threads": args.threads}
+        cfg = dataclasses.replace(
+            cfg, **{name: v for name, v in overrides.items() if v is not None})
         out_dir = os.path.dirname(cfg.out_path) or "."
         if args.command != "verify" and not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir} does not exist")

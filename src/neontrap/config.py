@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+from .perpendicular import MIN_GRID_POINTS
 from .tables import emit_quantity, parse_quantity
 
 
@@ -19,7 +20,8 @@ class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
 
 
-# section -> key -> (kind, unit).
+# section -> key -> (kind, unit): the one list of config keys.  Its order is
+# the section and key order of the `.effective.ini` echo.
 # kind: float | float_or_auto (auto -> None) | float_list | int | str | choice
 _SCHEMA = {
     "substrate": {
@@ -62,8 +64,19 @@ _SCHEMA = {
     },
 }
 
+# RunConfig fields whose name is not the key's
+_DEST = {
+    ("substrate", "type"): "substrate_type",
+    ("output", "path"): "out_path",
+    ("output", "format"): "out_format",
+}
 
-@dataclass
+# keys echoed only while a field holds a value: eps_b means nothing
+# unless the substrate is a dielectric
+_ECHO_ONLY_IF = {("substrate", "eps_b"): ("substrate_type", "dielectric")}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration; all lengths nm, fields V/m, energies meV."""
 
@@ -92,50 +105,22 @@ class RunConfig:
     out_format: str = "csv"
     threads: int = 0  # accepted and echoed for old configs; every run is serial
 
+    def __post_init__(self):
+        _validate(self)
+
     def effective_text(self) -> str:
-        """Canonical resolved-config echo; also the hash input."""
-        def q(v, unit):
-            return emit_quantity(v, unit)
-        lines = ["[substrate]", f"type = {self.substrate_type}"]
-        if self.substrate_type == "dielectric":
-            lines.append(f"eps_b = {q(self.eps_b, None)}")
-        lines += [
-            "",
-            "[constants]",
-            f"eps_neon = {q(self.eps_neon, None)}",
-            f"barrier_height = {q(self.barrier_height, 'meV')}",
-            f"cutoff_zc = {q(self.cutoff_zc, 'nm')}",
-            "",
-            "[grid]",
-            f"n_points = {self.n_points}",
-            f"z_max = {q(self.z_max, 'nm')}",
-            f"z_samples = {self.z_samples}",
-            f"rho_max = {'auto' if self.rho_max is None else q(self.rho_max, 'nm')}",
-            f"n_points_radial = {self.n_points_radial}",
-            "",
-            "[sweep]",
-            f"L = {', '.join(q(v, 'nm') for v in self.L)}",
-            f"E_ex = {', '.join(q(v, 'V/m') for v in self.E_ex)}",
-            f"L0 = {q(self.L0, 'nm')}",
-            f"delta_L = {', '.join(q(v, 'nm') for v in self.delta_L)}",
-            f"R = {', '.join(q(v, 'nm') for v in self.R)}",
-            f"b = {q(self.b, 'nm')}",
-            f"n_knots = {self.n_knots}",
-            f"alpha_max = {self.alpha_max}",
-            "",
-            "[growth]",
-            f"r_c = {', '.join(q(v, 'nm') for v in self.r_c)}",
-            f"diffusion_time = {q(self.diffusion_time, 's')}",
-            f"delta_h = {q(self.delta_h, 'nm')}",
-            "",
-            "[output]",
-            f"path = {self.out_path}",
-            f"format = {self.out_format}",
-            "",
-            "[parallel]",
-            f"threads = {self.threads}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Canonical resolved-config echo in `_SCHEMA` order; also the hash input."""
+        blocks = []
+        for section, keys in _SCHEMA.items():
+            lines = [f"[{section}]"]
+            for key, (kind, unit) in keys.items():
+                only_if = _ECHO_ONLY_IF.get((section, key))
+                if only_if and getattr(self, only_if[0]) != only_if[1]:
+                    continue
+                value = getattr(self, _DEST.get((section, key), key))
+                lines.append(f"{key} = {_emit_value(kind, unit, value)}")
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
     def config_hash(self) -> str:
         # neither the output destination nor [parallel] affects the numbers,
@@ -175,13 +160,15 @@ def _parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-_DEST = {
-    ("substrate", "type"): "substrate_type",
-    ("substrate", "eps_b"): "eps_b",
-    ("output", "path"): "out_path",
-    ("output", "format"): "out_format",
-    ("parallel", "threads"): "threads",
-}
+def _emit_value(kind: str, unit, value) -> str:
+    """Text that `_parse_value` reads back as `value`."""
+    if kind == "float_list":
+        return ", ".join(emit_quantity(v, unit) for v in value)
+    if kind == "float_or_auto" and value is None:
+        return "auto"
+    if kind in ("float", "float_or_auto"):
+        return emit_quantity(value, unit)
+    return str(value)
 
 
 def load_config(path: str) -> RunConfig:
@@ -195,17 +182,15 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    cfg = RunConfig()
+    values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            dest = _DEST.get((section, key), key)
-            setattr(cfg, dest, _parse_value(section, key, raw))
-    _validate(cfg)
-    return cfg
+            values[_DEST.get((section, key), key)] = _parse_value(section, key, raw)
+    return RunConfig(**values)
 
 
 def _validate(cfg: RunConfig):
@@ -213,8 +198,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eps_b must be >= 1")
     if cfg.eps_neon <= 1.0:
         raise ConfigError("eps_neon must exceed 1")
-    if cfg.n_points < 500 or cfg.n_points_radial < 500:
-        raise ConfigError("grids need at least 500 points")
+    if min(cfg.n_points, cfg.n_points_radial) < MIN_GRID_POINTS:
+        raise ConfigError(f"grids need at least {MIN_GRID_POINTS} points")
     if cfg.cutoff_zc <= 0.0:
         raise ConfigError("cutoff_zc must be a positive length")
     if cfg.z_max <= cfg.cutoff_zc:

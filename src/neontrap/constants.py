@@ -42,7 +42,6 @@ class PhysicalConstants:
     barrier_height: float = 0.7 * MEV_PER_EV
     cutoff_zc: float = 0.23
     eps_neon_default: float = 1.244
-    eps_si_default: float = 12.0
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -1,5 +1,6 @@
 """Config parsing, result tables, and the sweep CLI end to end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import neontrap.cli
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
+from neontrap.perpendicular import MIN_GRID_POINTS
 from neontrap.tables import (ResultTable, emit_quantity, format_value,
                              parse_quantity)
 
@@ -23,6 +25,49 @@ z_max = 40 nm
 z_samples = 50
 n_points_radial = 4096
 """
+
+# sets every config key to a value other than its default
+EVERY_KEY = """\
+[substrate]
+type = dielectric
+eps_b = 4.5
+
+[constants]
+eps_neon = 1.3
+barrier_height = 650 meV
+cutoff_zc = 0.25 nm
+
+[grid]
+n_points = 4000
+z_max = 35 nm
+z_samples = 120
+rho_max = 333 nm
+n_points_radial = 5000
+
+[sweep]
+L = 5 nm, inf
+E_ex = -1e6 V/m, 2e5 V/m
+L0 = 12 nm
+delta_L = 0.3 nm, 1 nm
+R = 70 nm, 90 nm
+b = 3 nm
+n_knots = 30
+alpha_max = 2
+
+[growth]
+r_c = 20 nm
+diffusion_time = 2e-05 s
+delta_h = 10 nm
+
+[output]
+path = every.json
+format = json
+
+[parallel]
+threads = 3
+"""
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -153,6 +198,39 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert echoed.config_hash() == load_config(cfg_path).config_hash()
 
 
+    def test_every_key_round_trips_through_echo(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, EVERY_KEY))
+        default = RunConfig()
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        echoed = load_config(write_config(tmp_path, cfg.effective_text(), "echo.ini"))
+        assert echoed == cfg
+        assert echoed.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("config, digest", [
+        (None, "67e0d90012a8e63b"),
+        ("ground_sweep.ini", "f8ebf064c6361ad8"),
+        ("lateral_scan.ini", "39aec5e4d1c41d11"),
+        ("field_sweep.ini", "f68019e4d3ed381d"),
+    ], ids=["default", "ground_sweep", "lateral_scan", "field_sweep"])
+    def test_config_hash_pinned(self, config, digest):
+        cfg = RunConfig() if config is None else load_config(str(BENCH_CONFIGS / config))
+        assert cfg.config_hash() == digest
+
+    def test_grid_floor_is_the_solvers(self):
+        RunConfig(n_points=MIN_GRID_POINTS, n_points_radial=MIN_GRID_POINTS)
+        for name in ("n_points", "n_points_radial"):
+            with pytest.raises(ConfigError, match=f"at least {MIN_GRID_POINTS} points"):
+                RunConfig(**{name: MIN_GRID_POINTS - 1})
+
+    def test_negative_threads_is_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="threads must be >= 0"):
+            dataclasses.replace(RunConfig(), threads=-1)
+        assert main(["growth", "--threads", "-1", "--out", str(tmp_path / "g.csv")]) == 2
+        assert "threads must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCliEndToEnd:
     def test_growth_runs(self, tmp_path):
         out = tmp_path / "growth.csv"
@@ -231,6 +309,27 @@ class TestCliEndToEnd:
         text = out.read_text().replace("9.12805346e+00", "9.22805346e+00")
         out.write_text(text)
         assert main(["verify", str(out), "--out", str(fresh)]) == 3
+
+    def test_verify_nan_on_one_side_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--out", str(out)]) == 0
+        out.write_text(out.read_text().replace("9.12805346e+00", "nan"))
+        assert main(["verify", str(out), "--out", str(tmp_path / "fresh.csv")]) == 3
+        assert "nan vs 9.12805346" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+    def test_verify_bad_rtol_exits_2(self, tmp_path, capsys, monkeypatch, rtol):
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--out", str(out)]) == 0
+        out.write_text(out.read_text().replace("9.12805346e+00", "9.99999999e+99"))
+
+        def regenerate(cfg):
+            raise AssertionError("verify regenerated a table despite a bad --rtol")
+
+        monkeypatch.setitem(neontrap.cli._COMMANDS, "growth", regenerate)
+        assert main(["verify", str(out), "--out", str(tmp_path / "fresh.csv"),
+                     "--rtol", rtol]) == 2
+        assert "--rtol must be finite and >= 0" in capsys.readouterr().err
 
     def test_verify_keeps_stored_file_at_default_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
