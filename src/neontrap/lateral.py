@@ -19,9 +19,8 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (COARSE_FACTOR, MIN_GRID_POINTS, TAIL_DENSITY_THRESHOLD,
-                            TAIL_FRACTION, EigensolverError, UnboundStateError,
-                            default_grid, ground_state_energy, lowest_eigenpairs)
+from .perpendicular import (EigensolverError, UnboundStateError, default_grid,
+                            ground_state_energy, is_confined, lowest_eigenpairs)
 
 
 class CurveValidationError(RuntimeError):
@@ -89,10 +88,7 @@ class EnergyCurve:
 
     VALIDATION_BUDGET_MEV = 0.01
 
-    def __init__(self, stack_template: DielectricStack, field: FieldSpec,
-                 l_knots: np.ndarray, w_knots: np.ndarray, validation_error: float):
-        self.stack_template = stack_template
-        self.field = field
+    def __init__(self, l_knots: np.ndarray, w_knots: np.ndarray, validation_error: float):
         self.l_knots = l_knots
         self.w_knots = w_knots
         self.validation_error = validation_error
@@ -170,7 +166,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
             f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(stack_template, field, l_knots, w_knots, validation_error)
+    return EnergyCurve(l_knots, w_knots, validation_error)
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
@@ -197,8 +193,6 @@ class LateralSpectrum:
     u_alpha: dict
     rho_e: float
     rho_e_line: float
-    rho_grid: np.ndarray
-    potential: np.ndarray
     radial_states: dict  # alpha -> u(rho) = sqrt(rho) R(rho), normalized
     bound: bool
 
@@ -214,19 +208,6 @@ class LateralSpectrum:
         return 1.0e3 * self.u_alpha[alpha]
 
 
-def _radial_operator(potential, rho_max: float, n_points: int, c: float):
-    """Cell centres, V_par there, and the symmetrized operator without the centrifugal term."""
-    h = rho_max / n_points
-    rho = (np.arange(n_points) + 0.5) * h
-    faces = np.arange(n_points + 1) * h
-    v = np.asarray(potential(rho), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite lateral potential sample")
-    kin_diag = c * (faces[1:] + faces[:-1]) / (h * h * rho)
-    offdiag = -c * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
-    return rho, v, kin_diag + v, offdiag
-
-
 def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
                     n_points: int = 16384,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
@@ -235,27 +216,24 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
     potential is a callable rho[nm] -> V_par[meV].  Cell-centered
     finite-volume discretization of -(hbar^2/2m_e) (1/rho) d/drho(rho d/drho)
     plus the centrifugal term, symmetrized with u = sqrt(rho) R; no-flux
-    regularity at the axis, hard wall at rho_max.  Each alpha starts from its
-    state on COARSE_FACTOR times fewer cells (see lowest_eigenpairs).
+    regularity at the axis, hard wall at rho_max.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
     c = constants.hbar2_over_2me
     h = rho_max / n_points
-    rho, v, diag0, offdiag = _radial_operator(potential, rho_max, n_points, c)
-    coarse = None
-    if n_points // COARSE_FACTOR >= MIN_GRID_POINTS:
-        coarse = _radial_operator(potential, rho_max, n_points // COARSE_FACTOR, c)
+    rho = (np.arange(n_points) + 0.5) * h
+    faces = np.arange(n_points + 1) * h
+    v = np.asarray(potential(rho), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite lateral potential sample")
+    diag0 = c * (faces[1:] + faces[:-1]) / (h * h * rho) + v
+    offdiag = -c * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
 
     u_alpha: dict = {}
     states: dict = {}
     for alpha in range(alpha_max + 1):
-        guess = None
-        if coarse is not None:
-            rho_c, _, diag_c, offdiag_c = coarse
-            _, u_c = lowest_eigenpairs(diag_c + c * alpha * alpha / rho_c ** 2, offdiag_c, 1)
-            guess = np.interp(rho, rho_c, u_c[:, 0])[:, None]
-        w, u = lowest_eigenpairs(diag0 + c * alpha * alpha / rho ** 2, offdiag, 1, guess)
+        w, u = lowest_eigenpairs(diag0 + c * alpha * alpha / rho ** 2, offdiag, 1)
         u_alpha[alpha] = float(w[0])
         states[alpha] = u[:, 0] / math.sqrt(h)
 
@@ -266,13 +244,9 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
 
     # bound if the ground state sits below the far-field potential rim and
     # does not lean on the outer wall
-    rim = float(v[-1])
-    n_tail = max(2, int(TAIL_FRACTION * n_points))
-    tail = float(np.max(states[0][-n_tail:] ** 2))
-    bound = (u_alpha[0] < rim) and (tail < TAIL_DENSITY_THRESHOLD)
+    bound = (u_alpha[0] < float(v[-1])) and is_confined(states[0])
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
-                           rho_grid=rho, potential=v, radial_states=states,
-                           bound=bound)
+                           radial_states=states, bound=bound)
 
 
 def default_rho_max(R: float) -> float:

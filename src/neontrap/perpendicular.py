@@ -2,9 +2,11 @@
 
 Discretizes -(hbar^2/2m_e) d^2/dz^2 + V(z) on a uniform grid with hard
 walls at both ends and extracts the lowest eigenpairs of the resulting
-symmetric tridiagonal operator: Rayleigh-quotient iteration from the
-solution on an 8x coarser grid, certified by Sturm (inertia) counts, with
-LAPACK bisection + inverse iteration as the fallback.
+symmetric tridiagonal operator.  The kernel, lowest_eigenpairs, restricts
+the matrix to every 8th unknown, solves that smaller problem the same way,
+and refines the interpolated states by Rayleigh-quotient iteration,
+certified by Sturm (inertia) counts; LAPACK bisection + inverse iteration
+solves the coarsest matrix and any problem whose certificate fails.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class EigensolverError(RuntimeError):
 # the probability-density threshold (1/nm) that flags a quasi-bound state.
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
-MIN_GRID_POINTS = 500  # fewest points of a solver grid, the guess grids included
+MIN_GRID_POINTS = 500  # fewest points of a solver grid and of a restricted matrix
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,21 @@ class BoundStateSolution:
 
     def tail_density(self) -> float:
         """Peak ground-state probability density near the outer wall (1/nm)."""
-        n_tail = max(2, int(TAIL_FRACTION * self.grid.n_points))
-        return float(np.max(self.wavefunctions[0, -n_tail - 1:-1] ** 2))
+        return tail_density(self.wavefunctions[0, 1:-1])
 
     def is_bound(self) -> bool:
-        return self.tail_density() < TAIL_DENSITY_THRESHOLD
+        return is_confined(self.wavefunctions[0, 1:-1])
+
+
+def tail_density(psi: np.ndarray) -> float:
+    """Peak of psi^2 over the last TAIL_FRACTION of the unknowns, next to the outer wall."""
+    n_tail = max(2, int(TAIL_FRACTION * psi.size))
+    return float(np.max(psi[-n_tail:] ** 2))
+
+
+def is_confined(psi: np.ndarray) -> bool:
+    """False if the state psi (psi^2 a density in 1/nm) leaks to the outer wall."""
+    return tail_density(psi) < TAIL_DENSITY_THRESHOLD
 
 
 def _count_nodes(psi: np.ndarray) -> int:
@@ -139,7 +151,7 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-COARSE_FACTOR = 8  # fine-to-coarse ratio of the grid that supplies the eigensolver's guess
+COARSE_FACTOR = 8  # unknowns of T per unknown of the restricted matrix that supplies the start
 RQI_MAX_ITER = 8
 RESIDUAL_TOL_EPS = 64.0  # RQI stops at a residual of 64 eps ||T||
 CERTIFICATE_MARGIN_MEV = 1e-7  # smallest delta of the Sturm certificate
@@ -150,18 +162,22 @@ def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, n_states: int,
     """Lowest n_states eigenpairs of the symmetric tridiagonal matrix T = (diag, offdiag).
 
     Returns ascending eigenvalues and unit-norm eigenvectors (columns), each
-    signed so that its largest-magnitude entry is positive.  guess holds one
-    starting vector per state (columns), e.g. a coarse-grid solution
-    interpolated onto this grid.  Each state is then refined by Rayleigh-
-    quotient iteration, deflated against the states below it, and the set is
-    kept only if Sturm counts prove it is the lowest: T - (E_0 - delta) I is
-    positive definite and exactly n_states eigenvalues lie in
-    (E_0 - delta, E_last + delta], with delta = max(2 max residual,
-    CERTIFICATE_MARGIN_MEV).  Without a guess, or when the iteration or the
-    certificate fails, LAPACK bisection + inverse iteration solves T.
+    signed so that its largest-magnitude entry is positive.  The start
+    vectors come from T restricted to every COARSE_FACTOR-th unknown (see
+    _restricted_start) or, if given, from guess (one column per state).
+    Each state is then refined by Rayleigh-quotient iteration, deflated
+    against the states below it, and the set is kept only if Sturm counts
+    prove it is the lowest: T - (E_0 - delta) I is positive definite and
+    exactly n_states eigenvalues lie in (E_0 - delta, E_last + delta], with
+    delta = max(2 max residual, CERTIFICATE_MARGIN_MEV).  When the
+    restriction would hold fewer than MIN_GRID_POINTS unknowns, or the
+    iteration or the certificate fails, LAPACK bisection + inverse
+    iteration solves T.
     """
     if guess is not None and np.shape(guess) != (diag.size, n_states):
         raise ValueError("guess must hold one column of diag.size values per state")
+    if guess is None:
+        guess = _restricted_start(diag, offdiag, n_states)
     pairs = None if guess is None else _refine(diag, offdiag, guess)
     if pairs is None:
         try:
@@ -173,6 +189,32 @@ def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, n_states: int,
     v = v / np.linalg.norm(v, axis=0)
     v[:, v[np.argmax(np.abs(v), axis=0), np.arange(n_states)] < 0.0] *= -1.0
     return np.asarray(w, dtype=float), v
+
+
+def _restricted_start(diag, offdiag, n_states):
+    """Start vectors from T restricted to every COARSE_FACTOR-th unknown (None if too small).
+
+    The coarse unknowns sit f apart, the last one f below the outer wall
+    (index diag.size), so both hard walls stay walls; the (diag.size + 1) mod f
+    unknowns left over move the lower wall up.  Each coarse coupling is the
+    mean fine coupling over its f intervals divided by f^2, the wall
+    couplings taken equal to their neighbours, and each coarse row keeps the
+    fine row sum (the potential) at its unknown.  lowest_eigenpairs solves
+    the restricted matrix; its states are interpolated back linearly, zero
+    at both walls.
+    """
+    f, n = COARSE_FACTOR, diag.size
+    nodes = np.arange((n + 1) % f - 1, n + 1, f)  # lower wall, coarse unknowns, outer wall
+    if nodes.size - 2 < MIN_GRID_POINTS:
+        return None
+    index = nodes[1:-1]
+    e = np.concatenate(([offdiag[0]], offdiag, [offdiag[-1]]))  # e[k] couples k - 1 and k
+    coupling = e[nodes[0] + 1:].reshape(-1, f).sum(axis=1) / f ** 3
+    row_sum = diag[index] + e[index] + e[index + 1]
+    _, v = lowest_eigenpairs(row_sum - coupling[:-1] - coupling[1:], coupling[1:-1], n_states)
+    psi = np.zeros((nodes.size, n_states))
+    psi[1:-1] = v
+    return np.column_stack([np.interp(np.arange(n), nodes, p) for p in psi.T])
 
 
 def _refine(diag, offdiag, guess):
@@ -236,34 +278,16 @@ def _refine(diag, offdiag, guess):
 
 
 def solve_lowest(diag: np.ndarray, offdiag: np.ndarray, grid: Grid1D,
-                 n_states: int, guess: np.ndarray | None = None) -> BoundStateSolution:
-    """Lowest n_states eigenpairs of the tridiagonal operator, node-count verified.
-
-    guess, if given, holds one starting vector per state on grid.interior
-    (columns); see lowest_eigenpairs.
-    """
+                 n_states: int) -> BoundStateSolution:
+    """Lowest n_states eigenpairs of the tridiagonal operator, node-count verified."""
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
-    w, v = lowest_eigenpairs(diag, offdiag, n_states, guess)
+    w, v = lowest_eigenpairs(diag, offdiag, n_states)
     psi = np.zeros((n_states, grid.n_points))
     psi[:, 1:-1] = v.T / math.sqrt(grid.spacing)
     converged = [_count_nodes(psi[i, 1:-1]) == i for i in range(n_states)]
     return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
                               converged=converged)
-
-
-def _coarse_guess(stack: DielectricStack, field: FieldSpec, grid: Grid1D, n_states: int,
-                  constants: PhysicalConstants) -> np.ndarray | None:
-    """Lowest states on a COARSE_FACTOR times coarser grid, interpolated onto grid.interior."""
-    n_coarse = (grid.n_points - 1) // COARSE_FACTOR + 1
-    if n_coarse < MIN_GRID_POINTS:
-        return None
-    coarse = aligned_grid(grid.z_min, grid.z_max, n_coarse)
-    v = cached_perpendicular_potential(stack, field, coarse, constants=constants)
-    _, vec = lowest_eigenpairs(*build_hamiltonian(v, coarse, constants=constants), n_states)
-    psi = np.zeros((n_coarse, n_states))
-    psi[1:-1] = vec
-    return np.column_stack([np.interp(grid.interior, coarse.points, p) for p in psi.T])
 
 
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
@@ -276,8 +300,7 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
         raise ValueError("grid must straddle the cutoff distance")
     v = cached_perpendicular_potential(stack, field, grid, constants=constants)
     diag, offdiag = build_hamiltonian(v, grid, constants=constants)
-    return solve_lowest(diag, offdiag, grid, n_states,
-                        _coarse_guess(stack, field, grid, n_states, constants))
+    return solve_lowest(diag, offdiag, grid, n_states)
 
 
 def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,

@@ -1,16 +1,21 @@
 """The benchmark's span tracer names neontrap functions by string and its
 count hooks read their arguments by name, and its committed configs go
 through the strict config parser; a rename, a signature change or a schema
-change fails here rather than in a benchmark run."""
+change fails here rather than in a benchmark run.  Every eigensolve must
+also run inside a traced eigensolve layer, or its time would be charged to
+whichever layer happens to enclose it."""
 
+import functools
 import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from neontrap.cli import main
 from neontrap.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,3 +64,50 @@ def test_hook_arguments_found():
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("configs/*.ini")), ids=lambda p: p.name)
 def test_benchmark_config_loads(path):
     load_config(str(path))
+
+
+# the traced layers that time eigensolves: every lowest_eigenpairs call must run inside one
+EIGENSOLVE_LAYERS = [("neontrap.perpendicular", "solve_lowest"),
+                     ("neontrap.lateral", "radial_spectrum")]
+
+
+def _patch_everywhere(monkeypatch, module_name, attr, wrap):
+    """Replace a function in every neontrap namespace that binds it, as the tracer does."""
+    original = getattr(importlib.import_module(module_name), attr)
+    wrapped = wrap(original)
+    for name, mod in list(sys.modules.items()):
+        if name == "neontrap" or name.startswith("neontrap."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapped)
+
+
+@pytest.mark.parametrize("command, workload", [("ground-sweep", "ground_sweep"),
+                                               ("lateral", "lateral_scan")])
+def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, command, workload):
+    assert set(EIGENSOLVE_LAYERS) <= {(m, a) for m, a, *_ in _layers()}
+    depth, inside, outside = [0], [], []
+
+    def enclose(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def record(fn):
+        @functools.wraps(fn)
+        def wrapper(diag, *args, **kwargs):
+            (inside if depth[0] else outside).append(diag.size)
+            return fn(diag, *args, **kwargs)
+        return wrapper
+
+    for module_name, attr in EIGENSOLVE_LAYERS:
+        _patch_everywhere(monkeypatch, module_name, attr, enclose)
+    _patch_everywhere(monkeypatch, "neontrap.perpendicular", "lowest_eigenpairs", record)
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert inside and outside == []

@@ -268,7 +268,8 @@ class TestRadialKernel:
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
         spec = radial_spectrum(pot, alpha_max=1, rho_max=rho_max, n_points=n)
-        assert calls == [n // 8, n // 8]  # the coarse guesses only
+        # only the matrices restricted to every 8th cell are bisected
+        assert calls == [(n + 1) // 8 - 1] * 2
         for alpha, (w, v) in enumerate(oracle):
             assert spec.u_alpha[alpha] == pytest.approx(w[0], rel=0.0, abs=2e-9)
             u = spec.radial_states[alpha] * math.sqrt(h)

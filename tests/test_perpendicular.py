@@ -13,7 +13,7 @@ from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       ground_state_energy, hellmann_feynman_check, mean_height,
                       perpendicular_gap, solve_lowest, solve_perpendicular,
                       total_perpendicular_potential)
-from neontrap.dielectric import cached_perpendicular_potential
+from neontrap.dielectric import Dielectric, cached_perpendicular_potential
 from neontrap.perpendicular import Grid1D, aligned_grid, default_grid, lowest_eigenpairs
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
@@ -204,9 +204,9 @@ class TestSolverPotential:
         grid = default_grid(stack)
         seen = {}
 
-        def capture(diag, offdiag, grid, n_states, guess=None):
+        def capture(diag, offdiag, grid, n_states):
             seen["diag"], seen["grid"] = diag, grid
-            return solve_lowest(diag, offdiag, grid, n_states, guess)
+            return solve_lowest(diag, offdiag, grid, n_states)
 
         monkeypatch.setattr(perpendicular, "solve_lowest", capture)
         solve_perpendicular(stack, field, grid=grid)
@@ -230,21 +230,49 @@ def _bisection_calls(monkeypatch) -> list:
     return calls
 
 
+def _bisection(diag, offdiag, n_states):
+    """eigh_tridiagonal's lowest pairs in lowest_eigenpairs' norm and sign convention."""
+    w, v = scipy.linalg.eigh_tridiagonal(diag, offdiag, select="i",
+                                         select_range=(0, n_states - 1))
+    v = v / np.linalg.norm(v, axis=0)
+    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(n_states)] < 0.0] *= -1.0
+    return w, v
+
+
+THICKNESSES = (1.0, 2.0, 10.0, 200.0)
+# (substrate, L, e_ex, n_states); the superconductor cases keep their ids
+# "L-e_ex-n_states", the e_b = 12 ones are prefixed "eps12"
+REFINED_CASES = (
+    [(SC, L, e, n) for n in (1, 2) for L in THICKNESSES for e in (-2e6, 0.0, 1e6)]
+    + [(SC, math.inf, 0.0, n) for n in (1, 2)]
+    + [(SC, L, -1e6, n) for n in (1, 2) for L in THICKNESSES]
+    + [(SC, L, e, 3) for L in THICKNESSES for e in (-2e6, -1e6)]
+    + [(Dielectric(12.0), L, e, n) for n in (1, 2, 3) for L in THICKNESSES
+       for e in (-2e6, -1e6)])
+
+
+def _case_id(case):
+    substrate, L, e_ex, n_states = case
+    return ("eps12-" if substrate != SC else "") + f"{L}-{e_ex}-{n_states}"
+
+
 class TestLowestEigenpairs:
     """The certified Rayleigh-quotient path against LAPACK bisection as the oracle."""
 
-    @pytest.mark.parametrize("n_states", [1, 2])
-    @pytest.mark.parametrize("L, e_ex", [(L, e) for L in (1.0, 2.0, 10.0, 200.0)
-                                         for e in (-2e6, 0.0, 1e6)] + [(math.inf, 0.0)])
-    def test_refined_pairs_match_bisection(self, monkeypatch, L, e_ex, n_states):
-        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+    @pytest.mark.parametrize("substrate, L, e_ex, n_states", REFINED_CASES,
+                             ids=[_case_id(c) for c in REFINED_CASES])
+    def test_refined_pairs_match_bisection(self, monkeypatch, substrate, L, e_ex, n_states):
+        # the -2e6 V/m states lean on the outer wall, so the restricted matrix
+        # must keep its walls where the full one has them
+        stack, field = DielectricStack(substrate, L), FieldSpec(e_ex)
         grid = default_grid(stack)
         diag, off = build_hamiltonian(cached_perpendicular_potential(stack, field, grid), grid)
         w_ref, v_ref = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
                                                      select_range=(0, n_states - 1))
         calls = _bisection_calls(monkeypatch)
         sol = solve_perpendicular(stack, field, n_states=n_states, grid=grid)
-        # only the 8x coarser guess grid is bisected; the fine solve is certified
+        # only the matrix restricted to every 8th unknown is bisected; the
+        # full solve is certified
         assert calls == [(grid.n_points - 1) // perpendicular.COARSE_FACTOR - 1]
         np.testing.assert_allclose(sol.energies, w_ref, rtol=0.0, atol=2e-9)
         psi = sol.wavefunctions[:, 1:-1] * math.sqrt(grid.spacing)
@@ -261,7 +289,7 @@ class TestLowestEigenpairs:
         calls = _bisection_calls(monkeypatch)
         w, v = lowest_eigenpairs(diag, off, 1, guess=excited)
         assert calls == [diag.size]
-        w_bisect, v_bisect = lowest_eigenpairs(diag, off, 1)
+        w_bisect, v_bisect = _bisection(diag, off, 1)
         np.testing.assert_array_equal(w, w_bisect)
         np.testing.assert_array_equal(v, v_bisect)
 
@@ -276,7 +304,7 @@ class TestLowestEigenpairs:
         calls = _bisection_calls(monkeypatch)
         w, vec = lowest_eigenpairs(diag, off, 2, guess=v[:, [0, 2]])
         assert calls == [diag.size]
-        w_bisect, v_bisect = lowest_eigenpairs(diag, off, 2)
+        w_bisect, v_bisect = _bisection(diag, off, 2)
         np.testing.assert_array_equal(w, w_bisect)
         np.testing.assert_array_equal(vec, v_bisect)
 
@@ -301,11 +329,58 @@ class TestLowestEigenpairs:
         _, vc = lowest_eigenpairs(*build_hamiltonian(pot(coarse.interior), coarse), 5)
         guess = np.column_stack([np.interp(fine.interior, coarse.interior, u) for u in vc.T])
         calls = _bisection_calls(monkeypatch)
-        sol = solve_lowest(*build_hamiltonian(pot(fine.interior), fine), fine, 5, guess)
+        w, v = lowest_eigenpairs(*build_hamiltonian(pot(fine.interior), fine), 5, guess)
         assert calls == []
-        assert all(sol.converged)
-        for n, e in enumerate(sol.energies):
+        assert [perpendicular._count_nodes(u) for u in v.T] == list(range(5))
+        for n, e in enumerate(w):
             assert e == pytest.approx((n + 0.5) * hw, abs=1e-3)
+
+    @pytest.mark.parametrize("n_points", [4801, 4806])
+    def test_restricted_matrix_keeps_the_outer_wall(self, monkeypatch, n_points):
+        # with no guess the kernel bisects the operator on the grid of spacing
+        # 8 h that ends at the same outer wall; 4806 points leave 5 unknowns
+        # over, which shift only the lower wall
+        grid = Grid1D(0.0, 40.0, n_points)
+        pot = lambda z: 0.01 * z * z
+        matrices = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def spy(diag, offdiag, **kwargs):
+            matrices.append((diag, offdiag))
+            return original(diag, offdiag, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        lowest_eigenpairs(*build_hamiltonian(pot(grid.interior), grid), 1)
+        (diag, off), = matrices
+        h = perpendicular.COARSE_FACTOR * grid.spacing
+        z = grid.z_max - h * np.arange(diag.size, 0, -1)
+        assert diag.size == 599 and z[0] - h >= grid.z_min - 1e-12
+        np.testing.assert_allclose(off, -C / h ** 2, rtol=1e-12)
+        np.testing.assert_allclose(diag, 2.0 * C / h ** 2 + pot(z), rtol=0.0, atol=1e-9)
+
+    def test_recursion_bisects_only_the_coarsest_matrix(self, monkeypatch):
+        # 65535 unknowns restrict to 8191 and those to 1023, which alone are
+        # bisected; the potential is looked up once, on the solver's grid
+        stack, field = DielectricStack(SC, 10.0), FieldSpec(-1e6)
+        grid = default_grid(stack, n_points=65537)
+        diag, off = build_hamiltonian(cached_perpendicular_potential(stack, field, grid), grid)
+        w_ref, v_ref = _bisection(diag, off, 2)
+        lookups = []
+        original = perpendicular.cached_perpendicular_potential
+
+        def spy(stack, field, grid, **kwargs):
+            lookups.append(grid)
+            return original(stack, field, grid, **kwargs)
+
+        monkeypatch.setattr(perpendicular, "cached_perpendicular_potential", spy)
+        calls = _bisection_calls(monkeypatch)
+        sol = solve_perpendicular(stack, field, n_states=2, grid=grid)
+        assert calls == [1023]
+        assert lookups == [grid]
+        # bisection itself is accurate to about eps ||T|| = 8e-8 meV at this spacing
+        np.testing.assert_allclose(sol.energies, w_ref, rtol=0.0, atol=1e-7)
+        psi = sol.wavefunctions[:, 1:-1] * math.sqrt(grid.spacing)
+        assert np.all(np.sum(psi * v_ref.T, axis=1) >= 1.0 - 1e-10)
 
     def test_guess_below_500_coarse_points_is_skipped(self, monkeypatch):
         stack = DielectricStack(SC, 10.0)
