@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .perpendicular import MIN_GRID_POINTS
 from .tables import emit_quantity, parse_quantity
@@ -20,107 +20,67 @@ class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
 
 
-# section -> key -> (kind, unit): the one list of config keys.  Its order is
-# the section and key order of the `.effective.ini` echo.
-# kind: float | float_or_auto (auto -> None) | float_list | int | str | choice
-_SCHEMA = {
-    "substrate": {
-        "type": ("choice", ("superconductor", "dielectric")),
-        "eps_b": ("float", None),
-    },
-    "constants": {
-        "eps_neon": ("float", None),
-        "barrier_height": ("float", "meV"),
-        "cutoff_zc": ("float", "nm"),
-    },
-    "grid": {
-        "n_points": ("int", None),
-        "z_max": ("float", "nm"),
-        "z_samples": ("int", None),
-        "rho_max": ("float_or_auto", "nm"),
-        "n_points_radial": ("int", None),
-    },
-    "sweep": {
-        "L": ("float_list", "nm"),
-        "E_ex": ("float_list", "V/m"),
-        "L0": ("float", "nm"),
-        "delta_L": ("float_list", "nm"),
-        "R": ("float_list", "nm"),
-        "b": ("float", "nm"),
-        "n_knots": ("int", None),
-        "alpha_max": ("int", None),
-    },
-    "growth": {
-        "r_c": ("float_list", "nm"),
-        "diffusion_time": ("float", "s"),
-        "delta_h": ("float", "nm"),
-    },
-    "output": {
-        "path": ("str", None),
-        "format": ("choice", ("csv", "json")),
-    },
-    "parallel": {
-        "threads": ("int", None),
-    },
-}
+def _key(section: str, kind, default, unit: str | None = None, key: str | None = None):
+    """A RunConfig field that is config key `key` (default: the field's name) of [section].
 
-# RunConfig fields whose name is not the key's
-_DEST = {
-    ("substrate", "type"): "substrate_type",
-    ("output", "path"): "out_path",
-    ("output", "format"): "out_format",
-}
-
-# keys echoed only while a field holds a value: eps_b means nothing
-# unless the substrate is a dielectric
-_ECHO_ONLY_IF = {("substrate", "eps_b"): ("substrate_type", "dielectric")}
+    kind: float | float_or_auto (auto -> None) | float_list | int | str, or a
+    tuple of the allowed strings.  unit is the unit its values are written in.
+    A list default is copied for each instance.
+    """
+    meta = {"section": section, "kind": kind, "unit": unit, "key": key}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration; all lengths nm, fields V/m, energies meV."""
+    """Fully resolved configuration; all lengths nm, fields V/m, energies meV.
 
-    substrate_type: str = "superconductor"
-    eps_b: float = 12.0
-    eps_neon: float = 1.244
-    barrier_height: float = 700.0
-    cutoff_zc: float = 0.23
-    n_points: int = 8192
-    z_max: float = 40.0
-    z_samples: int = 400
-    rho_max: float | None = None
-    n_points_radial: int = 16384
-    L: list = field(default_factory=lambda: [10.0])
-    E_ex: list = field(default_factory=lambda: [0.0])
-    L0: float = 10.0
-    delta_L: list = field(default_factory=lambda: [0.5])
-    R: list = field(default_factory=lambda: [110.0])
-    b: float = 2.0
-    n_knots: int = 60
-    alpha_max: int = 1
-    r_c: list = field(default_factory=lambda: [10.0, -10.0])
-    diffusion_time: float = 10e-6
-    delta_h: float = 25.0
-    out_path: str = "out.csv"
-    out_format: str = "csv"
-    threads: int = 0  # accepted and echoed for old configs; every run is serial
+    Each field declares its config key, and the field order is the section
+    and key order of the `.effective.ini` echo.
+    """
+
+    substrate_type: str = _key("substrate", ("superconductor", "dielectric"), "superconductor",
+                               key="type")
+    eps_b: float = _key("substrate", "float", 12.0)
+    eps_neon: float = _key("constants", "float", 1.244)
+    barrier_height: float = _key("constants", "float", 700.0, "meV")
+    cutoff_zc: float = _key("constants", "float", 0.23, "nm")
+    n_points: int = _key("grid", "int", 8192)
+    z_max: float = _key("grid", "float", 40.0, "nm")
+    z_samples: int = _key("grid", "int", 400)
+    rho_max: float | None = _key("grid", "float_or_auto", None, "nm")
+    n_points_radial: int = _key("grid", "int", 16384)
+    L: list = _key("sweep", "float_list", [10.0], "nm")
+    E_ex: list = _key("sweep", "float_list", [0.0], "V/m")
+    L0: float = _key("sweep", "float", 10.0, "nm")
+    delta_L: list = _key("sweep", "float_list", [0.5], "nm")
+    R: list = _key("sweep", "float_list", [110.0], "nm")
+    b: float = _key("sweep", "float", 2.0, "nm")
+    n_knots: int = _key("sweep", "int", 60)
+    alpha_max: int = _key("sweep", "int", 1)
+    r_c: list = _key("growth", "float_list", [10.0, -10.0], "nm")
+    diffusion_time: float = _key("growth", "float", 10e-6, "s")
+    delta_h: float = _key("growth", "float", 25.0, "nm")
+    out_path: str = _key("output", "str", "out.csv", key="path")
+    out_format: str = _key("output", ("csv", "json"), "csv", key="format")
+    # accepted and echoed for old configs; every run is serial
+    threads: int = _key("parallel", "int", 0)
 
     def __post_init__(self):
         _validate(self)
 
     def effective_text(self) -> str:
-        """Canonical resolved-config echo in `_SCHEMA` order; also the hash input."""
-        blocks = []
-        for section, keys in _SCHEMA.items():
-            lines = [f"[{section}]"]
-            for key, (kind, unit) in keys.items():
-                only_if = _ECHO_ONLY_IF.get((section, key))
-                if only_if and getattr(self, only_if[0]) != only_if[1]:
-                    continue
-                value = getattr(self, _DEST.get((section, key), key))
-                lines.append(f"{key} = {_emit_value(kind, unit, value)}")
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
+        """Canonical resolved-config echo in field order; also the hash input."""
+        blocks = {}
+        for (section, key), f in _FIELDS.items():
+            # eps_b means nothing unless the substrate is a dielectric
+            if f.name == "eps_b" and self.substrate_type != "dielectric":
+                continue
+            value = _emit_value(f.metadata["kind"], f.metadata["unit"], getattr(self, f.name))
+            blocks.setdefault(section, [f"[{section}]"]).append(f"{key} = {value}")
+        return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
     def config_hash(self) -> str:
         # neither the output destination nor [parallel] affects the numbers,
@@ -129,8 +89,13 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# (section, key) -> RunConfig field, in field order
+_FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
+
+
 def _parse_value(section: str, key: str, raw: str):
-    kind, unit = _SCHEMA[section][key]
+    meta = _FIELDS[section, key].metadata
+    kind, unit = meta["kind"], meta["unit"]
 
     def number(text: str) -> float:
         value = parse_quantity(text, unit)
@@ -150,17 +115,17 @@ def _parse_value(section: str, key: str, raw: str):
             if not raw.strip().lstrip("+-").isdigit():
                 raise ValueError(f"expected an integer, got {raw!r}")
             return int(raw)
-        if kind == "choice":
+        if isinstance(kind, tuple):
             val = raw.strip()
-            if val not in unit:
-                raise ValueError(f"expected one of {unit}, got {val!r}")
+            if val not in kind:
+                raise ValueError(f"expected one of {kind}, got {val!r}")
             return val
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _emit_value(kind: str, unit, value) -> str:
+def _emit_value(kind, unit, value) -> str:
     """Text that `_parse_value` reads back as `value`."""
     if kind == "float_list":
         return ", ".join(emit_quantity(v, unit) for v in value)
@@ -183,13 +148,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
     values = {}
+    sections = {section for section, _ in _FIELDS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[_DEST.get((section, key), key)] = _parse_value(section, key, raw)
+            values[_FIELDS[section, key].name] = _parse_value(section, key, raw)
     return RunConfig(**values)
 
 

@@ -64,30 +64,24 @@ class Grid1D:
         return self.points[1:-1]
 
 
-def aligned_grid(z_min_target: float, z_max: float, n_points: int) -> Grid1D:
-    """Grid with a node exactly at the neon surface (z = 0).
-
-    The potential steps from the Pauli barrier to the clamped image value
-    at z = 0; putting a node there (its value is the two-sided average)
-    restores second-order convergence of the eigenvalues.
-    """
-    h0 = (z_max - z_min_target) / (n_points - 1)
-    k = round(-z_min_target / h0)
-    if k < 1 or k >= n_points - 1:
-        return Grid1D(z_min_target, z_max, n_points)
-    h = z_max / (n_points - 1 - k)
-    return Grid1D(-k * h, z_max, n_points)
-
-
 def default_grid(stack: DielectricStack, z_max: float = 40.0,
                  n_points: int = 8192) -> Grid1D:
-    """Solver grid: hard wall at max(-L, -2 nm) below, z_max above.
+    """Solver grid: hard wall near max(-L, -2 nm) below, z_max above.
 
     The lower wall leaves room for the ~0.1 nm barrier penetration; 40 nm
-    leaves negligible tail density for all bound configurations.
+    leaves negligible tail density for all bound configurations.  The lower
+    wall is shifted by about half a spacing at most so that a node sits
+    exactly at the neon surface (z = 0), unless the layer is too thin to
+    hold a node: the potential steps there from the Pauli barrier to the
+    clamped image value, and a node at the step (its value is the two-sided
+    average) restores second-order convergence of the eigenvalues.
     """
     z_min = max(-stack.thickness_L, -2.0)
-    return aligned_grid(z_min, z_max, n_points)
+    k = round(-z_min / ((z_max - z_min) / (n_points - 1)))
+    if k < 1 or k >= n_points - 1:
+        return Grid1D(z_min, z_max, n_points)
+    h = z_max / (n_points - 1 - k)
+    return Grid1D(-k * h, z_max, n_points)
 
 
 def build_hamiltonian(potential, grid: Grid1D, *,
@@ -157,27 +151,24 @@ RESIDUAL_TOL_EPS = 64.0  # RQI stops at a residual of 64 eps ||T||
 CERTIFICATE_MARGIN_MEV = 1e-7  # smallest delta of the Sturm certificate
 
 
-def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, n_states: int,
-                      guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
+                      n_states: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_states eigenpairs of the symmetric tridiagonal matrix T = (diag, offdiag).
 
     Returns ascending eigenvalues and unit-norm eigenvectors (columns), each
     signed so that its largest-magnitude entry is positive.  The start
     vectors come from T restricted to every COARSE_FACTOR-th unknown (see
-    _restricted_start) or, if given, from guess (one column per state).
-    Each state is then refined by Rayleigh-quotient iteration, deflated
-    against the states below it, and the set is kept only if Sturm counts
-    prove it is the lowest: T - (E_0 - delta) I is positive definite and
-    exactly n_states eigenvalues lie in (E_0 - delta, E_last + delta], with
+    _restricted_start).  Each state is then refined by Rayleigh-quotient
+    iteration, deflated against the states below it, and the set is kept
+    only if Sturm counts prove it is the lowest: T - (E_0 - delta) I is
+    positive definite and exactly n_states eigenvalues lie in
+    (E_0 - delta, E_last + delta], with
     delta = max(2 max residual, CERTIFICATE_MARGIN_MEV).  When the
     restriction would hold fewer than MIN_GRID_POINTS unknowns, or the
     iteration or the certificate fails, LAPACK bisection + inverse
     iteration solves T.
     """
-    if guess is not None and np.shape(guess) != (diag.size, n_states):
-        raise ValueError("guess must hold one column of diag.size values per state")
-    if guess is None:
-        guess = _restricted_start(diag, offdiag, n_states)
+    guess = _restricted_start(diag, offdiag, n_states)
     pairs = None if guess is None else _refine(diag, offdiag, guess)
     if pairs is None:
         try:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import neontrap.cli
+import neontrap.config
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
@@ -206,6 +207,19 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         echoed = load_config(write_config(tmp_path, cfg.effective_text(), "echo.ini"))
         assert echoed == cfg
         assert echoed.config_hash() == cfg.config_hash()
+
+    def test_every_field_declares_one_key(self):
+        # each RunConfig field is its own schema entry: a section, a kind
+        # that _parse_value reads, and a (section, key) no other field takes
+        fields = dataclasses.fields(RunConfig)
+        for f in fields:
+            assert isinstance(f.metadata.get("section"), str), f.name
+            kind = f.metadata.get("kind")
+            assert (kind in ("float", "float_or_auto", "float_list", "int", "str")
+                    or isinstance(kind, tuple) and all(isinstance(c, str) for c in kind)), f.name
+        keys = [(f.metadata["section"], f.metadata["key"] or f.name) for f in fields]
+        assert len(set(keys)) == len(fields)
+        assert [f.name for f in neontrap.config._FIELDS.values()] == [f.name for f in fields]
 
     @pytest.mark.parametrize("config, digest", [
         (None, "67e0d90012a8e63b"),

@@ -19,7 +19,7 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
 from neontrap.lateral import NODE_TOL_MEV, default_rho_max
-from neontrap.perpendicular import EigensolverError, aligned_grid, default_grid
+from neontrap.perpendicular import EigensolverError, default_grid
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
@@ -27,8 +27,8 @@ SC = Superconductor()
 # shared solver settings for the slow pillar-trap tests: N_Z perpendicular
 # points per curve node, GRID for direct solves at L >= 2 nm (the same grid)
 N_Z = 4096
-GRID = aligned_grid(-2.0, 40.0, N_Z)
 L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0
+GRID = default_grid(DielectricStack(SC, L0), 40.0, N_Z)
 
 
 @pytest.fixture(scope="module")

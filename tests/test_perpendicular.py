@@ -14,7 +14,7 @@ from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec,
                       perpendicular_gap, solve_lowest, solve_perpendicular,
                       total_perpendicular_potential)
 from neontrap.dielectric import Dielectric, cached_perpendicular_potential
-from neontrap.perpendicular import Grid1D, aligned_grid, default_grid, lowest_eigenpairs
+from neontrap.perpendicular import Grid1D, default_grid, lowest_eigenpairs
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
@@ -184,13 +184,13 @@ class TestHellmannFeynman:
             hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(-4.9e6), 2e5)
 
 
-class TestAlignedGrid:
+class TestDefaultGrid:
     def test_surface_node_present(self):
-        g = aligned_grid(-2.0, 40.0, 8192)
+        g = default_grid(DielectricStack(SC, 10.0), 40.0, 8192)
         assert np.min(np.abs(g.points)) < 1e-12
 
     def test_bounds_preserved(self):
-        g = aligned_grid(-2.0, 40.0, 8192)
+        g = default_grid(DielectricStack(SC, 10.0), 40.0, 8192)
         assert g.z_max == 40.0
         assert g.z_min == pytest.approx(-2.0, abs=0.01)
 
@@ -286,8 +286,9 @@ class TestLowestEigenpairs:
         diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
                                       grid)
         _, excited = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
+        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: excited)
         calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(diag, off, 1, guess=excited)
+        w, v = lowest_eigenpairs(diag, off, 1)
         assert calls == [diag.size]
         w_bisect, v_bisect = _bisection(diag, off, 1)
         np.testing.assert_array_equal(w, w_bisect)
@@ -301,8 +302,9 @@ class TestLowestEigenpairs:
         diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
                                       grid)
         _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
+        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: v[:, [0, 2]])
         calls = _bisection_calls(monkeypatch)
-        w, vec = lowest_eigenpairs(diag, off, 2, guess=v[:, [0, 2]])
+        w, vec = lowest_eigenpairs(diag, off, 2)
         assert calls == [diag.size]
         w_bisect, v_bisect = _bisection(diag, off, 2)
         np.testing.assert_array_equal(w, w_bisect)
@@ -316,9 +318,10 @@ class TestLowestEigenpairs:
         diag, off = build_hamiltonian(cached_perpendicular_potential(stack, FieldSpec(0.0), grid),
                                       grid)
         w_ref, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        calls = _bisection_calls(monkeypatch)
         mixed = np.column_stack([v[:, 0], v[:, 0] + 0.5 * v[:, 1]])
-        w, _ = lowest_eigenpairs(diag, off, 2, guess=mixed)
+        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: mixed)
+        calls = _bisection_calls(monkeypatch)
+        w, _ = lowest_eigenpairs(diag, off, 2)
         assert calls == []
         np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=2e-9)
 
@@ -328,8 +331,9 @@ class TestLowestEigenpairs:
         coarse, fine = Grid1D(-60.0, 60.0, 1024), Grid1D(-60.0, 60.0, 8185)
         _, vc = lowest_eigenpairs(*build_hamiltonian(pot(coarse.interior), coarse), 5)
         guess = np.column_stack([np.interp(fine.interior, coarse.interior, u) for u in vc.T])
+        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: guess)
         calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(*build_hamiltonian(pot(fine.interior), fine), 5, guess)
+        w, v = lowest_eigenpairs(*build_hamiltonian(pot(fine.interior), fine), 5)
         assert calls == []
         assert [perpendicular._count_nodes(u) for u in v.T] == list(range(5))
         for n, e in enumerate(w):
@@ -337,7 +341,7 @@ class TestLowestEigenpairs:
 
     @pytest.mark.parametrize("n_points", [4801, 4806])
     def test_restricted_matrix_keeps_the_outer_wall(self, monkeypatch, n_points):
-        # with no guess the kernel bisects the operator on the grid of spacing
+        # the kernel bisects the operator on the grid of spacing
         # 8 h that ends at the same outer wall; 4806 points leave 5 unknowns
         # over, which shift only the lower wall
         grid = Grid1D(0.0, 40.0, n_points)
