@@ -13,8 +13,7 @@ SC = Superconductor()
 profile = PillarProfile(10.0, 0.5, 110.0, 2.0)
 fields = (-2e6, -1e6, 0.0, 1e6, 2e6)
 
-resp = field_response(DielectricStack(SC, 10.0), profile, fields,
-                      n_knots=30, n_points_z=4096)
+resp = field_response(DielectricStack(SC, 10.0), profile, fields, n_knots=30)
 
 print(f"{'E_ex [V/m]':>12} {'dU [ueV]':>10} {'rho_e [nm]':>11} bound")
 for row in resp.rows:

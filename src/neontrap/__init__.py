@@ -2,13 +2,13 @@
 
 Library layout:
     dielectric    - stack reflection coefficient, image and field potentials
-    perpendicular - 1D bound states, W^G, h_e, excitation gap
+    perpendicular - 1D spectral-element bound states, W^G, h_e, excitation gap
     lateral       - thickness profiles, LTA trap, radial qubit spectrum
     growth        - Gibbs-Thomson / diffusion / gravity estimates
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
@@ -23,11 +23,12 @@ from .lateral import (CurveValidationError, EnergyCurve, FieldResponse,
                       fit_harmonic_field_model, harmonic_field_model,
                       lta_potential, pillar_spectrum, radial_spectrum,
                       thickness_at)
-from .perpendicular import (BoundStateSolution, EigensolverError, Grid1D,
+from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
                             UnboundStateError,
-                            build_hamiltonian, default_grid, ground_state_energy,
+                            build_hamiltonian, ground_state_energy,
                             hellmann_feynman_check, mean_height,
-                            perpendicular_gap, solve_lowest, solve_perpendicular)
+                            perpendicular_gap, solve_lowest, solve_perpendicular,
+                            solver_mesh)
 
 __all__ = [
     "DEFAULT_CONSTANTS", "PhysicalConstants",
@@ -42,8 +43,9 @@ __all__ = [
     "QuadraticProfile", "build_energy_curve", "field_response",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",
     "pillar_spectrum", "radial_spectrum", "thickness_at",
-    "BoundStateSolution", "Grid1D", "UnboundStateError", "build_hamiltonian",
-    "default_grid", "ground_state_energy", "hellmann_feynman_check",
+    "BoundStateSolution", "SpectralMesh", "UnboundStateError", "build_hamiltonian",
+    "ground_state_energy", "hellmann_feynman_check",
     "mean_height", "perpendicular_gap", "solve_lowest", "solve_perpendicular",
+    "solver_mesh",
     "__version__",
 ]

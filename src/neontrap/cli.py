@@ -31,8 +31,8 @@ from .lateral import (CURVE_L_LIMITS, CurveValidationError, ModelInvalidError,
                       PillarProfile, build_energy_curve, curve_range,
                       default_rho_max, field_response, fit_harmonic_field_model,
                       lta_potential, pillar_spectrum, thickness_at)
-from .perpendicular import (EigensolverError, UnboundStateError, default_grid,
-                            mean_height, perpendicular_gap, solve_perpendicular)
+from .perpendicular import (EigensolverError, UnboundStateError, mean_height,
+                            perpendicular_gap, solve_perpendicular)
 from .tables import ResultTable
 
 
@@ -129,8 +129,7 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
         sol = None
         if not (stack.is_bulk and e_ex != 0.0):
             sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
-                                      grid=default_grid(stack, cfg.z_max, cfg.n_points),
-                                      constants=constants)
+                                      z_max=cfg.z_max, constants=constants)
         if sol is not None and sol.is_bound():
             table.add_row(L, e_ex, float(sol.energies[0]), mean_height(sol),
                           perpendicular_gap(sol), True)
@@ -148,8 +147,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     constants = _constants(cfg)
     stack0 = _stack(cfg, cfg.L0)
     curve = build_energy_curve(stack0, field, l_range, cfg.n_knots,
-                               z_max=cfg.z_max, n_points=cfg.n_points,
-                               constants=constants)
+                               z_max=cfg.z_max, constants=constants)
     written = []
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
@@ -199,8 +197,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     resp = field_response(stack0, profile, sorted(cfg.E_ex),
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
                           rho_max=cfg.rho_max, n_points=cfg.n_points_radial,
-                          z_max=cfg.z_max, n_points_z=cfg.n_points,
-                          constants=constants)
+                          z_max=cfg.z_max, constants=constants)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")],

@@ -47,6 +47,7 @@ class RunConfig:
     eps_neon: float = _key("constants", "float", 1.244)
     barrier_height: float = _key("constants", "float", 700.0, "meV")
     cutoff_zc: float = _key("constants", "float", 0.23, "nm")
+    # accepted and echoed for old configs; the perpendicular mesh is fixed
     n_points: int = _key("grid", "int", 8192)
     z_max: float = _key("grid", "float", 40.0, "nm")
     z_samples: int = _key("grid", "int", 400)
@@ -147,6 +148,8 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]: every key belongs to a named section")
     values = {}
     sections = {section for section, _ in _FIELDS}
     for section in parser.sections():
@@ -164,8 +167,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eps_b must be >= 1")
     if cfg.eps_neon <= 1.0:
         raise ConfigError("eps_neon must exceed 1")
-    if min(cfg.n_points, cfg.n_points_radial) < MIN_GRID_POINTS:
-        raise ConfigError(f"grids need at least {MIN_GRID_POINTS} points")
+    if cfg.n_points_radial < MIN_GRID_POINTS:
+        raise ConfigError(f"radial grids need at least {MIN_GRID_POINTS} points")
     if cfg.cutoff_zc <= 0.0:
         raise ConfigError("cutoff_zc must be a positive length")
     if cfg.z_max <= cfg.cutoff_zc:

@@ -184,16 +184,21 @@ def _field_term(stack: DielectricStack, field: FieldSpec, z: np.ndarray):
 
 
 def _field_free_potential(stack: DielectricStack, z: np.ndarray,
-                          constants: PhysicalConstants) -> np.ndarray:
-    """Barrier, surface average, clamped image and image series on z (meV)."""
-    tol = 1e-9  # nm; detects a grid node sitting on the neon surface
-    above = z >= constants.cutoff_zc
+                          constants: PhysicalConstants, side=None) -> np.ndarray:
+    """Barrier, clamped image and image series on z (meV).
+
+    The barrier holds below the surface, V(z_c) from the surface up to
+    cutoff_zc and the image series from cutoff_zc on.  side (default z)
+    holds, for each z, a point on the same side of the surface and of
+    cutoff_zc; it picks the branch for a z on the surface itself, which
+    otherwise counts as vacuum.
+    """
+    side = z if side is None else side
+    above = side >= constants.cutoff_zc
     out = np.full_like(z, constants.barrier_height)
     out[above] = perpendicular_potential(stack, z[above], constants=constants)
-    v_zc = perpendicular_potential(stack, constants.cutoff_zc, constants=constants)
-    out[(z > tol) & ~above] = v_zc
-    # two-sided average at the step keeps the discretization second order
-    out[np.abs(z) <= tol] = 0.5 * (constants.barrier_height + v_zc)
+    out[(side >= 0.0) & ~above] = perpendicular_potential(stack, constants.cutoff_zc,
+                                                           constants=constants)
     return out
 
 
@@ -201,12 +206,11 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
                                   constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Potential entering the perpendicular Schroedinger equation, in meV.
 
-    Inside the neon layer (z < 0) the Pauli barrier applies; a node on the
-    surface (z = 0) takes the two-sided average of barrier and clamped
-    image value; between the surface and cutoff_zc the image potential is
-    held at its cutoff value; from cutoff_zc on it is the image series.
-    The field term is added throughout.  Bulk stacks are only supported at
-    zero field, where the grounded-substrate gauge is ill-defined.
+    Inside the neon layer (z < 0) the Pauli barrier applies; from the
+    surface (z = 0 included) up to cutoff_zc the image potential is held at
+    its cutoff value; from cutoff_zc on it is the image series.  The field
+    term is added throughout.  Bulk stacks are only supported at zero
+    field, where the grounded-substrate gauge is ill-defined.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     v_ex = _field_term(stack, field, z_arr)
@@ -214,22 +218,28 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-# A field sweep re-solves the same energy-curve nodes at every field;
-# memoize the field-free part per (stack, constants, grid).
+# A field sweep re-solves the same energy-curve nodes at every field, and a
+# ground sweep each thickness at every field; memoize the field-free part
+# per (stack, constants, grid).
 @functools.lru_cache(maxsize=4096)
 def _cached_field_free_potential(stack: DielectricStack, constants: PhysicalConstants,
                                  grid) -> np.ndarray:
-    static = _field_free_potential(stack, grid.interior, constants)
+    z = grid.nodes
+    side = np.broadcast_to(z.mean(axis=1, keepdims=True), z.shape)
+    static = _field_free_potential(stack, z, constants, side)
     static.setflags(write=False)
     return static
 
 
 def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, grid, *,
                                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """total_perpendicular_potential on grid.interior, field-free part memoized.
+    """total_perpendicular_potential at grid.nodes, each element seen from inside (meV).
 
-    grid is a hashable grid (perpendicular.Grid1D); the key is
-    (stack, constants, grid), so cached values always match grid.interior.
+    grid is a perpendicular.SpectralMesh whose breakpoints include 0 and
+    cutoff_zc, so the potential is smooth on every element.  Each element's
+    midpoint picks its branch: at z = 0 the element below takes the barrier
+    and the element above V(z_c).  The field-free part is memoized per
+    (stack, constants, grid), so cached values always match grid.nodes.
     """
-    v_ex = _field_term(stack, field, grid.interior)
+    v_ex = _field_term(stack, field, grid.nodes)
     return _cached_field_free_potential(stack, constants, grid) + v_ex

@@ -19,8 +19,8 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (EigensolverError, UnboundStateError, default_grid,
-                            ground_state_energy, is_confined, lowest_eigenpairs)
+from .perpendicular import (EigensolverError, UnboundStateError, ground_state_energy,
+                            is_confined, lowest_eigenpairs)
 
 
 class CurveValidationError(RuntimeError):
@@ -116,7 +116,7 @@ def _log_chebyshev(l_nodes: np.ndarray, w_nodes: np.ndarray) -> Chebyshev:
 
 
 CURVE_L_LIMITS = (1.0, 200.0)  # nm; thickness span an energy curve may cover
-NODE_TOL_MEV = 1e-8  # held-out agreement that stops node doubling, ~20x solver noise
+NODE_TOL_MEV = 1e-8  # held-out agreement that stops node doubling, ~10x solver rounding
 
 
 def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
@@ -126,13 +126,13 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
 
 def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
                        l_range: tuple[float, float], n_knots: int = 60, *,
-                       z_max: float = 40.0, n_points: int = 8192,
+                       z_max: float = 40.0,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EnergyCurve:
     """Interpolate W^G at nested Chebyshev-Lobatto nodes in log L over l_range.
 
     The next level's new nodes are held out; while their worst error exceeds
     NODE_TOL_MEV and n_knots allows, they join the nodes (9, 17, 33, ...).
-    Each solve runs on its own default_grid(stack, z_max, n_points).
+    Each solve runs on its own solver_mesh(stack, z_max).
     """
     lo, hi = l_range
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
@@ -144,8 +144,8 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
     def solve_at(l: np.ndarray) -> np.ndarray:
         # l ascends, so an unbound field fails on its first (thinnest) solve
         stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
-        return np.array([ground_state_energy(s, field, grid=default_grid(s, z_max, n_points),
-                                             constants=constants) for s in stacks])
+        return np.array([ground_state_energy(s, field, z_max=z_max, constants=constants)
+                         for s in stacks])
 
     n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
     l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
@@ -244,7 +244,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
 
     # bound if the ground state sits below the far-field potential rim and
     # does not lean on the outer wall
-    bound = (u_alpha[0] < float(v[-1])) and is_confined(states[0])
+    bound = (u_alpha[0] < float(v[-1])) and is_confined(rho, states[0])
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
                            radial_states=states, bound=bound)
 
@@ -293,12 +293,12 @@ class FieldResponse:
 def field_response(stack_template: DielectricStack, profile: PillarProfile,
                    fields, *, n_knots: int = 60,
                    alpha_max: int = 1, rho_max: float | None = None,
-                   n_points: int = 16384, z_max: float = 40.0, n_points_z: int = 8192,
+                   n_points: int = 16384, z_max: float = 40.0,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
-    n_points is the radial grid; z_max and n_points_z set the perpendicular
-    grids of the curve.  Unbound entries are flagged in their row, never dropped.
+    n_points is the radial grid; z_max sets the perpendicular meshes of the
+    curve.  Unbound entries are flagged in their row, never dropped.
     """
     l_range = curve_range(profile.L0, profile.delta_L)
     rows = []
@@ -306,8 +306,7 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
         fs = FieldSpec(float(e_ex))
         try:
             curve = build_energy_curve(stack_template, fs, l_range, n_knots,
-                                       z_max=z_max, n_points=n_points_z,
-                                       constants=constants)
+                                       z_max=z_max, constants=constants)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
                                    rho_max=rho_max, n_points=n_points,
                                    constants=constants)

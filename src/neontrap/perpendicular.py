@@ -1,21 +1,31 @@
 """Perpendicular bound states of the electron above the neon surface.
 
-Discretizes -(hbar^2/2m_e) d^2/dz^2 + V(z) on a uniform grid with hard
-walls at both ends and extracts the lowest eigenpairs of the resulting
-symmetric tridiagonal operator.  The kernel, lowest_eigenpairs, restricts
-the matrix to every 8th unknown, solves that smaller problem the same way,
-and refines the interpolated states by Rayleigh-quotient iteration,
-certified by Sturm (inertia) counts; LAPACK bisection + inverse iteration
-solves the coarsest matrix and any problem whose certificate fails.
+Solves -(hbar^2/2m_e) psi'' + V psi = E psi with hard walls at both ends by
+Gauss-Lobatto-Legendre (GLL) spectral elements (A. T. Patera, J. Comput.
+Phys. 54, 468 (1984); Deville, Fischer & Mund, High-Order Methods for
+Incompressible Fluid Flow, chs. 2-4).  The element breakpoints sit on the
+potential's step at z = 0 and its kink at cutoff_zc, so the potential is
+smooth on every element and the eigenvalues converge exponentially in the
+degree.  The diagonal GLL mass matrix M turns the weak form into the dense
+symmetric matrix M^{-1/2} H M^{-1/2}, of which LAPACK returns the lowest
+eigenpairs.
+
+lowest_eigenpairs, the certified tridiagonal kernel of the radial solver,
+restricts its matrix to every 8th unknown, solves that smaller problem the
+same way, and refines the interpolated states by Rayleigh-quotient
+iteration, certified by Sturm (inertia) counts; LAPACK bisection + inverse
+iteration solves the coarsest matrix and any problem whose certificate
+fails.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import legendre
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
@@ -27,114 +37,175 @@ class UnboundStateError(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """Tridiagonal eigensolver failed to converge."""
+    """LAPACK eigensolver failed to converge."""
 
 
-# Fraction of the grid near z_max used for the escaping-tail detector, and
-# the probability-density threshold (1/nm) that flags a quasi-bound state.
+# Fraction of the grid's span next to the outer wall used for the
+# escaping-tail detector, and the probability-density threshold (1/nm)
+# that flags a quasi-bound state.
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
-MIN_GRID_POINTS = 500  # fewest points of a solver grid and of a restricted matrix
+MIN_GRID_POINTS = 500  # fewest points of a radial grid and of a restricted matrix
+
+DEGREE = 16  # polynomial degree on every element of the solver mesh
+# relative lengths of the elements from cutoff_zc to z_max: growing by a
+# ratio of 3, the last one halved so that it still resolves the tenth state
+OUTER_ELEMENTS = (1.0, 3.0, 9.0, 13.5, 13.5)
+
+
+def _gll(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GLL nodes x on [-1, 1], quadrature weights and differentiation matrix D.
+
+    The interior nodes are the roots of P'_degree, the eigenvalues of the
+    Jacobi matrix of the Gauss-Jacobi (1, 1) rule; D[i, j] is the derivative
+    of the j-th Lagrange polynomial at x_i.
+    """
+    k = np.arange(1, degree - 1)
+    beta = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    inner = scipy.linalg.eigvalsh_tridiagonal(np.zeros(degree - 1), beta)
+    x = np.concatenate(([-1.0], inner, [1.0]))
+    p = legendre.legval(x, np.eye(degree + 1)[degree])
+    w = 2.0 / (degree * (degree + 1) * p * p)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    d = p[:, None] / (p[None, :] * dx)
+    np.fill_diagonal(d, 0.0)
+    d[0, 0], d[-1, -1] = -degree * (degree + 1) / 4.0, degree * (degree + 1) / 4.0
+    return x, w, d
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid with Dirichlet (hard-wall) boundary values at both ends."""
+class SpectralMesh:
+    """GLL spectral-element mesh with hard walls at both ends.
 
-    z_min: float
-    z_max: float
-    n_points: int
+    Element e spans [breakpoints[e], breakpoints[e + 1]] and carries degree + 1
+    GLL nodes; neighbouring elements share their end node.  The derived
+    arrays are built once, with the mesh:
+
+    nodes:     (n_elements, degree + 1) node coordinates per element, nm
+    weights:   GLL quadrature weights per element node, nm
+    index:     global node number of each element node
+    points:    the n_points global nodes, walls included
+    mass:      diagonal GLL mass matrix on the global nodes, nm
+    stiffness: M^{-1/2} K M^{-1/2} on the n_points - 2 unknowns, with
+               K[i, j] = integral of phi_i' phi_j' (1/nm^2)
+    """
+
+    breakpoints: tuple
+    degree: int = DEGREE
+    nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    index: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    points: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    mass: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    stiffness: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_points < MIN_GRID_POINTS:
-            raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {self.n_points}")
-        if not self.z_min < self.z_max:
-            raise ValueError("z_min must be below z_max")
+        b = np.asarray(self.breakpoints, dtype=float)
+        if b.size < 2 or not np.all(np.diff(b) > 0.0):
+            raise ValueError(f"breakpoints must ascend strictly, got {self.breakpoints}")
+        if self.degree < 2:
+            raise ValueError("degree must be >= 2")
+        p = self.degree
+        x, w, d = _gll(p)
+        jac = 0.5 * np.diff(b)[:, None]
+        index = p * np.arange(b.size - 1)[:, None] + np.arange(p + 1)
+        n = index[-1, -1] + 1
+        weights = jac * w
+        points = np.empty(n)
+        points[index] = b[:-1, None] + jac * (x + 1.0)
+        points[::p] = b  # shared end nodes sit exactly on the breakpoints
+        mass = np.bincount(index.ravel(), weights.ravel(), n)
+        local = d.T @ (w[:, None] * d)
+        k = np.zeros((n, n))
+        for e, j in enumerate(jac[:, 0]):
+            k[e * p:e * p + p + 1, e * p:e * p + p + 1] += local / j
+        s = 1.0 / np.sqrt(mass[1:-1])
+        for name, value in (("nodes", points[index]), ("weights", weights), ("index", index),
+                            ("points", points), ("mass", mass),
+                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
-    def spacing(self) -> float:
-        return (self.z_max - self.z_min) / (self.n_points - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_points)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.points[1:-1]
+    def n_points(self) -> int:
+        return self.points.size
 
 
-def default_grid(stack: DielectricStack, z_max: float = 40.0,
-                 n_points: int = 8192) -> Grid1D:
-    """Solver grid: hard wall near max(-L, -2 nm) below, z_max above.
+def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
+                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SpectralMesh:
+    """Mesh of the perpendicular solve: hard walls at max(-L, -2 nm) and z_max.
 
-    The lower wall leaves room for the ~0.1 nm barrier penetration; 40 nm
-    leaves negligible tail density for all bound configurations.  The lower
-    wall is shifted by about half a spacing at most so that a node sits
-    exactly at the neon surface (z = 0), unless the layer is too thin to
-    hold a node: the potential steps there from the Pauli barrier to the
-    clamped image value, and a node at the step (its value is the two-sided
-    average) restores second-order convergence of the eigenvalues.
+    The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
+    on the substrate for a layer thinner than 2 nm; 40 nm leaves negligible
+    tail density for all bound configurations.  Breakpoints: the wall, the
+    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max.
     """
-    z_min = max(-stack.thickness_L, -2.0)
-    k = round(-z_min / ((z_max - z_min) / (n_points - 1)))
-    if k < 1 or k >= n_points - 1:
-        return Grid1D(z_min, z_max, n_points)
-    h = z_max / (n_points - 1 - k)
-    return Grid1D(-k * h, z_max, n_points)
+    return _mesh(max(-stack.thickness_L, -2.0), constants.cutoff_zc, z_max)
 
 
-def build_hamiltonian(potential, grid: Grid1D, *,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Symmetric tridiagonal Hamiltonian (diag, offdiag) on the interior points.
+@functools.lru_cache(maxsize=16)
+def _mesh(z_lo: float, z_c: float, z_max: float) -> SpectralMesh:
+    if not z_c < z_max:
+        raise ValueError("z_max must exceed the cutoff distance")
+    outer = z_c + (z_max - z_c) * np.cumsum(OUTER_ELEMENTS) / sum(OUTER_ELEMENTS)
+    outer[-1] = z_max
+    return SpectralMesh((z_lo, 0.0, z_c, *map(float, outer)))
 
-    potential holds V in meV at grid.interior.  Second-order central
-    differences for the kinetic term; the Dirichlet boundary rows are
-    eliminated.
+
+def build_hamiltonian(potential, grid: SpectralMesh, *,
+                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+    """Symmetric matrix M^{-1/2} H M^{-1/2} of the weak form on grid's unknowns, meV.
+
+    potential holds V in meV at grid.nodes, each element's values taken from
+    inside that element.  The mass matrix M is diagonal, so the potential
+    enters as M V at the nodes: a node shared by two elements weighs each
+    side's value with its own element's mass, which places a step of V on
+    a breakpoint exactly.  Values at the two walls never enter.
     """
-    z = grid.interior
     v = np.asarray(potential, dtype=float)
-    if v.shape != z.shape:
-        raise ValueError("potential must hold one value per interior point")
-    if not np.all(np.isfinite(v)):
-        bad = z[~np.isfinite(v)][0]
+    if v.shape != grid.nodes.shape:
+        raise ValueError("potential must hold one value per element node")
+    mv = np.bincount(grid.index.ravel(), (grid.weights * v).ravel(), grid.n_points)[1:-1]
+    if not np.all(np.isfinite(mv)):
+        bad = grid.points[1:-1][~np.isfinite(mv)][0]
         raise ValueError(f"non-finite potential sample at z = {bad} nm")
-    c = constants.hbar2_over_2me / grid.spacing ** 2
-    diag = 2.0 * c + v
-    offdiag = np.full(z.size - 1, -c)
-    return diag, offdiag
+    h = constants.hbar2_over_2me * grid.stiffness
+    h[np.diag_indices_from(h)] += mv / grid.mass[1:-1]
+    return h
 
 
 @dataclass
 class BoundStateSolution:
-    """Lowest eigenpairs on a Grid1D.
+    """Lowest eigenpairs on a SpectralMesh.
 
-    energies are in meV, ascending; wavefunctions are real, L2-normalized
-    (sum |psi|^2 * spacing = 1) and include the boundary zeros.
+    energies are in meV, ascending; wavefunctions hold real nodal values on
+    grid.points, the wall zeros included, L2-normalized by GLL quadrature
+    (sum grid.mass * psi^2 = 1).
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray  # shape (n_states, grid.n_points)
-    grid: Grid1D
+    grid: SpectralMesh
     converged: list = dc_field(default_factory=list)
 
     def tail_density(self) -> float:
         """Peak ground-state probability density near the outer wall (1/nm)."""
-        return tail_density(self.wavefunctions[0, 1:-1])
+        return tail_density(self.grid.points, self.wavefunctions[0])
 
     def is_bound(self) -> bool:
-        return is_confined(self.wavefunctions[0, 1:-1])
+        return is_confined(self.grid.points, self.wavefunctions[0])
 
 
-def tail_density(psi: np.ndarray) -> float:
-    """Peak of psi^2 over the last TAIL_FRACTION of the unknowns, next to the outer wall."""
-    n_tail = max(2, int(TAIL_FRACTION * psi.size))
-    return float(np.max(psi[-n_tail:] ** 2))
+def tail_density(z: np.ndarray, psi: np.ndarray) -> float:
+    """Peak of psi^2 over the nodes z within TAIL_FRACTION * (z[-1] - z[0]) of the last node."""
+    near = z >= z[-1] - TAIL_FRACTION * (z[-1] - z[0])
+    return float(np.max(psi[near] ** 2))
 
 
-def is_confined(psi: np.ndarray) -> bool:
-    """False if the state psi (psi^2 a density in 1/nm) leaks to the outer wall."""
-    return tail_density(psi) < TAIL_DENSITY_THRESHOLD
+def is_confined(z: np.ndarray, psi: np.ndarray) -> bool:
+    """False if the state psi on the nodes z (psi^2 a density in 1/nm) leaks to the outer wall."""
+    return tail_density(z, psi) < TAIL_DENSITY_THRESHOLD
 
 
 def _count_nodes(psi: np.ndarray) -> int:
@@ -268,37 +339,41 @@ def _refine(diag, offdiag, guess):
     return w, np.column_stack(vectors)
 
 
-def solve_lowest(diag: np.ndarray, offdiag: np.ndarray, grid: Grid1D,
+def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh,
                  n_states: int) -> BoundStateSolution:
-    """Lowest n_states eigenpairs of the tridiagonal operator, node-count verified."""
+    """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
+
+    Each state is signed so that its largest-magnitude nodal value is positive.
+    """
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
-    w, v = lowest_eigenpairs(diag, offdiag, n_states)
+    try:
+        w, y = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, n_states - 1],
+                                 driver="evr")
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0
     psi = np.zeros((n_states, grid.n_points))
-    psi[:, 1:-1] = v.T / math.sqrt(grid.spacing)
+    psi[:, 1:-1] = y.T / np.sqrt(grid.mass[1:-1])
     converged = [_count_nodes(psi[i, 1:-1]) == i for i in range(n_states)]
     return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
                               converged=converged)
 
 
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
-                        n_states: int = 1, grid: Grid1D | None = None,
+                        n_states: int = 1, z_max: float = 40.0,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BoundStateSolution:
-    """Solve the perpendicular problem for the given stack and external field."""
-    if grid is None:
-        grid = default_grid(stack)
-    if not (grid.z_min < constants.cutoff_zc < grid.z_max):
-        raise ValueError("grid must straddle the cutoff distance")
+    """Solve the perpendicular problem for the given stack and external field on solver_mesh."""
+    grid = solver_mesh(stack, z_max, constants)
     v = cached_perpendicular_potential(stack, field, grid, constants=constants)
-    diag, offdiag = build_hamiltonian(v, grid, constants=constants)
-    return solve_lowest(diag, offdiag, grid, n_states)
+    return solve_lowest(build_hamiltonian(v, grid, constants=constants), grid, n_states)
 
 
 def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
-                        grid: Grid1D | None = None,
+                        z_max: float = 40.0,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping."""
-    sol = solve_perpendicular(stack, field, n_states=1, grid=grid, constants=constants)
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants)
     if not sol.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "
@@ -308,9 +383,9 @@ def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
 
 
 def mean_height(solution: BoundStateSolution) -> float:
-    """Mean electron height h_e = <z> of the ground state, in nm."""
-    psi0 = solution.wavefunctions[0]
-    return float(np.sum(solution.grid.points * psi0 ** 2) * solution.grid.spacing)
+    """Mean electron height h_e = <z> of the ground state in nm, by GLL quadrature."""
+    g = solution.grid
+    return float(np.sum(g.mass * g.points * solution.wavefunctions[0] ** 2))
 
 
 def perpendicular_gap(solution: BoundStateSolution) -> float:
@@ -321,21 +396,20 @@ def perpendicular_gap(solution: BoundStateSolution) -> float:
 
 
 def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: float, *,
-                           grid: Grid1D | None = None,
+                           z_max: float = 40.0,
                            constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Relative residual between dW/dE_ex (central difference) and <psi0| dV/dE |psi0>."""
-    sol = solve_perpendicular(stack, field, n_states=1, grid=grid, constants=constants)
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants)
     if not sol.is_bound():
         raise UnboundStateError("unbound at the central field point")
     g = sol.grid
-    # dV_ex/dE_ex in meV per (V/m); psi vanishes at both walls, and the
-    # lower wall may sit just below -L, where the field potential is undefined
-    dv = external_potential(FieldSpec(1.0), stack.thickness_L, g.interior,
+    # dV_ex/dE_ex in meV per (V/m), by GLL quadrature
+    dv = external_potential(FieldSpec(1.0), stack.thickness_L, g.points,
                             eps_neon=stack.eps_neon)
-    expect = float(np.sum(dv * sol.wavefunctions[0, 1:-1] ** 2) * g.spacing)
-    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), grid=g,
+    expect = float(np.sum(g.mass * dv * sol.wavefunctions[0] ** 2))
+    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max,
                                  constants=constants)
-    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), grid=g,
+    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max,
                                   constants=constants)
     fd = (w_plus - w_minus) / (2.0 * delta)
     return abs(fd - expect) / abs(expect)

@@ -15,7 +15,7 @@ from scipy.special import jn_zeros
 
 from neontrap import (DEFAULT_CONSTANTS, DEFAULT_NEON, Dielectric,
                       DielectricStack, FieldSpec, PillarProfile, Superconductor,
-                      build_energy_curve, build_hamiltonian, diffusion_length,
+                      SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
                       gibbs_thomson_shift, gravity_potential_difference,
                       ground_state_energy, hellmann_feynman_check,
@@ -24,7 +24,6 @@ from neontrap import (DEFAULT_CONSTANTS, DEFAULT_NEON, Dielectric,
                       pillar_spectrum, radial_spectrum, solve_lowest,
                       solve_perpendicular, thickness_at)
 from neontrap.cli import main as cli_main
-from neontrap.perpendicular import Grid1D
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
@@ -113,25 +112,28 @@ def test_criterion_05_eigensolver_oracles():
         a = 719.982 * 0.108734
         e1 = -a * a / (4.0 * C)
 
-        def solve(vfun, lo, hi, n, k):
-            grid = Grid1D(lo, hi, n)
-            diag, off = build_hamiltonian(vfun(grid.interior), grid)
-            return solve_lowest(diag, off, grid, k)
+        def solve(vfun, breakpoints, k, degree=16):
+            grid = SpectralMesh(breakpoints, degree)
+            return solve_lowest(build_hamiltonian(vfun(grid.nodes), grid), grid, k)
 
-        hyd = solve(lambda z: -a / z, 0.0, 80.0, 16384, 2)
+        # the wall node's value never enters the Hamiltonian
+        hyd = solve(lambda z: -a / np.where(z > 0.0, z, np.inf),
+                    (0.0, 1.0, 3.0, 9.0, 27.0, 80.0), 2)
         assert hyd.energies[0] == pytest.approx(-40.22, abs=0.1)
         assert perpendicular_gap(hyd) == pytest.approx(30.16, abs=0.1)
         assert e1 == pytest.approx(-40.22, abs=0.01)
 
-        # particle in a box: second-order grid convergence (error ratio ~4)
-        width, exact = 10.0, math.pi ** 2 * C / 100.0
-        err = [abs(solve(np.zeros_like, 0.0, width, n, 1).energies[0] - exact)
-               for n in (2000, 4000)]
-        assert 3.0 <= err[0] / err[1] <= 5.0
+        # particle in a box: spectral convergence, the second level's error
+        # falls by >= 100x from degree 8 to 16
+        width, exact = 10.0, 4.0 * math.pi ** 2 * C / 100.0
+        err = [abs(solve(np.zeros_like, (0.0, width), 2, degree).energies[1] - exact)
+               for degree in (8, 16)]
+        assert err[0] >= 100.0 * err[1]
 
         # oscillator ladder with exact node counts
         hw = 1.0
-        osc = solve(lambda z: hw * hw * z * z / (4.0 * C), -60.0, 60.0, 8192, 5)
+        osc = solve(lambda z: hw * hw * z * z / (4.0 * C),
+                    tuple(np.linspace(-60.0, 60.0, 9)), 5)
         assert all(osc.converged)
         for n, e in enumerate(osc.energies):
             assert e == pytest.approx((n + 0.5) * hw, abs=1e-3)
@@ -173,8 +175,7 @@ def test_criterion_08_field_asymmetry():
         from neontrap import field_response
         profile = PillarProfile(10.0, 0.5, 110.0, 2.0)
         resp = field_response(DielectricStack(SC, 10.0), profile,
-                              (-1e6, 0.0, 1e6), n_knots=30, n_points_z=4096,
-                              n_points=8192)
+                              (-1e6, 0.0, 1e6), n_knots=30, n_points=8192)
         assert resp.slope_neg is not None and resp.slope_pos is not None
         assert abs(resp.slope_neg) > abs(resp.slope_pos)
 

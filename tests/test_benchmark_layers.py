@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 from neontrap.cli import main
 from neontrap.config import load_config
@@ -66,7 +67,9 @@ def test_benchmark_config_loads(path):
     load_config(str(path))
 
 
-# the traced layers that time eigensolves: every lowest_eigenpairs call must run inside one
+# the traced layers that time eigensolves: every call of an eigensolver, the
+# tridiagonal kernel lowest_eigenpairs or the dense LAPACK solve of the
+# spectral-element matrix, must run inside one
 EIGENSOLVE_LAYERS = [("neontrap.perpendicular", "solve_lowest"),
                      ("neontrap.lateral", "radial_spectrum")]
 
@@ -100,14 +103,19 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
 
     def record(fn):
         @functools.wraps(fn)
-        def wrapper(diag, *args, **kwargs):
-            (inside if depth[0] else outside).append(diag.size)
-            return fn(diag, *args, **kwargs)
+        def wrapper(matrix, *args, **kwargs):
+            (inside if depth[0] else outside).append((fn.__name__, len(matrix)))
+            return fn(matrix, *args, **kwargs)
         return wrapper
 
     for module_name, attr in EIGENSOLVE_LAYERS:
         _patch_everywhere(monkeypatch, module_name, attr, enclose)
     _patch_everywhere(monkeypatch, "neontrap.perpendicular", "lowest_eigenpairs", record)
+    monkeypatch.setattr(scipy.linalg, "eigh", record(scipy.linalg.eigh))
     config = PERFBENCH / "configs" / f"{workload}.ini"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert inside and outside == []
+    assert outside == []
+    # every perpendicular solve is a dense one on the 111 unknowns of the mesh
+    assert ("eigh", 111) in inside
+    if command == "lateral":
+        assert {name for name, _ in inside} == {"eigh", "lowest_eigenpairs"}

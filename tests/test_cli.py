@@ -232,10 +232,29 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert cfg.config_hash() == digest
 
     def test_grid_floor_is_the_solvers(self):
-        RunConfig(n_points=MIN_GRID_POINTS, n_points_radial=MIN_GRID_POINTS)
-        for name in ("n_points", "n_points_radial"):
-            with pytest.raises(ConfigError, match=f"at least {MIN_GRID_POINTS} points"):
-                RunConfig(**{name: MIN_GRID_POINTS - 1})
+        RunConfig(n_points_radial=MIN_GRID_POINTS)
+        with pytest.raises(ConfigError, match=f"at least {MIN_GRID_POINTS} points"):
+            RunConfig(n_points_radial=MIN_GRID_POINTS - 1)
+
+    def test_perpendicular_n_points_parses_and_is_ignored(self, tmp_path):
+        # [grid] n_points still loads, so older configs run, but sizes nothing:
+        # the perpendicular mesh is fixed
+        rows = []
+        for n in (8192, 100):
+            cfg = write_config(tmp_path, f"[grid]\nn_points = {n}\n"
+                               "[sweep]\nL = 1 nm, 10 nm\nE_ex = 0 V/m, 1e6 V/m\n")
+            out = tmp_path / f"g{n}.csv"
+            assert main(["ground-sweep", "--config", cfg, "--out", str(out)]) == 0
+            rows.append(ResultTable.from_csv(out.read_text()).rows)
+        assert rows[0] == rows[1]
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        # configparser would hand [DEFAULT] keys to every section, or to none
+        path = write_config(tmp_path, "[DEFAULT]\nL = 5 nm\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            load_config(path)
+        assert main(["ground-sweep", "--config", path, "--out", str(tmp_path / "g.csv")]) == 2
+        assert "[DEFAULT]" in capsys.readouterr().err
 
     def test_negative_threads_is_config_error(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="threads must be >= 0"):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from neontrap import (DEFAULT_CONSTANTS, Dielectric, DielectricStack, FieldSpec,
                       Superconductor, external_potential, perpendicular_potential, reflection_coefficient,
-                      total_perpendicular_potential)
+                      solver_mesh, total_perpendicular_potential)
+from neontrap.dielectric import cached_perpendicular_potential
 
 SC = Superconductor()
 LAM_BULK = (1.0 - 1.244) / (1.0 + 1.244)  # vacuum/neon coefficient
@@ -184,13 +185,30 @@ class TestTotalPotential:
         got = total_perpendicular_potential(stack, FieldSpec(0.0), zc / 2.0)
         assert got == pytest.approx(perpendicular_potential(stack, zc), rel=1e-12)
 
-    def test_surface_node_is_two_sided_average(self):
-        # a node on z = 0 sees the mean of the barrier and the clamped image value
+    def test_surface_is_vacuum_side(self):
+        # z = 0 takes the clamped image value; the barrier holds only below it
         stack = DielectricStack(SC, 10.0)
         got = total_perpendicular_potential(stack, FieldSpec(0.0), 0.0)
         v_zc = perpendicular_potential(stack, DEFAULT_CONSTANTS.cutoff_zc)
-        assert got == pytest.approx(0.5 * (DEFAULT_CONSTANTS.barrier_height + v_zc),
-                                    rel=1e-12)
+        assert got == pytest.approx(v_zc, rel=1e-12)
+        below = total_perpendicular_potential(stack, FieldSpec(0.0), -1e-12)
+        assert below == pytest.approx(DEFAULT_CONSTANTS.barrier_height, rel=1e-12)
+
+    @pytest.mark.parametrize("L, e_ex", [(10.0, 1e6), (1.0, -1e6), (math.inf, 0.0)])
+    def test_mesh_potential_is_each_element_from_inside(self, L, e_ex):
+        # each element of the solver mesh sees the potential from inside:
+        # the surface node z = 0 is the barrier on the element below and
+        # V(z_c) on the element above; elsewhere it is the public potential
+        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+        grid = solver_mesh(stack)
+        got = cached_perpendicular_potential(stack, field, grid)
+        assert got.shape == grid.nodes.shape
+        z = grid.nodes
+        expected = total_perpendicular_potential(stack, field, z.ravel()).reshape(z.shape)
+        expected[0, -1] += DEFAULT_CONSTANTS.barrier_height - perpendicular_potential(
+            stack, DEFAULT_CONSTANTS.cutoff_zc)
+        assert z[0, -1] == 0.0 == z[1, 0]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_bulk_rejects_nonzero_field(self):
         with pytest.raises(ValueError, match="bulk"):

@@ -19,30 +19,26 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
 from neontrap.lateral import NODE_TOL_MEV, default_rho_max
-from neontrap.perpendicular import EigensolverError, default_grid
+from neontrap.perpendicular import EigensolverError
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
 
-# shared solver settings for the slow pillar-trap tests: N_Z perpendicular
-# points per curve node, GRID for direct solves at L >= 2 nm (the same grid)
-N_Z = 4096
 L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0
-GRID = default_grid(DielectricStack(SC, L0), 40.0, N_Z)
 
 
 @pytest.fixture(scope="module")
 def curve():
     return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                              (6.5, 10.5), n_knots=30, n_points=N_Z)
+                              (6.5, 10.5), n_knots=30)
 
 
 @pytest.fixture(scope="module")
 def wide_curve():
-    # [1, 2] nm nodes get their own lower wall at -L, so W^G carries ~1e-4 meV
-    # of grid noise and the node doubling runs into the n_knots cap
+    # W^G(L) has a kink at L = 2 nm, where the lower wall switches from -L to
+    # -2 nm, so the node doubling runs into the n_knots cap
     return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                              (1.0, 200.0), n_knots=60, n_points=N_Z)
+                              (1.0, 200.0), n_knots=60)
 
 
 class TestThicknessProfiles:
@@ -93,7 +89,7 @@ class TestEnergyCurve:
 
     def test_midpoint_against_fresh_solve(self, curve):
         L = 8.37
-        direct = ground_state_energy(DielectricStack(SC, L), grid=GRID)
+        direct = ground_state_energy(DielectricStack(SC, L))
         assert curve(L) == pytest.approx(direct, abs=0.01)
 
     def test_out_of_range_rejected(self, curve):
@@ -114,7 +110,7 @@ class TestEnergyCurve:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
-                               (0.5, 10.0), n_knots=20, n_points=N_Z)
+                               (0.5, 10.0), n_knots=20)
 
 
 def _held_out(curve):
@@ -145,7 +141,7 @@ class TestChebyshevCurve:
             return solve(stack, *args, **kwargs)
         monkeypatch.setattr(neontrap.lateral, "ground_state_energy", spy)
         c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (1.0, 200.0), n_knots=60, n_points=N_Z)
+                               (1.0, 200.0), n_knots=60)
         # 9 nodes, then held-out levels of 8, 16 and 32 points, each once
         levels = np.split(np.array(solved), [9, 17, 33])
         assert [lv.size for lv in levels] == [9, 8, 16, 32]
@@ -162,19 +158,25 @@ class TestChebyshevCurve:
         assert wide_curve.l_knots.size == 33
         assert NODE_TOL_MEV < wide_curve.validation_error <= EnergyCurve.VALIDATION_BUDGET_MEV
 
+    def test_thin_layer_range_across_the_wall_kink(self):
+        # [1.9, 3.5] nm straddles L = 2 nm, where the lower wall switches from
+        # -L to -2 nm; the curve across that kink still validates to 1e-7 meV
+        c = build_energy_curve(DielectricStack(SC, 3.0), FieldSpec(0.0), (1.9, 3.5),
+                               n_knots=60)
+        assert c.validation_error <= 1e-7
+
     def test_fresh_solves_agree(self, curve):
         ls = 8.5 + 2.0 * (np.arange(20) + 0.5) / 20
-        direct = [ground_state_energy(s, grid=default_grid(s, n_points=N_Z))
-                  for s in (DielectricStack(SC, float(L)) for L in ls)]
+        direct = [ground_state_energy(DielectricStack(SC, float(L))) for L in ls]
         assert np.max(np.abs(curve(ls) - np.array(direct))) <= 1e-8
 
     def test_budget_exceeded_raises_and_flags_row(self, monkeypatch):
         monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
         with pytest.raises(CurveValidationError, match="held-out error"):
             build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (9.0, 10.5), n_knots=20, n_points=N_Z)
+                               (9.0, 10.5), n_knots=20)
         resp = field_response(DielectricStack(SC, L0), PillarProfile(L0, DL, R_PILLAR, B),
-                              (0.0,), n_knots=20, n_points_z=N_Z)
+                              (0.0,), n_knots=20)
         (row,) = resp.rows
         assert not row.bound
         assert all(math.isnan(v) for v in (row.delta_u_uev, row.rho_e, row.rho_e_line))
@@ -189,8 +191,8 @@ class TestLtaPotential:
     def test_depth_at_center(self, curve):
         p = PillarProfile(L0, DL, R_PILLAR, B)
         v0 = lta_potential(curve, p, 0.0)
-        direct = (ground_state_energy(DielectricStack(SC, thickness_at(p, 0.0)), grid=GRID)
-                  - ground_state_energy(DielectricStack(SC, L0), grid=GRID))
+        direct = (ground_state_energy(DielectricStack(SC, thickness_at(p, 0.0)))
+                  - ground_state_energy(DielectricStack(SC, L0)))
         assert v0 == pytest.approx(direct, abs=0.02)
         assert v0 < 0.0
 
@@ -307,7 +309,7 @@ class TestPillarTrap:
     def test_trap_depth_with_deep_etch(self):
         # Delta L = 3 nm gives a trap of order 10 meV
         c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (6.5, 10.5), n_knots=30, n_points=N_Z)
+                               (6.5, 10.5), n_knots=30)
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
         depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
@@ -320,8 +322,8 @@ class TestFieldCoupling:
         e_ex = 1e6
         def depth(e):
             f = FieldSpec(e)
-            return (ground_state_energy(DielectricStack(SC, L0), f, grid=GRID)
-                    - ground_state_energy(DielectricStack(SC, L0 - dl), f, grid=GRID))
+            return (ground_state_energy(DielectricStack(SC, L0), f)
+                    - ground_state_energy(DielectricStack(SC, L0 - dl), f))
         shift = depth(e_ex) - depth(0.0)
         expected = 1e-6 * e_ex * dl / 1.244
         assert shift == pytest.approx(expected, rel=0.2)
@@ -333,7 +335,7 @@ class TestFieldResponse:
     def test_unbound_field_keeps_flagged_row(self):
         # -5e6 V/m pulls the electron off the surface at these thicknesses
         resp = field_response(DielectricStack(SC, L0), self.PROFILE, (0.0, -5e6),
-                              n_knots=20, n_points_z=N_Z, n_points=8192)
+                              n_knots=20, n_points=8192)
         assert [r.e_ex for r in resp.rows] == [-5e6, 0.0]
         unbound, bound = resp.rows
         assert not unbound.bound
@@ -347,7 +349,7 @@ class TestFieldResponse:
         monkeypatch.setattr(neontrap.lateral, "pillar_spectrum", broken)
         with pytest.raises(TypeError, match="bug"):
             field_response(DielectricStack(SC, L0), self.PROFILE, (0.0,),
-                           n_knots=20, n_points_z=N_Z)
+                           n_knots=20)
 
 
 class TestHarmonicFieldModel:
