@@ -173,9 +173,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
             written.append(path)
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=rho_max,
-                                   n_points=cfg.n_points_radial,
-                                   constants=constants)
+                                   rho_max=rho_max, constants=constants)
             for alpha in range(cfg.alpha_max + 1):
                 spectrum.add_row(R, dL, alpha, spec.u_alpha_uev(alpha),
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
@@ -196,7 +194,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
     resp = field_response(stack0, profile, sorted(cfg.E_ex),
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
-                          rho_max=cfg.rho_max, n_points=cfg.n_points_radial,
+                          rho_max=cfg.rho_max,
                           z_max=cfg.z_max, constants=constants)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),

@@ -12,7 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .perpendicular import MIN_GRID_POINTS
 from .tables import emit_quantity, parse_quantity
 
 
@@ -52,6 +51,7 @@ class RunConfig:
     z_max: float = _key("grid", "float", 40.0, "nm")
     z_samples: int = _key("grid", "int", 400)
     rho_max: float | None = _key("grid", "float_or_auto", None, "nm")
+    # accepted and echoed for old configs; the radial mesh is built from R, b and rho_max
     n_points_radial: int = _key("grid", "int", 16384)
     L: list = _key("sweep", "float_list", [10.0], "nm")
     E_ex: list = _key("sweep", "float_list", [0.0], "V/m")
@@ -167,8 +167,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eps_b must be >= 1")
     if cfg.eps_neon <= 1.0:
         raise ConfigError("eps_neon must exceed 1")
-    if cfg.n_points_radial < MIN_GRID_POINTS:
-        raise ConfigError(f"radial grids need at least {MIN_GRID_POINTS} points")
     if cfg.cutoff_zc <= 0.0:
         raise ConfigError("cutoff_zc must be a positive length")
     if cfg.z_max <= cfg.cutoff_zc:

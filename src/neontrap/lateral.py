@@ -3,8 +3,8 @@
 The thickness profile L(rho) maps, through the local-thickness
 approximation, onto a lateral potential V_par(rho) = W^G(L(rho)) - W^G(L0)
 built from a Chebyshev interpolant of W^G in log L.  The radial Schroedinger
-equation for each angular momentum alpha is discretized with a cylindrical
-finite-volume scheme, symmetrized by u = sqrt(rho) R, and the lowest
+equation for each angular momentum alpha is solved on a GLL spectral-element
+mesh with the measure rho drho (perpendicular.SpectralMesh), and the lowest
 eigenvalue per alpha yields the qubit spectrum U_alpha, Delta U = U1 - U0.
 """
 
@@ -19,8 +19,9 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (EigensolverError, UnboundStateError, ground_state_energy,
-                            is_confined, lowest_eigenpairs)
+from .perpendicular import (EigensolverError, SpectralMesh, UnboundStateError,
+                            build_hamiltonian, ground_state_energy, is_confined,
+                            solve_lowest)
 
 
 class CurveValidationError(RuntimeError):
@@ -193,7 +194,6 @@ class LateralSpectrum:
     u_alpha: dict
     rho_e: float
     rho_e_line: float
-    radial_states: dict  # alpha -> u(rho) = sqrt(rho) R(rho), normalized
     bound: bool
 
     @property
@@ -208,45 +208,49 @@ class LateralSpectrum:
         return 1.0e3 * self.u_alpha[alpha]
 
 
-def radial_spectrum(potential, alpha_max: int = 1, *, rho_max: float,
+def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
                     n_points: int = 16384,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
     """Lowest eigenvalue per alpha in {0..alpha_max} of the radial equation.
 
-    potential is a callable rho[nm] -> V_par[meV].  Cell-centered
-    finite-volume discretization of -(hbar^2/2m_e) (1/rho) d/drho(rho d/drho)
-    plus the centrifugal term, symmetrized with u = sqrt(rho) R; no-flux
-    regularity at the axis, hard wall at rho_max.
+    potential is a callable rho[nm] -> V_par[meV].  The weak form
+    integral of c rho R' phi' + (c alpha^2 / rho + V rho) R phi drho
+    = E integral of rho R phi drho, c = hbar^2/2m_e, is solved on the radial
+    SpectralMesh over breakpoints (0, ..., rho_max), hard wall at rho_max.
+    For alpha >= 1 the axis node is a wall; for alpha = 0 it carries no
+    mass and is condensed out, which leaves the regular (no-flux) axis.
+    n_points sizes nothing; it stays because the benchmark's tracer
+    (perfbench/tracing.py) reads it.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
     c = constants.hbar2_over_2me
-    h = rho_max / n_points
-    rho = (np.arange(n_points) + 0.5) * h
-    faces = np.arange(n_points + 1) * h
+    mesh = SpectralMesh(tuple(breakpoints), radial=True)
+    rho = mesh.nodes
     v = np.asarray(potential(rho), dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite lateral potential sample")
-    diag0 = c * (faces[1:] + faces[:-1]) / (h * h * rho) + v
-    offdiag = -c * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
+    centrifugal = np.divide(c, rho * rho, out=np.zeros_like(rho), where=rho > 0.0)
 
-    u_alpha: dict = {}
-    states: dict = {}
+    states = []
     for alpha in range(alpha_max + 1):
-        w, u = lowest_eigenpairs(diag0 + c * alpha * alpha / rho ** 2, offdiag, 1)
-        u_alpha[alpha] = float(w[0])
-        states[alpha] = u[:, 0] / math.sqrt(h)
+        h = build_hamiltonian(v + alpha * alpha * centrifugal, mesh, constants=constants)
+        if alpha == 0:  # static condensation of the axis node
+            h -= c * np.outer(mesh.axis, mesh.axis)
+        states.append(solve_lowest(h, mesh, 1))
+    u_alpha = {alpha: float(sol.energies[0]) for alpha, sol in enumerate(states)}
 
-    u1 = states[1]
-    rho_e = float(np.sum(rho * u1 ** 2) * h)
-    r1 = u1 / np.sqrt(rho)  # R_1(rho)
-    rho_e_line = float(np.sum(rho * r1 ** 2) / np.sum(r1 ** 2))
+    # R_1 on the nodes off the axis, normalized by the integral of rho R_1^2
+    r, m, r1 = mesh.points[1:-1], mesh.mass[1:-1], states[1].wavefunctions[0, 1:-1]
+    rho_e = float(np.sum(m * r * r1 ** 2))
+    rho_e_line = float(1.0 / np.sum(m / r * r1 ** 2))
 
     # bound if the ground state sits below the far-field potential rim and
-    # does not lean on the outer wall
-    bound = (u_alpha[0] < float(v[-1])) and is_confined(rho, states[0])
+    # its density rho R_0^2 does not lean on the outer wall
+    bound = (u_alpha[0] < float(v[-1, -1])) and is_confined(
+        mesh.points, np.sqrt(mesh.points) * states[0].wavefunctions[0])
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
-                           radial_states=states, bound=bound)
+                           bound=bound)
 
 
 def default_rho_max(R: float) -> float:
@@ -254,15 +258,33 @@ def default_rho_max(R: float) -> float:
     return max(3.0 * R, R + 200.0)
 
 
+def pillar_breakpoints(R: float, b: float, rho_max: float) -> tuple:
+    """Radial mesh breakpoints (0, ..., rho_max) for a pillar of radius R and step width b.
+
+    Four elements of 4b cover the step, R - 8b to R + 8b.  One element covers
+    the pillar inside it, two when that span is longer than 96b.  Outside, the
+    element lengths grow from 16b by a factor of 3 up to rho_max.  Breakpoints
+    within b of the axis or of rho_max are dropped.
+    """
+    inner = R - 8.0 * b
+    points = [0.5 * inner] if inner > 96.0 * b else []
+    points += [inner + 4.0 * b * k for k in range(5)]
+    length = 16.0 * b
+    while points[-1] < rho_max:
+        points.append(points[-1] + length)
+        length *= 3.0
+    return (0.0, *(float(p) for p in points if b <= p <= rho_max - b), float(rho_max))
+
+
 def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                     alpha_max: int = 1, rho_max: float | None = None,
-                    n_points: int = 16384,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
-    """Radial spectrum of the trap formed by a pillar profile."""
+    """Radial spectrum of the trap formed by a pillar profile, on pillar_breakpoints."""
     if rho_max is None:
         rho_max = default_rho_max(profile.R)
     pot = lambda r: lta_potential(curve, profile, r)
-    return radial_spectrum(pot, alpha_max, rho_max=rho_max, n_points=n_points,
+    return radial_spectrum(pot, alpha_max,
+                           breakpoints=pillar_breakpoints(profile.R, profile.b, rho_max),
                            constants=constants)
 
 
@@ -293,12 +315,12 @@ class FieldResponse:
 def field_response(stack_template: DielectricStack, profile: PillarProfile,
                    fields, *, n_knots: int = 60,
                    alpha_max: int = 1, rho_max: float | None = None,
-                   n_points: int = 16384, z_max: float = 40.0,
+                   z_max: float = 40.0,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
-    n_points is the radial grid; z_max sets the perpendicular meshes of the
-    curve.  Unbound entries are flagged in their row, never dropped.
+    z_max sets the perpendicular meshes of the curve.  Unbound entries are
+    flagged in their row, never dropped.
     """
     l_range = curve_range(profile.L0, profile.delta_L)
     rows = []
@@ -308,8 +330,7 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
             curve = build_energy_curve(stack_template, fs, l_range, n_knots,
                                        z_max=z_max, constants=constants)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
-                                   rho_max=rho_max, n_points=n_points,
-                                   constants=constants)
+                                   rho_max=rho_max, constants=constants)
             rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
                                          spec.rho_e, spec.rho_e_line, spec.bound))
         except (UnboundStateError, CurveValidationError, EigensolverError):

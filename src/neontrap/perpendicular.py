@@ -10,12 +10,10 @@ degree.  The diagonal GLL mass matrix M turns the weak form into the dense
 symmetric matrix M^{-1/2} H M^{-1/2}, of which LAPACK returns the lowest
 eigenpairs.
 
-lowest_eigenpairs, the certified tridiagonal kernel of the radial solver,
-restricts its matrix to every 8th unknown, solves that smaller problem the
-same way, and refines the interpolated states by Rayleigh-quotient
-iteration, certified by Sturm (inertia) counts; LAPACK bisection + inverse
-iteration solves the coarsest matrix and any problem whose certificate
-fails.
+The radial solve of lateral.radial_spectrum runs on the same mesh type with
+the measure rho drho (C. Bernardi, M. Dauge & Y. Maday, Spectral Methods for
+Axisymmetric Domains, 1999): rho enters every quadrature as a nodal
+coefficient, and the axis node, of zero mass, is condensed out for alpha = 0.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ class EigensolverError(RuntimeError):
 # that flags a quasi-bound state.
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
-MIN_GRID_POINTS = 500  # fewest points of a radial grid and of a restricted matrix
 
 DEGREE = 16  # polynomial degree on every element of the solver mesh
 # relative lengths of the elements from cutoff_zc to z_max: growing by a
@@ -53,6 +50,7 @@ DEGREE = 16  # polynomial degree on every element of the solver mesh
 OUTER_ELEMENTS = (1.0, 3.0, 9.0, 13.5, 13.5)
 
 
+@functools.lru_cache(maxsize=4)
 def _gll(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GLL nodes x on [-1, 1], quadrature weights and differentiation matrix D.
 
@@ -71,6 +69,8 @@ def _gll(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = p[:, None] / (p[None, :] * dx)
     np.fill_diagonal(d, 0.0)
     d[0, 0], d[-1, -1] = -degree * (degree + 1) / 4.0, degree * (degree + 1) / 4.0
+    for a in (x, w, d):
+        a.setflags(write=False)  # shared by every mesh of this degree
     return x, w, d
 
 
@@ -79,31 +79,41 @@ class SpectralMesh:
     """GLL spectral-element mesh with hard walls at both ends.
 
     Element e spans [breakpoints[e], breakpoints[e + 1]] and carries degree + 1
-    GLL nodes; neighbouring elements share their end node.  The derived
-    arrays are built once, with the mesh:
+    GLL nodes; neighbouring elements share their end node.  A radial mesh
+    starts on the axis, breakpoints[0] = 0, and weighs every integral with
+    the measure rho drho: rho enters the quadrature as a nodal coefficient.
+    The derived arrays are built once, with the mesh:
 
     nodes:     (n_elements, degree + 1) node coordinates per element, nm
-    weights:   GLL quadrature weights per element node, nm
+    weights:   quadrature weights per element node, GLL weight times rho on
+               a radial mesh, nm (nm^2)
     index:     global node number of each element node
     points:    the n_points global nodes, walls included
-    mass:      diagonal GLL mass matrix on the global nodes, nm
+    mass:      diagonal mass matrix on the global nodes, nm (nm^2)
     stiffness: M^{-1/2} K M^{-1/2} on the n_points - 2 unknowns, with
-               K[i, j] = integral of phi_i' phi_j' (1/nm^2)
+               K[i, j] = integral of phi_i' phi_j' (rho), 1/nm^2
+    axis:      radial meshes only, else None: the vector u for which
+               stiffness - u u^T = M^{-1/2} (K_rr - K_r0 K_0r / K_00) M^{-1/2},
+               the stiffness with the zero-mass axis node 0 condensed out
     """
 
     breakpoints: tuple
     degree: int = DEGREE
+    radial: bool = False
     nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
     weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
     index: np.ndarray = dc_field(init=False, repr=False, compare=False)
     points: np.ndarray = dc_field(init=False, repr=False, compare=False)
     mass: np.ndarray = dc_field(init=False, repr=False, compare=False)
     stiffness: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    axis: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
         if b.size < 2 or not np.all(np.diff(b) > 0.0):
             raise ValueError(f"breakpoints must ascend strictly, got {self.breakpoints}")
+        if self.radial and b[0] != 0.0:
+            raise ValueError(f"a radial mesh starts on the axis, got {self.breakpoints}")
         if self.degree < 2:
             raise ValueError("degree must be >= 2")
         p = self.degree
@@ -111,20 +121,23 @@ class SpectralMesh:
         jac = 0.5 * np.diff(b)[:, None]
         index = p * np.arange(b.size - 1)[:, None] + np.arange(p + 1)
         n = index[-1, -1] + 1
-        weights = jac * w
         points = np.empty(n)
         points[index] = b[:-1, None] + jac * (x + 1.0)
         points[::p] = b  # shared end nodes sit exactly on the breakpoints
+        nodes = points[index]
+        w_local = w * nodes if self.radial else np.broadcast_to(w, nodes.shape)
+        weights = jac * w_local
         mass = np.bincount(index.ravel(), weights.ravel(), n)
-        local = d.T @ (w[:, None] * d)
         k = np.zeros((n, n))
         for e, j in enumerate(jac[:, 0]):
-            k[e * p:e * p + p + 1, e * p:e * p + p + 1] += local / j
+            k[e * p:e * p + p + 1, e * p:e * p + p + 1] += d.T @ (w_local[e, :, None] * d) / j
         s = 1.0 / np.sqrt(mass[1:-1])
-        for name, value in (("nodes", points[index]), ("weights", weights), ("index", index),
+        axis = s * k[1:-1, 0] / np.sqrt(k[0, 0]) if self.radial else None
+        for name, value in (("nodes", nodes), ("weights", weights), ("index", index),
                             ("points", points), ("mass", mass),
-                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s)):
-            value.setflags(write=False)
+                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s), ("axis", axis)):
+            if value is not None:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
@@ -214,129 +227,6 @@ def _count_nodes(psi: np.ndarray) -> int:
     s = np.sign(np.where(np.abs(psi) > 1e-10 * scale, psi, 0.0))
     s = s[s != 0.0]
     return int(np.count_nonzero(s[1:] != s[:-1]))
-
-
-COARSE_FACTOR = 8  # unknowns of T per unknown of the restricted matrix that supplies the start
-RQI_MAX_ITER = 8
-RESIDUAL_TOL_EPS = 64.0  # RQI stops at a residual of 64 eps ||T||
-CERTIFICATE_MARGIN_MEV = 1e-7  # smallest delta of the Sturm certificate
-
-
-def lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
-                      n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_states eigenpairs of the symmetric tridiagonal matrix T = (diag, offdiag).
-
-    Returns ascending eigenvalues and unit-norm eigenvectors (columns), each
-    signed so that its largest-magnitude entry is positive.  The start
-    vectors come from T restricted to every COARSE_FACTOR-th unknown (see
-    _restricted_start).  Each state is then refined by Rayleigh-quotient
-    iteration, deflated against the states below it, and the set is kept
-    only if Sturm counts prove it is the lowest: T - (E_0 - delta) I is
-    positive definite and exactly n_states eigenvalues lie in
-    (E_0 - delta, E_last + delta], with
-    delta = max(2 max residual, CERTIFICATE_MARGIN_MEV).  When the
-    restriction would hold fewer than MIN_GRID_POINTS unknowns, or the
-    iteration or the certificate fails, LAPACK bisection + inverse
-    iteration solves T.
-    """
-    guess = _restricted_start(diag, offdiag, n_states)
-    pairs = None if guess is None else _refine(diag, offdiag, guess)
-    if pairs is None:
-        try:
-            pairs = scipy.linalg.eigh_tridiagonal(
-                diag, offdiag, select="i", select_range=(0, n_states - 1))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    w, v = pairs
-    v = v / np.linalg.norm(v, axis=0)
-    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(n_states)] < 0.0] *= -1.0
-    return np.asarray(w, dtype=float), v
-
-
-def _restricted_start(diag, offdiag, n_states):
-    """Start vectors from T restricted to every COARSE_FACTOR-th unknown (None if too small).
-
-    The coarse unknowns sit f apart, the last one f below the outer wall
-    (index diag.size), so both hard walls stay walls; the (diag.size + 1) mod f
-    unknowns left over move the lower wall up.  Each coarse coupling is the
-    mean fine coupling over its f intervals divided by f^2, the wall
-    couplings taken equal to their neighbours, and each coarse row keeps the
-    fine row sum (the potential) at its unknown.  lowest_eigenpairs solves
-    the restricted matrix; its states are interpolated back linearly, zero
-    at both walls.
-    """
-    f, n = COARSE_FACTOR, diag.size
-    nodes = np.arange((n + 1) % f - 1, n + 1, f)  # lower wall, coarse unknowns, outer wall
-    if nodes.size - 2 < MIN_GRID_POINTS:
-        return None
-    index = nodes[1:-1]
-    e = np.concatenate(([offdiag[0]], offdiag, [offdiag[-1]]))  # e[k] couples k - 1 and k
-    coupling = e[nodes[0] + 1:].reshape(-1, f).sum(axis=1) / f ** 3
-    row_sum = diag[index] + e[index] + e[index + 1]
-    _, v = lowest_eigenpairs(row_sum - coupling[:-1] - coupling[1:], coupling[1:-1], n_states)
-    psi = np.zeros((nodes.size, n_states))
-    psi[1:-1] = v
-    return np.column_stack([np.interp(np.arange(n), nodes, p) for p in psi.T])
-
-
-def _refine(diag, offdiag, guess):
-    """Certified RQI eigenpairs from the guess columns, or None."""
-    # x^T T x = sum r_i x_i^2 - sum e_i (x_{i+1} - x_i)^2 with row sums r_i:
-    # no cancellation between the large kinetic diagonal and offdiagonal
-    row_sum = diag.copy()
-    row_sum[:-1] += offdiag
-    row_sum[1:] += offdiag
-
-    def rayleigh_quotient(x):  # x has unit norm
-        return row_sum @ (x * x) - offdiag @ np.diff(x) ** 2
-
-    def residual_norm(x, mu):  # ||(T - mu I) x||, in the same cancellation-free form
-        edx = offdiag * np.diff(x)
-        y = (row_sum - mu) * x
-        y[:-1] += edx
-        y[1:] -= edx
-        return np.linalg.norm(y)
-
-    def deflate(x):
-        for u in vectors:
-            x = x - (u @ x) * u
-        return x / np.linalg.norm(x)
-
-    tol = RESIDUAL_TOL_EPS * np.finfo(float).eps * (
-        np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag)))
-    energies, vectors, worst = [], [], 0.0
-    for x in np.asarray(guess, dtype=float).T:
-        x = deflate(x)
-        mu = rayleigh_quotient(x)
-        for _ in range(RQI_MAX_ITER):
-            *_, y, info = scipy.linalg.lapack.dgtsv(offdiag, diag - mu, offdiag, x[:, None])
-            if info != 0:
-                return None
-            x = deflate(y[:, 0])
-            mu = rayleigh_quotient(x)
-            residual = residual_norm(x, mu)
-            if residual <= tol:
-                break
-        else:
-            return None
-        energies.append(mu)
-        vectors.append(x)
-        worst = max(worst, residual)
-    w = np.array(energies)
-    if np.any(np.diff(w) <= 0.0):
-        return None
-    delta = max(2.0 * worst, CERTIFICATE_MARGIN_MEV)
-    *_, info = scipy.linalg.lapack.dpttrf(diag - (w[0] - delta), offdiag)
-    if info != 0:
-        return None
-    if w.size > 1:
-        lo, hi = w[0] - delta, w[-1] + delta
-        # count only: an absolute tolerance as wide as the interval stops bisection at once
-        count, *_, info = scipy.linalg.lapack.dstebz(diag, offdiag, 1, lo, hi, 0, 0,
-                                                     hi - lo, "E")
-        if info != 0 or count != w.size:
-            return None
-    return w, np.column_stack(vectors)
 
 
 def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh,

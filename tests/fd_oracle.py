@@ -1,8 +1,9 @@
-"""Independent oracle for the perpendicular solver: second-order finite
-differences on a uniform grid, solved by LAPACK bisection.
+"""Independent oracles for the perpendicular and radial solvers: second-order
+finite differences (perpendicular) and cylindrical finite volumes (radial) on
+uniform grids, solved by LAPACK bisection.
 
-It shares only the potential's pieces with production, not the
-discretization: the spectral-element solve must agree with the Richardson
+They share only the potential's pieces with production, not the
+discretization: each spectral-element solve must agree with the Richardson
 extrapolation of two of these grids.
 """
 
@@ -57,4 +58,32 @@ def richardson_levels(stack, field, n_states: int) -> np.ndarray:
         raise ValueError(f"the wall depth of L = {stack.thickness_L} nm is off the grids")
     coarse, fine = (fd_levels(stack, field, n, n_states) for n in counts)
     r2 = (RICHARDSON_SPACINGS[0] / RICHARDSON_SPACINGS[1]) ** 2
+    return fine + (fine - coarse) / (r2 - 1.0)
+
+
+RADIAL_CELLS = (16384, 32768)  # Richardson pair of radial finite-volume grids
+
+
+def radial_fv_level(potential, rho_max: float, n_cells: int, alpha: int) -> float:
+    """Lowest radial eigenvalue (meV) for angular momentum alpha on n_cells finite volumes.
+
+    Cell-centred cells of width h = rho_max / n_cells discretize
+    -C (1/rho) d/drho(rho d/drho) + C alpha^2 / rho^2 + V, symmetrized with
+    u = sqrt(rho) R: no flux through the axis, and a zero ghost value half a
+    cell beyond rho_max.  That wall offset is first order in h, so the
+    Richardson value holds only for states that have decayed at the wall.
+    """
+    h = rho_max / n_cells
+    rho = (np.arange(n_cells) + 0.5) * h
+    faces = np.arange(n_cells + 1) * h
+    diag = C * (faces[1:] + faces[:-1]) / (h * h * rho) + potential(rho) + C * alpha ** 2 / rho ** 2
+    off = -C * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
+    return float(scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                               select_range=(0, 0))[0])
+
+
+def radial_richardson_level(potential, rho_max: float, alpha: int) -> float:
+    """radial_fv_level extrapolated from the RADIAL_CELLS pair, error O(h^4)."""
+    coarse, fine = (radial_fv_level(potential, rho_max, n, alpha) for n in RADIAL_CELLS)
+    r2 = (RADIAL_CELLS[1] / RADIAL_CELLS[0]) ** 2
     return fine + (fine - coarse) / (r2 - 1.0)

@@ -67,9 +67,8 @@ def test_benchmark_config_loads(path):
     load_config(str(path))
 
 
-# the traced layers that time eigensolves: every call of an eigensolver, the
-# tridiagonal kernel lowest_eigenpairs or the dense LAPACK solve of the
-# spectral-element matrix, must run inside one
+# the traced layers that time eigensolves: every dense LAPACK solve of a
+# spectral-element matrix, perpendicular or radial, must run inside one
 EIGENSOLVE_LAYERS = [("neontrap.perpendicular", "solve_lowest"),
                      ("neontrap.lateral", "radial_spectrum")]
 
@@ -86,7 +85,8 @@ def _patch_everywhere(monkeypatch, module_name, attr, wrap):
 
 
 @pytest.mark.parametrize("command, workload", [("ground-sweep", "ground_sweep"),
-                                               ("lateral", "lateral_scan")])
+                                               ("lateral", "lateral_scan"),
+                                               ("field-sweep", "field_sweep")])
 def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, command, workload):
     assert set(EIGENSOLVE_LAYERS) <= {(m, a) for m, a, *_ in _layers()}
     depth, inside, outside = [0], [], []
@@ -110,12 +110,13 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
 
     for module_name, attr in EIGENSOLVE_LAYERS:
         _patch_everywhere(monkeypatch, module_name, attr, enclose)
-    _patch_everywhere(monkeypatch, "neontrap.perpendicular", "lowest_eigenpairs", record)
     monkeypatch.setattr(scipy.linalg, "eigh", record(scipy.linalg.eigh))
     config = PERFBENCH / "configs" / f"{workload}.ini"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert outside == []
-    # every perpendicular solve is a dense one on the 111 unknowns of the mesh
+    # every perpendicular solve is a dense one on the 111 unknowns of the mesh,
+    # and the pillar spectra add the 127 of the radial meshes
     assert ("eigh", 111) in inside
-    if command == "lateral":
-        assert {name for name, _ in inside} == {"eigh", "lowest_eigenpairs"}
+    assert {name for name, _ in inside} == {"eigh"}
+    if command != "ground-sweep":
+        assert ("eigh", 127) in inside

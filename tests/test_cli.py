@@ -15,7 +15,6 @@ import neontrap.config
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
-from neontrap.perpendicular import MIN_GRID_POINTS
 from neontrap.tables import (ResultTable, emit_quantity, format_value,
                              parse_quantity)
 
@@ -230,11 +229,6 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
     def test_config_hash_pinned(self, config, digest):
         cfg = RunConfig() if config is None else load_config(str(BENCH_CONFIGS / config))
         assert cfg.config_hash() == digest
-
-    def test_grid_floor_is_the_solvers(self):
-        RunConfig(n_points_radial=MIN_GRID_POINTS)
-        with pytest.raises(ConfigError, match=f"at least {MIN_GRID_POINTS} points"):
-            RunConfig(n_points_radial=MIN_GRID_POINTS - 1)
 
     def test_perpendicular_n_points_parses_and_is_ignored(self, tmp_path):
         # [grid] n_points still loads, so older configs run, but sizes nothing:
@@ -506,6 +500,20 @@ n_knots = 20
         assert 1.0 <= du <= 100.0
         prof = ResultTable.from_csv((tmp_path / "lat_R110_dL0.5.csv").read_text())
         assert prof.column("V_par")[-1] == pytest.approx(0.0, abs=1e-4)
+
+    def test_lateral_box_inside_the_pillar_flags_row(self, tmp_path):
+        # rho_max = 50 nm < R leaves the one mesh element (0, 50 nm); the ground
+        # state fills the box and leans on its wall, so the row is flagged
+        cfg = write_config(tmp_path, FAST_GRID + """rho_max = 50 nm
+[sweep]
+R = 110 nm
+delta_L = 0.5 nm
+n_knots = 20
+""")
+        assert main(["lateral", "--config", cfg, "--out", str(tmp_path / "lat.csv")]) == 0
+        spec = ResultTable.from_csv((tmp_path / "lat_spectrum.csv").read_text())
+        assert spec.column("bound") == [0.0, 0.0]
+        assert all(math.isfinite(v) for v in spec.column("delta_U"))
 
     def test_field_sweep_reports_asymmetry_and_fit(self, tmp_path):
         cfg = write_config(tmp_path, FAST_GRID + """

@@ -1,7 +1,8 @@
 """Lateral trap: thickness profiles, the W^G(L) Chebyshev curve, the
 local-thickness potential, and the radial spectrum against 2D-oscillator /
-disk oracles."""
+disk oracles and the finite-volume oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
-from neontrap.lateral import NODE_TOL_MEV, default_rho_max
-from neontrap.perpendicular import EigensolverError
+from fd_oracle import radial_richardson_level
+from neontrap.lateral import NODE_TOL_MEV, default_rho_max, pillar_breakpoints
+from neontrap.perpendicular import EigensolverError, SpectralMesh
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
@@ -197,13 +199,17 @@ class TestLtaPotential:
         assert v0 < 0.0
 
 
+def _oscillator_breakpoints(ell):
+    return tuple(np.linspace(0.0, 12.0 * ell, 7))
+
+
 class TestRadialOracles:
     def test_two_dimensional_oscillator_ladder(self):
         # E(n, alpha) = (2n + |alpha| + 1) hbar w; lowest per alpha: (alpha+1) hbar w
         hw = 0.026  # meV, comparable to the physical trap
         pot = lambda r: hw * hw * r * r / (4.0 * C)
         ell = math.sqrt(2.0 * C / hw)
-        spec = radial_spectrum(pot, alpha_max=3, rho_max=12.0 * ell, n_points=8192)
+        spec = radial_spectrum(pot, alpha_max=3, breakpoints=_oscillator_breakpoints(ell))
         for alpha in range(4):
             assert spec.u_alpha[alpha] == pytest.approx((alpha + 1) * hw, rel=3e-3)
         assert spec.delta_u_mev == pytest.approx(hw, rel=3e-3)
@@ -212,7 +218,7 @@ class TestRadialOracles:
         hw = 0.026
         pot = lambda r: hw * hw * r * r / (4.0 * C)
         ell = math.sqrt(2.0 * C / hw)
-        spec = radial_spectrum(pot, alpha_max=1, rho_max=12.0 * ell, n_points=8192)
+        spec = radial_spectrum(pot, alpha_max=1, breakpoints=_oscillator_breakpoints(ell))
         # R_1 ~ rho exp(-rho^2 / 2 l^2): <rho> = l * 3 sqrt(pi) / 4
         assert spec.rho_e == pytest.approx(ell * 0.75 * math.sqrt(math.pi), rel=5e-3)
 
@@ -220,76 +226,74 @@ class TestRadialOracles:
         # infinite-disk limit: U_alpha + V0 = C j_{alpha,1}^2 / a^2
         v0, a = 1.0e4, 15.0
         pot = lambda r: np.where(r < a, -v0, 0.0)
-        spec = radial_spectrum(pot, alpha_max=1, rho_max=2.0 * a, n_points=32768)
+        spec = radial_spectrum(pot, alpha_max=1, breakpoints=(0.0, a, 2.0 * a))
         j0, j1 = jn_zeros(0, 1)[0], jn_zeros(1, 1)[0]
         ratio = (spec.u_alpha[1] + v0) / (spec.u_alpha[0] + v0)
         assert ratio == pytest.approx((j1 / j0) ** 2, rel=0.01)
         assert spec.u_alpha[0] + v0 == pytest.approx(C * j0 ** 2 / a ** 2, rel=0.01)
 
-    def test_grid_convergence(self):
+    def test_converges_in_degree(self, monkeypatch):
+        # the oscillator's worst relative level error, measured 7e-8 at degree 8,
+        # falls to rounding (5e-13) at degree 16 on the same six elements
         hw = 0.026
         pot = lambda r: hw * hw * r * r / (4.0 * C)
         ell = math.sqrt(2.0 * C / hw)
-        coarse = radial_spectrum(pot, rho_max=12.0 * ell, n_points=8192)
-        fine = radial_spectrum(pot, rho_max=12.0 * ell, n_points=16384)
-        assert fine.delta_u_mev == pytest.approx(coarse.delta_u_mev, rel=1e-3)
+        errors = []
+        for degree in (8, 16):
+            monkeypatch.setattr(neontrap.lateral, "SpectralMesh",
+                                functools.partial(SpectralMesh, degree=degree))
+            spec = radial_spectrum(pot, alpha_max=3, breakpoints=_oscillator_breakpoints(ell))
+            errors.append(max(abs(spec.u_alpha[a] / ((a + 1) * hw) - 1.0) for a in range(4)))
+        assert errors[0] <= 1e-6 and errors[1] <= 1e-3 * errors[0]
+
+    @pytest.mark.parametrize("R, dL", [(50.0, 1.0), (200.0, 0.25)])
+    def test_pillar_splitting_matches_finite_volume_richardson(self, curve, R, dL):
+        p = PillarProfile(L0, dL, R, B)
+        pot = lambda r: lta_potential(curve, p, r)
+        rho_max = default_rho_max(R)
+        oracle = (radial_richardson_level(pot, rho_max, 1)
+                  - radial_richardson_level(pot, rho_max, 0))
+        # 1e-6 ueV; measured 1.6e-7 and 8e-9 ueV
+        assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(oracle, rel=0.0,
+                                                                      abs=1e-9)
 
     def test_alpha_zero_required(self):
         with pytest.raises(ValueError):
-            radial_spectrum(lambda r: np.zeros_like(r), alpha_max=0, rho_max=10.0)
+            radial_spectrum(lambda r: np.zeros_like(r), alpha_max=0, breakpoints=(0.0, 10.0))
 
     def test_nonfinite_potential_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            radial_spectrum(lambda r: np.full_like(r, np.inf), rho_max=10.0)
-
-
-class TestRadialKernel:
-    """The certified Rayleigh-quotient path against LAPACK bisection as the oracle."""
-
-    @pytest.mark.parametrize("R, dL", [(50.0, 1.0), (200.0, 0.25)])
-    def test_pillar_states_match_bisection(self, curve, monkeypatch, R, dL):
-        p = PillarProfile(L0, dL, R, B)
-        rho_max, n = default_rho_max(R), 16384
-        pot = lambda r: lta_potential(curve, p, r)
-        # the same finite-volume operator, assembled here independently
-        h = rho_max / n
-        rho = (np.arange(n) + 0.5) * h
-        faces = np.arange(n + 1) * h
-        kinetic = C * (faces[1:] + faces[:-1]) / (h * h * rho)
-        off = -C * faces[1:-1] / (h * h * np.sqrt(rho[:-1] * rho[1:]))
-        oracle = [scipy.linalg.eigh_tridiagonal(kinetic + pot(rho) + C * alpha ** 2 / rho ** 2,
-                                                off, select="i", select_range=(0, 0))
-                  for alpha in (0, 1)]
-
-        calls = []
-        original = scipy.linalg.eigh_tridiagonal
-
-        def spy(diag, offdiag, **kwargs):
-            calls.append(diag.size)
-            return original(diag, offdiag, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        spec = radial_spectrum(pot, alpha_max=1, rho_max=rho_max, n_points=n)
-        # only the matrices restricted to every 8th cell are bisected
-        assert calls == [(n + 1) // 8 - 1] * 2
-        for alpha, (w, v) in enumerate(oracle):
-            assert spec.u_alpha[alpha] == pytest.approx(w[0], rel=0.0, abs=2e-9)
-            u = spec.radial_states[alpha] * math.sqrt(h)
-            assert abs(u @ v[:, 0]) >= 1.0 - 1e-10
+            radial_spectrum(lambda r: np.full_like(r, np.inf), breakpoints=(0.0, 10.0))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(EigensolverError, match="injected"):
-            radial_spectrum(lambda r: np.zeros_like(r), rho_max=10.0, n_points=2048)
+            radial_spectrum(lambda r: np.zeros_like(r), breakpoints=(0.0, 10.0))
+
+
+class TestPillarBreakpoints:
+    @pytest.mark.parametrize("R", [1.0, 10.0, 50.0, 200.0])
+    @pytest.mark.parametrize("b", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("box", ["half", "R", "default"])
+    def test_span_the_box_and_ascend(self, R, b, box):
+        rho_max = {"half": 0.5 * R, "R": R, "default": default_rho_max(R)}[box]
+        points = pillar_breakpoints(R, b, rho_max)
+        assert points[0] == 0.0 and points[-1] == rho_max
+        assert np.all(np.diff(points) > 0.0)
+
+    def test_benchmark_pillar_has_eight_elements(self):
+        # 34 nm of pillar, four 8 nm elements over the step, then 32 and 96 nm
+        assert pillar_breakpoints(50.0, 2.0, 250.0) == (
+            0.0, 34.0, 42.0, 50.0, 58.0, 66.0, 98.0, 194.0, 250.0)
 
 
 class TestPillarTrap:
     def test_qubit_splitting_scale(self, curve):
         p = PillarProfile(L0, DL, R_PILLAR, B)
-        spec = pillar_spectrum(curve, p, n_points=8192)
+        spec = pillar_spectrum(curve, p)
         assert spec.bound
         assert 1.0 <= spec.delta_u_uev <= 100.0
 
@@ -297,12 +301,12 @@ class TestPillarTrap:
         splittings = []
         for R in (60.0, 110.0, 200.0):
             p = PillarProfile(L0, DL, R, B)
-            splittings.append(pillar_spectrum(curve, p, n_points=8192).delta_u_uev)
+            splittings.append(pillar_spectrum(curve, p).delta_u_uev)
         assert splittings[0] > splittings[1] > splittings[2]
 
     def test_excited_state_radius_near_pillar_edge(self, curve):
         p = PillarProfile(L0, DL, R_PILLAR, B)
-        spec = pillar_spectrum(curve, p, n_points=8192)
+        spec = pillar_spectrum(curve, p)
         assert 0.5 * R_PILLAR <= spec.rho_e <= 1.5 * R_PILLAR
         assert 0.5 * R_PILLAR <= spec.rho_e_line <= 1.5 * R_PILLAR
 
@@ -335,7 +339,7 @@ class TestFieldResponse:
     def test_unbound_field_keeps_flagged_row(self):
         # -5e6 V/m pulls the electron off the surface at these thicknesses
         resp = field_response(DielectricStack(SC, L0), self.PROFILE, (0.0, -5e6),
-                              n_knots=20, n_points=8192)
+                              n_knots=20)
         assert [r.e_ex for r in resp.rows] == [-5e6, 0.0]
         unbound, bound = resp.rows
         assert not unbound.bound

@@ -1,6 +1,6 @@
 """1D spectral-element eigensolver against analytic oracles and the
 finite-difference oracle, the electron-on-neon observables W^G, h_e and the
-excitation gap, and the certified tridiagonal kernel of the radial solver."""
+excitation gap."""
 
 import math
 
@@ -9,14 +9,13 @@ import pytest
 import scipy.linalg
 
 import neontrap.perpendicular as perpendicular
-from fd_oracle import fd_levels, richardson_levels, stack_hamiltonian, uniform_hamiltonian
+from fd_oracle import fd_levels, richardson_levels
 from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec, SpectralMesh,
                       Superconductor, UnboundStateError, build_hamiltonian,
                       ground_state_energy, hellmann_feynman_check, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
 from neontrap.dielectric import Dielectric, cached_perpendicular_potential
-from neontrap.perpendicular import lowest_eigenpairs
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
@@ -132,6 +131,24 @@ class TestSolverContracts:
     def test_unordered_breakpoints_rejected(self, breakpoints):
         with pytest.raises(ValueError, match="ascend"):
             SpectralMesh(breakpoints)
+
+    def test_radial_mesh_starts_on_the_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            SpectralMesh((1.0, 10.0), radial=True)
+
+    def test_radial_mass_integrates_rho(self):
+        grid = SpectralMesh((0.0, 3.0, 10.0), radial=True)
+        assert grid.mass[0] == 0.0
+        assert np.sum(grid.mass) == pytest.approx(50.0, rel=1e-14)
+        assert np.sum(grid.mass * grid.points ** 2) == pytest.approx(2500.0, rel=1e-14)
+
+    def test_dense_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(perpendicular.EigensolverError, match="injected"):
+            solve_perpendicular(DielectricStack(SC, 10.0))
 
 
 class TestNeonConfigurations:
@@ -285,173 +302,3 @@ class TestSolverPotential:
         expected[z == 0.0] += step * below / (below + above)
         kinetic = C * np.diag(grid.stiffness)
         np.testing.assert_allclose(np.diag(seen["h"]) - kinetic, expected, rtol=0.0, atol=1e-8)
-
-
-def _bisection_calls(monkeypatch) -> list:
-    """Matrix sizes of every eigh_tridiagonal (bisection) call from now on."""
-    calls = []
-    original = scipy.linalg.eigh_tridiagonal
-
-    def spy(diag, offdiag, **kwargs):
-        calls.append(diag.size)
-        return original(diag, offdiag, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-    return calls
-
-
-def _bisection(diag, offdiag, n_states):
-    """eigh_tridiagonal's lowest pairs in lowest_eigenpairs' norm and sign convention."""
-    w, v = scipy.linalg.eigh_tridiagonal(diag, offdiag, select="i",
-                                         select_range=(0, n_states - 1))
-    v = v / np.linalg.norm(v, axis=0)
-    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(n_states)] < 0.0] *= -1.0
-    return w, v
-
-
-def _restricted_size(n: int) -> int:
-    """Unknowns of the matrix restricted to every COARSE_FACTOR-th of n unknowns."""
-    return (n + 1) // perpendicular.COARSE_FACTOR - 1
-
-
-THICKNESSES = (1.0, 2.0, 10.0, 200.0)
-# (substrate, L, e_ex, n_states); the superconductor cases keep their ids
-# "L-e_ex-n_states", the e_b = 12 ones are prefixed "eps12"
-REFINED_CASES = (
-    [(SC, L, e, n) for n in (1, 2) for L in THICKNESSES for e in (-2e6, 0.0, 1e6)]
-    + [(SC, math.inf, 0.0, n) for n in (1, 2)]
-    + [(SC, L, -1e6, n) for n in (1, 2) for L in THICKNESSES]
-    + [(SC, L, e, 3) for L in THICKNESSES for e in (-2e6, -1e6)]
-    + [(Dielectric(12.0), L, e, n) for n in (1, 2, 3) for L in THICKNESSES
-       for e in (-2e6, -1e6)])
-
-
-class TestLowestEigenpairs:
-    """The certified Rayleigh-quotient kernel against LAPACK bisection as the oracle,
-    on finite-difference matrices of the perpendicular problem (8190 unknowns)."""
-
-    @pytest.mark.parametrize("substrate, L, e_ex, n_states", REFINED_CASES,
-                             ids=[_case_id(c) for c in REFINED_CASES])
-    def test_refined_pairs_match_bisection(self, monkeypatch, substrate, L, e_ex, n_states):
-        # the -2e6 V/m states lean on the outer wall, so the restricted matrix
-        # must keep its walls where the full one has them
-        diag, off, _ = stack_hamiltonian(DielectricStack(substrate, L), FieldSpec(e_ex), 8191)
-        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
-                                                     select_range=(0, n_states - 1))
-        calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(diag, off, n_states)
-        # only the matrix restricted to every 8th unknown is bisected; the
-        # full solve is certified
-        assert calls == [_restricted_size(diag.size)]
-        np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=2e-9)
-        assert np.all(np.abs(np.sum(v * v_ref, axis=0)) >= 1.0 - 1e-10)
-
-    def test_excited_guess_falls_back_to_bisection(self, monkeypatch):
-        # RQI from the first excited state converges to it; the Sturm
-        # certificate then finds an eigenvalue below and rejects it
-        diag, off, _ = stack_hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0), 8191)
-        _, excited = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
-        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: excited)
-        calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(diag, off, 1)
-        assert calls == [diag.size]
-        w_bisect, v_bisect = _bisection(diag, off, 1)
-        np.testing.assert_array_equal(w, w_bisect)
-        np.testing.assert_array_equal(v, v_bisect)
-
-    def test_skipped_state_falls_back_to_bisection(self, monkeypatch):
-        # guesses for states 0 and 2: both converge and T - (E_0 - delta) I is
-        # positive definite, but the count finds E_1 inside (E_0 - delta, E_2 + delta]
-        diag, off, _ = stack_hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0), 8191)
-        _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
-        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: v[:, [0, 2]])
-        calls = _bisection_calls(monkeypatch)
-        w, vec = lowest_eigenpairs(diag, off, 2)
-        assert calls == [diag.size]
-        w_bisect, v_bisect = _bisection(diag, off, 2)
-        np.testing.assert_array_equal(w, w_bisect)
-        np.testing.assert_array_equal(vec, v_bisect)
-
-    def test_deflation_separates_mixed_guess(self, monkeypatch):
-        # a state-1 guess dominated by the ground state still yields state 1,
-        # because each guess is deflated against the states already found
-        diag, off, _ = stack_hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0), 8191)
-        w_ref, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        mixed = np.column_stack([v[:, 0], v[:, 0] + 0.5 * v[:, 1]])
-        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: mixed)
-        calls = _bisection_calls(monkeypatch)
-        w, _ = lowest_eigenpairs(diag, off, 2)
-        assert calls == []
-        np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=2e-9)
-
-    def test_oscillator_ladder_from_coarse_guess(self, monkeypatch):
-        z_coarse = np.linspace(-60.0, 60.0, 1024)[1:-1]
-        z_fine = np.linspace(-60.0, 60.0, 8185)[1:-1]
-        _, vc = lowest_eigenpairs(*uniform_hamiltonian(_oscillator(z_coarse), 120.0 / 1023), 5)
-        guess = np.column_stack([np.interp(z_fine, z_coarse, u) for u in vc.T])
-        monkeypatch.setattr(perpendicular, "_restricted_start", lambda d, e, n: guess)
-        calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(*uniform_hamiltonian(_oscillator(z_fine), 120.0 / 8184), 5)
-        assert calls == []
-        assert [perpendicular._count_nodes(u) for u in v.T] == list(range(5))
-        for n, e in enumerate(w):
-            assert e == pytest.approx(n + 0.5, abs=1e-3)
-
-    @pytest.mark.parametrize("n_points", [4801, 4806])
-    def test_restricted_matrix_keeps_the_outer_wall(self, monkeypatch, n_points):
-        # the kernel bisects the operator on the grid of spacing
-        # 8 h that ends at the same outer wall; 4806 points leave 5 unknowns
-        # over, which shift only the lower wall
-        z_min, z_max = 0.0, 40.0
-        spacing = (z_max - z_min) / (n_points - 1)
-        pot = lambda z: 0.01 * z * z
-        matrices = []
-        original = scipy.linalg.eigh_tridiagonal
-
-        def spy(diag, offdiag, **kwargs):
-            matrices.append((diag, offdiag))
-            return original(diag, offdiag, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        interior = np.linspace(z_min, z_max, n_points)[1:-1]
-        lowest_eigenpairs(*uniform_hamiltonian(pot(interior), spacing), 1)
-        (diag, off), = matrices
-        h = perpendicular.COARSE_FACTOR * spacing
-        z = z_max - h * np.arange(diag.size, 0, -1)
-        assert diag.size == 599 and z[0] - h >= z_min - 1e-12
-        np.testing.assert_allclose(off, -C / h ** 2, rtol=1e-12)
-        np.testing.assert_allclose(diag, 2.0 * C / h ** 2 + pot(z), rtol=0.0, atol=1e-9)
-
-    def test_recursion_bisects_only_the_coarsest_matrix(self, monkeypatch):
-        # 65535 unknowns restrict to 8191 and those to 1023, which alone are bisected
-        diag, off, _ = stack_hamiltonian(DielectricStack(SC, 10.0), FieldSpec(-1e6), 65536)
-        w_ref, v_ref = _bisection(diag, off, 2)
-        calls = _bisection_calls(monkeypatch)
-        w, v = lowest_eigenpairs(diag, off, 2)
-        assert calls == [1023]
-        # bisection itself is accurate to about eps ||T|| = 8e-8 meV at this spacing
-        np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-7)
-        assert np.all(np.sum(v * v_ref, axis=0) >= 1.0 - 1e-10)
-
-    def test_guess_below_500_coarse_points_is_skipped(self, monkeypatch):
-        # 2998 unknowns would restrict to 373
-        diag, off, _ = stack_hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0), 2999)
-        calls = _bisection_calls(monkeypatch)
-        lowest_eigenpairs(diag, off, 1)
-        assert calls == [2998]
-
-    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("injected")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        with pytest.raises(perpendicular.EigensolverError, match="injected"):
-            lowest_eigenpairs(np.full(600, 2.0), np.full(599, -1.0), 1)
-
-    def test_dense_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("injected")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        with pytest.raises(perpendicular.EigensolverError, match="injected"):
-            solve_perpendicular(DielectricStack(SC, 10.0))
