@@ -257,6 +257,48 @@ class TestRadialOracles:
         assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(oracle, rel=0.0,
                                                                       abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", range(3))
+    @pytest.mark.parametrize("R, dL", [(R, dL) for R in (50.0, 110.0, 200.0)
+                                       for dL in (0.25, 1.0)])
+    def test_levels_match_finite_volume_richardson(self, curve, R, dL, alpha):
+        p = PillarProfile(L0, dL, R, B)
+        oracle = radial_richardson_level(lambda r: lta_potential(curve, p, r),
+                                         default_rho_max(R), alpha)
+        # 2e-6 ueV; measured 8.4e-7 ueV at worst (R = 50, dL = 1, alpha = 2)
+        assert pillar_spectrum(curve, p, alpha_max=2).u_alpha[alpha] == pytest.approx(
+            oracle, rel=0.0, abs=2e-9)
+
+    @pytest.mark.parametrize("alpha", range(6))
+    def test_hard_disk_levels_are_bessel_zeros(self, alpha):
+        # V = 0 inside a wall at a: U_alpha = C j_{alpha,1}^2 / a^2; the alpha = 0
+        # level checks the condensed axis, alpha >= 1 the axis wall and C alpha^2/rho^2
+        a = 10.0
+        spec = radial_spectrum(np.zeros_like, alpha_max=5, breakpoints=(0.0, 0.5 * a, a))
+        exact = C * jn_zeros(alpha, 1)[0] ** 2 / a ** 2
+        # measured 8e-13 relative at worst
+        assert spec.u_alpha[alpha] == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("R", [10.0, 50.0, 110.0, 200.0])
+    @pytest.mark.parametrize("dL", [0.25, 1.0])
+    def test_pillar_splitting_converged_in_degree(self, monkeypatch, curve, R, dL):
+        # degree 24 on the same pillar_breakpoints moves Delta U by rounding:
+        # measured 1.3e-8 ueV at worst
+        p = PillarProfile(L0, dL, R, B)
+        base = pillar_spectrum(curve, p).delta_u_mev
+        monkeypatch.setattr(neontrap.lateral, "SpectralMesh",
+                            functools.partial(SpectralMesh, degree=24))
+        assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(base, rel=0.0,
+                                                                      abs=1e-10)
+
+    @pytest.mark.parametrize("R", [50.0, 110.0, 200.0])
+    def test_farther_wall_leaves_splitting(self, curve, R):
+        # doubling rho_max adds far-field elements where the states have decayed
+        p = PillarProfile(L0, DL, R, B)
+        near = pillar_spectrum(curve, p)
+        far = pillar_spectrum(curve, p, rho_max=2.0 * default_rho_max(R))
+        assert near.bound and far.bound
+        assert far.delta_u_mev == pytest.approx(near.delta_u_mev, rel=0.0, abs=1e-10)
+
     def test_alpha_zero_required(self):
         with pytest.raises(ValueError):
             radial_spectrum(lambda r: np.zeros_like(r), alpha_max=0, breakpoints=(0.0, 10.0))
@@ -283,6 +325,14 @@ class TestPillarBreakpoints:
         points = pillar_breakpoints(R, b, rho_max)
         assert points[0] == 0.0 and points[-1] == rho_max
         assert np.all(np.diff(points) > 0.0)
+
+    @pytest.mark.parametrize("R", [50.0, 110.0, 200.0])
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_step_is_four_elements_of_4b(self, R, b):
+        points = pillar_breakpoints(R, b, default_rho_max(R))
+        step = [p for p in points if R - 8.0 * b <= p <= R + 8.0 * b]
+        np.testing.assert_allclose(step, R + 4.0 * b * np.arange(-2, 3), rtol=0.0,
+                                   atol=1e-12)
 
     def test_benchmark_pillar_has_eight_elements(self):
         # 34 nm of pillar, four 8 nm elements over the step, then 32 and 96 nm
