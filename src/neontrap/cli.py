@@ -109,9 +109,7 @@ def cmd_potential_z(cfg: RunConfig) -> list[str]:
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata=_base_metadata(cfg, "potential-z"))
         table.metadata["L_nm"] = _fmt_axis(L)
-        for i in range(z.size):
-            table.add_row(float(z[i]), float(v_perp[i]), float(v_ex[i]),
-                          float(v_total[i]))
+        table.add_columns(z, v_perp, v_ex, v_total)
         path = _out_path(cfg, f"_L{_fmt_axis(L)}")
         _write(cfg, table, path)
         written.append(path)
@@ -166,8 +164,7 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
             prof_table.metadata["R_nm"] = f"{R:g}"
             prof_table.metadata["delta_L_nm"] = f"{dL:g}"
             lr = np.asarray(thickness_at(profile, rho))
-            for i in range(rho.size):
-                prof_table.add_row(float(rho[i]), float(lr[i]), float(v_par[i]))
+            prof_table.add_columns(rho, lr, v_par)
             path = _out_path(cfg, f"_R{R:g}_dL{dL:g}")
             _write(cfg, prof_table, path)
             written.append(path)

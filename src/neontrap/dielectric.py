@@ -144,13 +144,16 @@ def perpendicular_potential(stack: DielectricStack, z, *,
     if np.any(z_arr <= 0.0):
         raise ValueError("perpendicular_potential requires z > 0 (divergent integrand)")
     lam, mu = _lambda_mu(stack)
-    L = stack.thickness_L
-    total = lam / (2.0 * z_arr)
-    weight = mu * (1.0 - lam * lam)
-    for n in range(1, _series_terms(lam, mu) + 1):
-        total = total + weight / (2.0 * (z_arr + n * L))
-        weight *= -lam * mu
-    out = constants.image_prefactor * total
+    n_terms = _series_terms(lam, mu)
+    weights = np.full((n_terms, 1), -lam * mu)
+    weights[0] = mu * (1.0 - lam * lam)
+    n = np.arange(1.0, n_terms + 1.0)[:, None]
+    z_row = z_arr.reshape(1, -1)
+    terms = np.vstack([lam / (2.0 * z_row),
+                       np.cumprod(weights, axis=0) / (2.0 * (z_row + n * stack.thickness_L))])
+    # cumsum adds the terms in order, leading image first, so every z gets
+    # the same sum whatever the shape of z (a pairwise .sum would not)
+    out = constants.image_prefactor * np.cumsum(terms, axis=0)[-1].reshape(z_arr.shape)
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 

@@ -2,7 +2,9 @@
 
 CSV dialect: comma separated, one `name[unit]` header row, LF endings,
 floats printed with 9 significant digits so identical configurations give
-byte-identical files.  JSON mirrors the CSV schema under a metadata object.
+byte-identical files.  JSON mirrors the CSV schema under a metadata object,
+as strict JSON: NaN is null and +-inf the CSV's "inf" and "-inf".  CSV rows
+are printed a table at a time by ResultTable.write, one %-format per row.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 FLOAT_FMT = "{:.8e}"  # 9 significant digits
 
@@ -58,6 +63,31 @@ def emit_quantity(value: float, unit: str | None) -> str:
     return f"{format_value(float(value))} {unit}"
 
 
+def _csv_kind(cls):
+    """printf conversion printing a cell of type cls as format_value does,
+    and the function to apply to the cell first (None: the cell itself)."""
+    if issubclass(cls, float):  # numpy.float64 too; "%.8e" prints NaN as "nan"
+        return "%.8e", None
+    if cls is int or cls is bool:
+        return "%d", None
+    return "%s", format_value
+
+
+def _csv_rows(rows) -> str:
+    """CSV text of rows, printed by one %-format built from the column types.
+
+    A column whose cells mix conversions prints each cell with format_value.
+    """
+    conversions, columns = [], []
+    for cells in zip(*rows, strict=True):
+        kinds = {_csv_kind(cls) for cls in set(map(type, cells))}
+        conversion, convert = kinds.pop() if len(kinds) == 1 else _csv_kind(object)
+        conversions.append(conversion)
+        columns.append(cells if convert is None else list(map(convert, cells)))
+    row_fmt = ",".join(conversions)
+    return "\n".join([row_fmt] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+
+
 @dataclass
 class ResultTable:
     """Column-schema'd table of numbers with serialization metadata."""
@@ -71,6 +101,20 @@ class ResultTable:
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         self.rows.append(tuple(values))
 
+    def add_columns(self, *columns):
+        """Append one row per index of equal-length 1-D arrays, one per column.
+
+        Cells become Python scalars of each array's kind (numpy.ndarray.tolist:
+        float, int or bool); formatting waits for write.
+        """
+        arrays = [np.asarray(c) for c in columns]
+        if len(arrays) != len(self.columns):
+            raise ValueError(f"expected {len(self.columns)} columns, got {len(arrays)}")
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ValueError("columns must be 1-D arrays of equal length, got shapes "
+                             f"{[a.shape for a in arrays]}")
+        self.rows.extend(zip(*(a.tolist() for a in arrays)))
+
     def column(self, name: str) -> list:
         idx = [c[0] for c in self.columns].index(name)
         return [row[idx] for row in self.rows]
@@ -78,8 +122,8 @@ class ResultTable:
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in sorted(self.metadata.items())]
         lines.append(",".join(f"{name}[{unit}]" for name, unit in self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_value(v) for v in row))
+        if self.rows:
+            lines.append(_csv_rows(self.rows))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -87,6 +131,8 @@ class ResultTable:
             if isinstance(v, float):
                 if math.isnan(v):
                     return None
+                if math.isinf(v):
+                    return format_value(v)  # strict JSON has no Infinity
                 return float(FLOAT_FMT.format(v))
             return v
         doc = {
@@ -94,7 +140,7 @@ class ResultTable:
             "columns": [{"name": n, "unit": u} for n, u in self.columns],
             "rows": [[norm(v) for v in row] for row in self.rows],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     def write(self, path, fmt: str = "csv"):
         text = self.to_csv() if fmt == "csv" else self.to_json()

@@ -2,13 +2,15 @@
 count hooks read their arguments by name, and its committed configs go
 through the strict config parser; a rename, a signature change or a schema
 change fails here rather than in a benchmark run.  Every eigensolve must
-also run inside a traced eigensolve layer, or its time would be charged to
+also run inside a traced eigensolve layer, and every table be formatted
+inside the traced ResultTable.write, or its time would be charged to
 whichever layer happens to enclose it."""
 
 import functools
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ import scipy.linalg
 
 from neontrap.cli import main
 from neontrap.config import load_config
+from neontrap.tables import ResultTable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -120,3 +123,43 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
     assert {name for name, _ in inside} == {"eigh"}
     if command != "ground-sweep":
         assert ("eigh", 127) in inside
+
+
+@pytest.mark.parametrize("command, workload, n_tables", [("ground-sweep", "ground_sweep", 1),
+                                                         ("lateral", "lateral_scan", 16),
+                                                         ("field-sweep", "field_sweep", 1)])
+def test_every_table_byte_is_formatted_inside_write(monkeypatch, tmp_path, command, workload,
+                                                    n_tables):
+    # tables.write.busy_s times the formatting of the tables only if the
+    # tables reach ResultTable.write unformatted and are formatted in it
+    depth, written, outside = [0], {}, []
+    write = ResultTable.write
+
+    def traced_write(self, path, fmt="csv"):
+        depth[0] += 1
+        try:
+            write(self, path, fmt)
+        finally:
+            depth[0] -= 1
+        written[path] = (os.path.getsize(path), {type(v) for row in self.rows for v in row})
+
+    def record(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                outside.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ResultTable, "write", traced_write)
+    for name in ("to_csv", "to_json"):
+        monkeypatch.setattr(ResultTable, name, record(getattr(ResultTable, name)))
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert outside == []
+    tables = {str(p) for p in tmp_path.iterdir() if not p.name.endswith(".effective.ini")}
+    assert set(written) == tables and len(tables) == n_tables
+    assert sum(size for size, _ in written.values()) == sum(
+        os.path.getsize(p) for p in tables)
+    # a str cell would be text formatted before write
+    assert set().union(*(types for _, types in written.values())) <= {float, int, bool}

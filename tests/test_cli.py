@@ -8,14 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import neontrap.cli
 import neontrap.config
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
-from neontrap.tables import (ResultTable, emit_quantity, format_value,
+from neontrap.tables import (FLOAT_FMT, ResultTable, emit_quantity, format_value,
                              parse_quantity)
 
 FAST_GRID = """\
@@ -68,6 +71,48 @@ threads = 3
 """
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def csv_cell_by_cell(table: ResultTable) -> str:
+    """Reference CSV: every cell through format_value."""
+    lines = [f"# {k}={v}" for k, v in sorted(table.metadata.items())]
+    lines.append(",".join(f"{name}[{unit}]" for name, unit in table.columns))
+    lines += [",".join(format_value(v) for v in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_cell_by_cell(table: ResultTable) -> str:
+    """Reference JSON: floats rounded as in the CSV, NaN null, +-inf as their CSV text."""
+    def norm(v):
+        if isinstance(v, float):
+            if math.isnan(v):
+                return None
+            if math.isinf(v):
+                return format_value(v)
+            return float(FLOAT_FMT.format(v))
+        return v
+    doc = {"metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+           "columns": [{"name": n, "unit": u} for n, u in table.columns],
+           "rows": [[norm(v) for v in row] for row in table.rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300,
+                                         math.inf, -math.inf, math.nan])
+CELLS = [FLOATS, FLOATS.map(np.float64), st.booleans(), st.integers(), st.text()]
+
+
+@st.composite
+def cell_tables(draw):
+    """Tables whose columns each hold one cell type, or any mix of them."""
+    kinds = draw(st.lists(st.sampled_from(CELLS + [st.one_of(CELLS)]), max_size=5))
+    return ResultTable(columns=[(f"c{i}", "") for i in range(len(kinds))],
+                       rows=draw(st.lists(st.tuples(*kinds), max_size=12)),
+                       metadata=draw(st.dictionaries(st.text(), st.text(), max_size=3)))
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -135,6 +180,42 @@ class TestResultTable:
         assert doc["columns"] == [{"name": "z", "unit": "nm"}]
         assert doc["metadata"]["command"] == "demo"
         assert doc["rows"] == [[1.5]]
+
+    def test_json_is_strict_with_inf_and_nan(self):
+        t = ResultTable(columns=[("L", "nm"), ("W_G", "meV")])
+        t.add_row(math.inf, -44.3726)
+        t.add_row(-math.inf, math.nan)
+        doc = json.loads(t.to_json(), parse_constant=reject_constant)
+        assert doc["rows"] == [["inf", -44.3726], ["-inf", None]]
+
+    @given(cell_tables())
+    def test_csv_and_json_equal_cell_by_cell(self, table):
+        assert table.to_csv() == csv_cell_by_cell(table)
+        assert table.to_json() == json_cell_by_cell(table)
+
+    def test_add_columns_equals_add_row_per_sample(self):
+        rho = np.linspace(0.5, 200.0, 400)
+        columns = (rho, np.tanh(rho - 50.0), -1e-3 / rho, np.arange(400), rho > 100.0)
+        by_column = ResultTable(columns=[(c, "") for c in "abcde"])
+        by_column.add_columns(*columns)
+        by_row = ResultTable(columns=by_column.columns)
+        for i in range(rho.size):
+            by_row.add_row(*(c[i].item() for c in columns))
+        assert by_column.rows == by_row.rows
+        assert by_column.to_csv() == by_row.to_csv() == csv_cell_by_cell(by_row)
+
+    @pytest.mark.parametrize("columns", [
+        (np.ones(3),),  # one column short
+        (np.ones(3), np.ones(3), np.ones(3)),  # one column over
+        (np.ones(3), np.ones(4)),  # unequal lengths
+        (np.ones((3, 1)), np.ones((3, 1))),  # not 1-D
+        (1.0, 2.0),
+    ], ids=["short", "over", "lengths", "2d", "scalars"])
+    def test_add_columns_checks_arity_and_shape(self, columns):
+        t = ResultTable(columns=[("a", ""), ("b", "")])
+        with pytest.raises(ValueError):
+            t.add_columns(*columns)
+        assert t.rows == []
 
 
 class TestConfig:
@@ -320,6 +401,15 @@ class TestCliEndToEnd:
         assert main(["growth", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["metadata"]["command"] == "growth"
+
+    def test_json_bulk_row_is_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\nE_ex = 0 V/m\n")
+        out = tmp_path / "sweep.json"
+        assert main(["ground-sweep", "--config", cfg, "--format", "json",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert [row[0] for row in doc["rows"]] == [5.0, "inf"]
+        assert all(row[-1] is True for row in doc["rows"])
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[sweep]\nL = ten nm\n")

@@ -17,6 +17,23 @@ SC = Superconductor()
 LAM_BULK = (1.0 - 1.244) / (1.0 + 1.244)  # vacuum/neon coefficient
 
 
+def image_series_loop(stack, z):
+    """Reference image series: one term at a time, leading image first."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    eta = stack.eps_neon
+    lam = (1.0 - eta) / (1.0 + eta)
+    mu = -1.0 if isinstance(stack.substrate, Superconductor) else \
+        (eta - stack.substrate.eps_b) / (eta + stack.substrate.eps_b)
+    ratio = abs(lam * mu)
+    n_terms = 1 if ratio == 0.0 else math.ceil(math.log(1e-17) / math.log(ratio))
+    total = lam / (2.0 * z_arr)
+    weight = mu * (1.0 - lam * lam)
+    for n in range(1, n_terms + 1):
+        total = total + weight / (2.0 * (z_arr + n * stack.thickness_L))
+        weight *= -lam * mu
+    return DEFAULT_CONSTANTS.image_prefactor * total
+
+
 class TestStackConstruction:
     def test_eps_neon_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -147,6 +164,23 @@ class TestPerpendicularPotential:
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
             perpendicular_potential(DielectricStack(SC, 10.0), 0.0)
+
+    @pytest.mark.parametrize("substrate", [SC, Dielectric(12.0), Dielectric(1.244),
+                                           Dielectric(1.0)], ids=repr)
+    @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 3.0, 10.0, math.inf])
+    @pytest.mark.parametrize("z", [0.23, np.float64(1.7), np.array(2.5),
+                                   np.logspace(math.log10(0.23), 3.0, 85),
+                                   np.linspace(0.5, 30.0, 12).reshape(3, 4)],
+                             ids=["float", "float64", "0d", "85 nodes", "3x4"])
+    def test_series_sum_equals_term_by_term_loop(self, substrate, L, z):
+        stack = DielectricStack(substrate, L)
+        got = perpendicular_potential(stack, z)
+        want = image_series_loop(stack, z)
+        if np.ndim(z) == 0:
+            assert isinstance(got, float)
+            assert got == float(want[0])
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 class TestExternalPotential:
