@@ -24,7 +24,7 @@ from .lateral import (CurveValidationError, EnergyCurve, FieldResponse,
                       lta_potential, pillar_spectrum, radial_spectrum,
                       thickness_at)
 from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
-                            UnboundStateError,
+                            UnboundStateError, WarmStart,
                             build_hamiltonian, ground_state_energy,
                             hellmann_feynman_check, mean_height,
                             perpendicular_gap, solve_lowest, solve_perpendicular,
@@ -43,7 +43,8 @@ __all__ = [
     "QuadraticProfile", "build_energy_curve", "field_response",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",
     "pillar_spectrum", "radial_spectrum", "thickness_at",
-    "BoundStateSolution", "SpectralMesh", "UnboundStateError", "build_hamiltonian",
+    "BoundStateSolution", "SpectralMesh", "UnboundStateError", "WarmStart",
+    "build_hamiltonian",
     "ground_state_energy", "hellmann_feynman_check",
     "mean_height", "perpendicular_gap", "solve_lowest", "solve_perpendicular",
     "solver_mesh",

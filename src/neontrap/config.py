@@ -167,6 +167,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eps_b must be >= 1")
     if cfg.eps_neon <= 1.0:
         raise ConfigError("eps_neon must exceed 1")
+    if cfg.barrier_height <= 0.0:
+        # the neon surface must repel the electron, or it settles inside the layer
+        raise ConfigError("barrier_height must be a positive energy")
     if cfg.cutoff_zc <= 0.0:
         raise ConfigError("cutoff_zc must be a positive length")
     if cfg.z_max <= cfg.cutoff_zc:

@@ -19,7 +19,7 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (EigensolverError, SpectralMesh, UnboundStateError,
+from .perpendicular import (EigensolverError, SpectralMesh, UnboundStateError, WarmStart,
                             build_hamiltonian, ground_state_energy, is_confined,
                             solve_lowest)
 
@@ -133,7 +133,8 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
 
     The next level's new nodes are held out; while their worst error exceeds
     NODE_TOL_MEV and n_knots allows, they join the nodes (9, 17, 33, ...).
-    Each solve runs on its own solver_mesh(stack, z_max).
+    Each solve runs on its own solver_mesh(stack, z_max) and starts from the
+    previous solve's ground state (perpendicular.WarmStart).
     """
     lo, hi = l_range
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
@@ -141,11 +142,14 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
     if n_knots < 20:
         raise ValueError("need at least 20 knots")
     mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+    warm = WarmStart()
 
     def solve_at(l: np.ndarray) -> np.ndarray:
-        # l ascends, so an unbound field fails on its first (thinnest) solve
+        # l ascends, so an unbound field fails on its first (thinnest) solve;
+        # each solve starts from the ground state of the solve before it
         stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
-        return np.array([ground_state_energy(s, field, z_max=z_max, constants=constants)
+        return np.array([ground_state_energy(s, field, z_max=z_max, constants=constants,
+                                             warm=warm)
                          for s in stacks])
 
     n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)

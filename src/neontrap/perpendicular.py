@@ -6,9 +6,13 @@ Phys. 54, 468 (1984); Deville, Fischer & Mund, High-Order Methods for
 Incompressible Fluid Flow, chs. 2-4).  The element breakpoints sit on the
 potential's step at z = 0 and its kink at cutoff_zc, so the potential is
 smooth on every element and the eigenvalues converge exponentially in the
-degree.  The diagonal GLL mass matrix M turns the weak form into the dense
+degree.  The diagonal GLL mass matrix M turns the weak form into the
 symmetric matrix M^{-1/2} H M^{-1/2}, of which LAPACK returns the lowest
-eigenpairs.
+eigenpairs.  Neighbouring elements share only their end node, so the matrix
+is banded with half-bandwidth degree: a ground state started from a
+neighbouring solve's is refined by Rayleigh-quotient iteration on the band
+and certified by a banded Cholesky factorization (B. N. Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998, chs. 4 and 11).
 
 The radial solve of lateral.radial_spectrum runs on the same mesh type with
 the measure rho drho (C. Bernardi, M. Dauge & Y. Maday, Spectral Methods for
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre
+from scipy.linalg import lapack
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
@@ -48,6 +53,12 @@ DEGREE = 16  # polynomial degree on every element of the solver mesh
 # relative lengths of the elements from cutoff_zc to z_max: growing by a
 # ratio of 3, the last one halved so that it still resolves the tenth state
 OUTER_ELEMENTS = (1.0, 3.0, 9.0, 13.5, 13.5)
+# a refined ground state is kept once its residual |Hx - Ex| falls to RQI_TOL
+# (meV) within RQI_STEPS Rayleigh-quotient steps; the certificate's margin
+# is at least CERTIFICATE_FLOOR (meV)
+RQI_TOL = 1e-6
+RQI_STEPS = 4
+CERTIFICATE_FLOOR = 1e-7
 
 
 @functools.lru_cache(maxsize=4)
@@ -229,41 +240,128 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh,
-                 n_states: int) -> BoundStateSolution:
+@functools.lru_cache(maxsize=4)
+def _band_index(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the band of half-width p of an n x n matrix, LAPACK band storage.
+
+    Row k of the (2p + 1, n) index array points at A[j + k - p, j] in column
+    j: rows 0..p are the upper band in dpbtrf's storage (diagonal in row p),
+    and all 2p + 1 rows are the band rows of dgbsv's storage.  The mask flags
+    the entries that fall outside the matrix.
+    """
+    i = np.arange(n) + np.arange(-p, p + 1)[:, None]
+    outside = (i < 0) | (i >= n)
+    return np.where(outside, 0, i * n + np.arange(n)), outside
+
+
+def _refine_ground_state(hamiltonian: np.ndarray, p: int,
+                         x: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Ground eigenpair of a matrix of half-bandwidth p, refined from x, or None.
+
+    Rayleigh-quotient iteration on the band (one dgbsv per step) runs until
+    the residual r = Hx - Ex is at most RQI_TOL.  The pair is kept only if
+    dpbtrf factors H - (E - delta) I, delta = max(2 |r|, CERTIFICATE_FLOOR):
+    positive definiteness puts every eigenvalue above E - delta, and the
+    residual puts one within |r| of E, so E is the lowest within delta.
+    """
+    n = x.size
+    index, outside = _band_index(n, p)
+    band = hamiltonian.take(index)
+    band[outside] = 0.0
+    x = x / np.linalg.norm(x)
+    for _ in range(RQI_STEPS + 1):
+        hx = hamiltonian @ x
+        e = float(x @ hx)
+        r = float(np.linalg.norm(hx - e * x))
+        if r <= RQI_TOL:
+            break
+        ab = np.zeros((3 * p + 1, n), order="F")
+        ab[p:] = band
+        ab[2 * p] -= e
+        _, _, y, info = lapack.dgbsv(p, p, ab, x[:, None], overwrite_ab=1)
+        if info != 0:
+            return None
+        x = y[:, 0] / np.linalg.norm(y)
+    else:
+        return None
+    shifted = band[:p + 1].copy(order="F")
+    shifted[p] -= e - max(2.0 * r, CERTIFICATE_FLOOR)
+    _, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+    return (e, x) if info == 0 else None
+
+
+def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
+                 start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
 
-    Each state is signed so that its largest-magnitude nodal value is positive.
+    For one state and a start solved on the same (non-radial) grid, the
+    ground state is refined from start's by _refine_ground_state; without a
+    start, for more states or when the refinement is not certified, a dense
+    LAPACK solve (evr) returns the pairs.  Each state is signed so that its
+    largest-magnitude nodal value is positive.
     """
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
-    try:
-        w, y = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, n_states - 1],
-                                 driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    sqrt_mass = np.sqrt(grid.mass[1:-1])
+    refined = None
+    if n_states == 1 and start is not None and start.grid == grid and not grid.radial:
+        refined = _refine_ground_state(hamiltonian, grid.degree,
+                                       start.wavefunctions[0, 1:-1] * sqrt_mass)
+    if refined is not None:
+        w, y = np.array([refined[0]]), refined[1][:, None]
+    else:
+        try:
+            w, y = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, n_states - 1],
+                                     driver="evr")
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
     y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0
     psi = np.zeros((n_states, grid.n_points))
-    psi[:, 1:-1] = y.T / np.sqrt(grid.mass[1:-1])
+    psi[:, 1:-1] = y.T / sqrt_mass
     converged = [_count_nodes(psi[i, 1:-1]) == i for i in range(n_states)]
     return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
                               converged=converged)
 
 
+@dataclass
+class WarmStart:
+    """One-slot holder that chains neighbouring ground-state solves.
+
+    solve_perpendicular starts from the solution held in `state` and leaves
+    its own there for the next solve; the caller owns the holder.
+    """
+
+    state: BoundStateSolution | None = None
+
+
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
                         n_states: int = 1, z_max: float = 40.0,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BoundStateSolution:
-    """Solve the perpendicular problem for the given stack and external field on solver_mesh."""
+                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                        warm: WarmStart | None = None) -> BoundStateSolution:
+    """Solve the perpendicular problem for the given stack and external field on solver_mesh.
+
+    With a warm holder, the solve starts from warm.state and leaves its
+    solution there.
+    """
     grid = solver_mesh(stack, z_max, constants)
     v = cached_perpendicular_potential(stack, field, grid, constants=constants)
-    return solve_lowest(build_hamiltonian(v, grid, constants=constants), grid, n_states)
+    sol = solve_lowest(build_hamiltonian(v, grid, constants=constants), grid, n_states,
+                       start=warm.state if warm is not None else None)
+    if warm is not None:
+        warm.state = sol
+    return sol
 
 
 def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
                         z_max: float = 40.0,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping."""
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants)
+                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                        warm: WarmStart | None = None) -> float:
+    """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping.
+
+    warm, if given, chains this solve to the previous one (solve_perpendicular).
+    """
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants,
+                              warm=warm)
     if not sol.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "

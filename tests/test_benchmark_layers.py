@@ -70,10 +70,16 @@ def test_benchmark_config_loads(path):
     load_config(str(path))
 
 
-# the traced layers that time eigensolves: every dense LAPACK solve of a
-# spectral-element matrix, perpendicular or radial, must run inside one
+# the traced layers that time eigensolves: every LAPACK call of an
+# eigensolve of a spectral-element matrix, perpendicular or radial, must run
+# inside one
 EIGENSOLVE_LAYERS = [("neontrap.perpendicular", "solve_lowest"),
                      ("neontrap.lateral", "radial_spectrum")]
+# those LAPACK calls: the dense evr solve, and the banded Rayleigh-quotient
+# step and certificate of a warm-started ground state
+EIGEN_LAPACK = [(scipy.linalg, "eigh"), (scipy.linalg.lapack, "dgbsv"),
+                (scipy.linalg.lapack, "dpbtrf")]
+BANDED = {"dgbsv", "dpbtrf"}
 
 
 def _patch_everywhere(monkeypatch, module_name, attr, wrap):
@@ -87,42 +93,106 @@ def _patch_everywhere(monkeypatch, module_name, attr, wrap):
                     monkeypatch.setattr(mod, key, wrapped)
 
 
+def _spy_eigen_lapack(monkeypatch, record):
+    """Call record(name, args, result) after each call of an EIGEN_LAPACK routine."""
+    for module, name in EIGEN_LAPACK:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            record(_name, args, result)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("command, workload", [("ground-sweep", "ground_sweep"),
                                                ("lateral", "lateral_scan"),
                                                ("field-sweep", "field_sweep")])
 def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, command, workload):
     assert set(EIGENSOLVE_LAYERS) <= {(m, a) for m, a, *_ in _layers()}
-    depth, inside, outside = [0], [], []
+    layers, calls = [], []
 
-    def enclose(fn):
+    def enclose(attr):
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                layers.append(attr)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    layers.pop()
+            return wrapper
+        return wrap
+
+    def record(name, args, result):
+        # the order of the system: eigh's matrix is square, the band
+        # storage of dgbsv (its third argument) and dpbtrf has n columns
+        matrix = args[2] if name == "dgbsv" else args[0]
+        calls.append((name, matrix.shape[-1], set(layers)))
+
+    for module_name, attr in EIGENSOLVE_LAYERS:
+        _patch_everywhere(monkeypatch, module_name, attr, enclose(attr))
+    _spy_eigen_lapack(monkeypatch, record)
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    # radial_spectrum's solves, too, run inside solve_lowest
+    assert all("solve_lowest" in inside for *_, inside in calls)
+    # every perpendicular solve runs on the 111 unknowns of the mesh, and the
+    # pillar spectra add dense solves on the 127 of the radial meshes; only
+    # the curves' ground states take the banded path
+    names = {name for name, *_ in calls}
+    assert ("eigh", 111) in {(name, n) for name, n, _ in calls}
+    assert all(n == 111 for name, n, _ in calls if name in BANDED)
+    if command == "ground-sweep":
+        assert names == {"eigh"}
+    else:
+        assert names == {"eigh"} | BANDED
+        assert ("eigh", 127) in {(name, n) for name, n, _ in calls}
+
+
+@pytest.mark.parametrize("command, workload, n_curves, n_solves",
+                         [("lateral", "lateral_scan", 1, 17),
+                          ("field-sweep", "field_sweep", 5, 69)])
+def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, workload,
+                                          n_curves, n_solves):
+    # each curve's first node is solved dense and every later node is refined
+    # from its neighbour and certified: a certificate that always failed would
+    # keep every output right and lose the warm start's gain
+    curves, solving = [], [False]
+
+    def enclose_curve(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            depth[0] += 1
+            curves.append([])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def enclose_solve(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            curves[-1].append([])
+            solving[0] = True
             try:
                 return fn(*args, **kwargs)
             finally:
-                depth[0] -= 1
+                solving[0] = False
         return wrapper
 
-    def record(fn):
-        @functools.wraps(fn)
-        def wrapper(matrix, *args, **kwargs):
-            (inside if depth[0] else outside).append((fn.__name__, len(matrix)))
-            return fn(matrix, *args, **kwargs)
-        return wrapper
+    def record(name, args, result):
+        if solving[0]:
+            curves[-1][-1].append((name, result[-1] if name in BANDED else None))
 
-    for module_name, attr in EIGENSOLVE_LAYERS:
-        _patch_everywhere(monkeypatch, module_name, attr, enclose)
-    monkeypatch.setattr(scipy.linalg, "eigh", record(scipy.linalg.eigh))
+    _patch_everywhere(monkeypatch, "neontrap.lateral", "build_energy_curve", enclose_curve)
+    _patch_everywhere(monkeypatch, "neontrap.perpendicular", "ground_state_energy",
+                      enclose_solve)
+    _spy_eigen_lapack(monkeypatch, record)
     config = PERFBENCH / "configs" / f"{workload}.ini"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert outside == []
-    # every perpendicular solve is a dense one on the 111 unknowns of the mesh,
-    # and the pillar spectra add the 127 of the radial meshes
-    assert ("eigh", 111) in inside
-    assert {name for name, _ in inside} == {"eigh"}
-    if command != "ground-sweep":
-        assert ("eigh", 127) in inside
+    assert len(curves) == n_curves and sum(map(len, curves)) == n_solves
+    for first, *rest in curves:
+        assert first == [("eigh", None)]
+        for solve in rest:
+            names = [name for name, _ in solve]
+            assert "eigh" not in names and "dgbsv" in names
+            assert [c for c in solve if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
 
 
 @pytest.mark.parametrize("command, workload, n_tables", [("ground-sweep", "ground_sweep", 1),

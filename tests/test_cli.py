@@ -541,7 +541,12 @@ n_knots = 20
         ("potential-z", "[constants]\ncutoff_zc = -0.1 nm\n", "cutoff_zc must be a positive"),
         ("lateral", "[grid]\nz_samples = 0\n", "z_samples must be >= 1"),
         ("potential-z", "[grid]\nz_samples = -3\n", "z_samples must be >= 1"),
-    ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative"])
+        ("ground-sweep", "[constants]\nbarrier_height = -700 meV\n",
+         "barrier_height must be a positive"),
+        ("ground-sweep", "[constants]\nbarrier_height = 0 meV\n",
+         "barrier_height must be a positive"),
+    ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative",
+            "barrier_height_negative", "barrier_height_zero"])
     def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
                                                     message):
         cfg = write_config(tmp_path, body)

@@ -10,8 +10,9 @@ import scipy.linalg
 
 import neontrap.perpendicular as perpendicular
 from fd_oracle import fd_levels, richardson_levels
-from neontrap import (DEFAULT_CONSTANTS, DielectricStack, FieldSpec, SpectralMesh,
-                      Superconductor, UnboundStateError, build_hamiltonian,
+from neontrap import (DEFAULT_CONSTANTS, BoundStateSolution, DielectricStack, FieldSpec,
+                      SpectralMesh, Superconductor, UnboundStateError, WarmStart,
+                      build_hamiltonian,
                       ground_state_energy, hellmann_feynman_check, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
@@ -287,9 +288,9 @@ class TestSolverPotential:
         grid = solver_mesh(stack)
         seen = {}
 
-        def capture(hamiltonian, grid, n_states):
+        def capture(hamiltonian, grid, n_states, start=None):
             seen["h"], seen["grid"] = hamiltonian, grid
-            return solve_lowest(hamiltonian, grid, n_states)
+            return solve_lowest(hamiltonian, grid, n_states, start)
 
         monkeypatch.setattr(perpendicular, "solve_lowest", capture)
         solve_perpendicular(stack, field)
@@ -302,3 +303,118 @@ class TestSolverPotential:
         expected[z == 0.0] += step * below / (below + above)
         kinetic = C * np.diag(grid.stiffness)
         np.testing.assert_allclose(np.diag(seen["h"]) - kinetic, expected, rtol=0.0, atol=1e-8)
+
+
+def _chain(l_range):
+    """Thicknesses in the order build_energy_curve solves them: 9 Lobatto nodes, 8 held out."""
+    lo, hi = l_range
+    mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+    nodes = np.exp(mid - half * np.cos(np.pi * np.arange(9) / 8))
+    held = np.exp(mid - half * np.cos(np.pi * np.arange(1, 16, 2) / 16))
+    return [lo, *nodes[1:-1], hi, *held]
+
+
+def _overlap(a, b):
+    return float(np.sum(a.grid.mass * a.wavefunctions[0] * b.wavefunctions[0]))
+
+
+def _hamiltonian(stack, field):
+    grid = solver_mesh(stack)
+    return build_hamiltonian(cached_perpendicular_potential(stack, field, grid), grid), grid
+
+
+def _spy_lapack(monkeypatch):
+    """Record (routine, info) of every dense and banded LAPACK call of the solver."""
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            # the banded routines return info last; eigh raises instead
+            calls.append((name, None if name == "eigh" else out[-1]))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg.lapack, "dgbsv"),
+                         (scipy.linalg.lapack, "dpbtrf")):
+        spy(module, name)
+    return calls
+
+
+WARM_CASES = [(sub, l_range, e) for sub in (SC, Dielectric(12.0))
+              for l_range in ((8.5, 10.5), (1.9, 3.5)) for e in (-1e6, 0.0, 1e6, 2e6)]
+
+
+class TestWarmStart:
+    """The refined, certified ground state against the dense evr solve as oracle."""
+
+    @pytest.mark.parametrize("substrate, l_range, e_ex", WARM_CASES,
+                             ids=[_case_id((s, f"{r[0]}-{r[1]}", e, 1))
+                                  for s, r, e in WARM_CASES])
+    def test_chain_matches_dense(self, monkeypatch, substrate, l_range, e_ex):
+        field, warm = FieldSpec(e_ex), WarmStart()
+        calls = _spy_lapack(monkeypatch)
+        previous, cold = None, 0
+        for L in _chain(l_range):
+            stack = DielectricStack(substrate, L)
+            first = len(calls)
+            sol = solve_perpendicular(stack, field, warm=warm)
+            solve_calls = calls[first:]
+            assert warm.state is sol
+            h, grid = _hamiltonian(stack, field)
+            dense = solve_lowest(h, grid, 1)
+            if grid != previous:
+                # no start on this mesh: the dense solve itself
+                cold += 1
+                assert solve_calls == [("eigh", None)]
+                assert np.array_equal(sol.energies, dense.energies)
+                assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
+            else:
+                # refined by at least one step, and certified
+                names = [name for name, _ in solve_calls]
+                assert "eigh" not in names and "dgbsv" in names
+                assert [c for c in solve_calls if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
+            assert abs(sol.energies[0] - dense.energies[0]) <= 1e-9
+            assert _overlap(sol, dense) >= 1.0 - 1e-12
+            assert sol.converged == [True]
+            previous = grid
+        # below 2 nm the wall sits at -L: 1.9, 1.945 and 1.911 nm each get their
+        # own mesh, and 2.078 and 2.0 nm return to the -2 nm wall
+        assert cold == (1 if l_range[0] >= 2.0 else 5)
+
+    def test_excited_start_is_rejected(self, monkeypatch):
+        stack = DielectricStack(SC, 10.0)
+        h, grid = _hamiltonian(stack, FieldSpec(0.0))
+        both = solve_lowest(h, grid, 2)
+        excited = BoundStateSolution(both.energies[1:], both.wavefunctions[1:], grid, [True])
+        calls = _spy_lapack(monkeypatch)
+        sol = solve_lowest(h, grid, 1, start=excited)
+        # the refinement stays on the excited state, and the certificate refuses it
+        assert [c for c in calls if c[0] == "dpbtrf"] and all(
+            info > 0 for name, info in calls if name == "dpbtrf")
+        dense = solve_lowest(h, grid, 1)
+        assert np.array_equal(sol.energies, dense.energies)
+        assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
+
+    def test_failed_certificate_falls_back_to_dense(self, monkeypatch):
+        start = solve_perpendicular(DielectricStack(SC, 9.8))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        dense = solve_lowest(h, grid, 1)
+        factor = scipy.linalg.lapack.dpbtrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                            lambda *args, **kwargs: (factor(*args, **kwargs)[0], 1))
+        sol = solve_lowest(h, grid, 1, start=start)
+        assert np.array_equal(sol.energies, dense.energies)
+        assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
+
+    def test_two_states_never_take_the_banded_path(self, monkeypatch):
+        start = solve_perpendicular(DielectricStack(SC, 9.8))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        dense = solve_lowest(h, grid, 2)
+        calls = _spy_lapack(monkeypatch)
+        sol = solve_lowest(h, grid, 2, start=start)
+        assert [name for name, _ in calls] == ["eigh"]
+        assert np.array_equal(sol.energies, dense.energies)
+        assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
