@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
-                         external_potential, perpendicular_potential,
-                         total_perpendicular_potential)
+                         external_potential, perpendicular_potential)
 from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
@@ -91,7 +90,9 @@ def _curve_range(cfg: RunConfig) -> tuple[float, float]:
 
 
 def cmd_potential_z(cfg: RunConfig) -> list[str]:
-    """Perpendicular potential profile V(z); one file per layer thickness."""
+    """Perpendicular potential profile V(z); one file per layer thickness.
+
+    z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential."""
     field = _single_field(cfg, "potential-z")
     if field.e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
         raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
@@ -101,15 +102,13 @@ def cmd_potential_z(cfg: RunConfig) -> list[str]:
     for L in cfg.L:
         stack = _stack(cfg, L)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
-        v_perp = np.asarray(perpendicular_potential(stack, z, constants=constants))
-        v_ex = np.zeros_like(z) if stack.is_bulk else \
-            np.asarray(external_potential(field, L, z, eps_neon=cfg.eps_neon))
-        v_total = total_perpendicular_potential(stack, field, z, constants=constants)
+        v_perp = perpendicular_potential(stack, z, constants=constants)
+        v_ex = external_potential(field, L, z, eps_neon=cfg.eps_neon)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata=_base_metadata(cfg, "potential-z"))
         table.metadata["L_nm"] = _fmt_axis(L)
-        table.add_columns(z, v_perp, v_ex, v_total)
+        table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
         path = _out_path(cfg, f"_L{_fmt_axis(L)}")
         _write(cfg, table, path)
         written.append(path)

@@ -162,61 +162,45 @@ def external_potential(field: FieldSpec, L: float, z, *,
     """Potential of the uniform external field, zero at the grounded substrate (z = -L).
 
     Piecewise linear: slope e E_ex / eps_Ne inside the neon (-L < z < 0) and
-    e E_ex above (z > 0); continuous at the surface.  Returns meV.
+    e E_ex above (z > 0); continuous at the surface.  Returns meV.  Bulk neon
+    (L = inf) has no grounded substrate to fix the gauge, so it takes only
+    E_ex = 0 and gives zero.
     """
-    if not math.isfinite(L):
-        raise ValueError("external_potential requires finite L")
+    if not L >= 0.0:
+        raise ValueError(f"L must be >= 0 or inf, got {L}")
+    if math.isinf(L) and field.e_ex != 0.0:
+        raise ValueError("bulk stack (L = inf) supports only zero external field")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < -L):
         raise ValueError("z < -L lies inside the substrate")
     s = field.slope_mev_per_nm
-    out = np.where(z_arr < 0.0,
-                   s * (z_arr + L) / eps_neon,
-                   s * (L / eps_neon + z_arr))
+    out = np.zeros_like(z_arr) if math.isinf(L) else np.where(
+        z_arr < 0.0, s * (z_arr + L) / eps_neon, s * (L / eps_neon + z_arr))
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _field_term(stack: DielectricStack, field: FieldSpec, z: np.ndarray):
-    """Field part of the total potential; bulk has no grounded substrate, so no field."""
-    if not stack.is_bulk:
-        return np.asarray(external_potential(field, stack.thickness_L, z,
-                                             eps_neon=stack.eps_neon))
-    if field.e_ex != 0.0:
-        raise ValueError("bulk stack supports only zero external field")
-    return 0.0
-
-
 def _field_free_potential(stack: DielectricStack, z: np.ndarray,
-                          constants: PhysicalConstants, side=None) -> np.ndarray:
+                          constants: PhysicalConstants) -> np.ndarray:
     """Barrier, clamped image and image series on z (meV).
 
-    The barrier holds below the surface, V(z_c) from the surface up to
-    cutoff_zc and the image series from cutoff_zc on.  side (default z)
-    holds, for each z, a point on the same side of the surface and of
-    cutoff_zc; it picks the branch for a z on the surface itself, which
-    otherwise counts as vacuum.
+    The one branch rule: the Pauli barrier for z < 0, else the image series
+    at max(z, cutoff_zc), summed in one call that gives each z the same bits
+    at any array shape.  The surface z = 0 thus takes V(z_c).
     """
-    side = z if side is None else side
-    above = side >= constants.cutoff_zc
-    out = np.full_like(z, constants.barrier_height)
-    out[above] = perpendicular_potential(stack, z[above], constants=constants)
-    out[(side >= 0.0) & ~above] = perpendicular_potential(stack, constants.cutoff_zc,
-                                                           constants=constants)
-    return out
+    image = perpendicular_potential(stack, np.maximum(z, constants.cutoff_zc),
+                                    constants=constants)
+    return np.where(z < 0.0, constants.barrier_height, image)
 
 
 def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *,
                                   constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Potential entering the perpendicular Schroedinger equation, in meV.
 
-    Inside the neon layer (z < 0) the Pauli barrier applies; from the
-    surface (z = 0 included) up to cutoff_zc the image potential is held at
-    its cutoff value; from cutoff_zc on it is the image series.  The field
-    term is added throughout.  Bulk stacks are only supported at zero
-    field, where the grounded-substrate gauge is ill-defined.
+    _field_free_potential (barrier for z < 0, image series at max(z, cutoff_zc)
+    for z >= 0) plus external_potential, which rejects bulk at nonzero field.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    v_ex = _field_term(stack, field, z_arr)
+    v_ex = external_potential(field, stack.thickness_L, z_arr, eps_neon=stack.eps_neon)
     out = _field_free_potential(stack, z_arr, constants) + v_ex
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
@@ -227,9 +211,11 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
 @functools.lru_cache(maxsize=4096)
 def _cached_field_free_potential(stack: DielectricStack, constants: PhysicalConstants,
                                  grid) -> np.ndarray:
-    z = grid.nodes
-    side = np.broadcast_to(z.mean(axis=1, keepdims=True), z.shape)
-    static = _field_free_potential(stack, z, constants, side)
+    if grid.breakpoints[1] != 0.0:
+        raise ValueError("the perpendicular mesh's first element must end on the "
+                         f"surface z = 0, got breakpoints {grid.breakpoints}")
+    static = _field_free_potential(stack, grid.nodes, constants)
+    static[0] = constants.barrier_height  # the neon side of the surface node
     static.setflags(write=False)
     return static
 
@@ -238,11 +224,12 @@ def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, gri
                                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """total_perpendicular_potential at grid.nodes, each element seen from inside (meV).
 
-    grid is a perpendicular.SpectralMesh whose breakpoints include 0 and
-    cutoff_zc, so the potential is smooth on every element.  Each element's
-    midpoint picks its branch: at z = 0 the element below takes the barrier
-    and the element above V(z_c).  The field-free part is memoized per
-    (stack, constants, grid), so cached values always match grid.nodes.
+    grid is a perpendicular.SpectralMesh whose first element ends on the surface
+    z = 0 (else ValueError) and whose breakpoints include cutoff_zc.  The rule of
+    _field_free_potential gives every node its value, except that the whole
+    first element, the neon, takes the barrier: the surface node is the barrier
+    there and V(z_c) above.  The field-free part is memoized per (stack,
+    constants, grid), so cached values always match grid.nodes.
     """
-    v_ex = _field_term(stack, field, grid.nodes)
+    v_ex = external_potential(field, stack.thickness_L, grid.nodes, eps_neon=stack.eps_neon)
     return _cached_field_free_potential(stack, constants, grid) + v_ex

@@ -223,7 +223,11 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     SpectralMesh over breakpoints (0, ..., rho_max), hard wall at rho_max.
     For alpha >= 1 the axis node is a wall; for alpha = 0 it carries no
     mass and is condensed out, which leaves the regular (no-flux) axis.
-    n_points sizes nothing; it stays because the benchmark's tracer
+    The callable is sampled once per node, so a step placed on a
+    breakpoint takes one value on both sides of it (the perpendicular mesh
+    potential, by contrast, takes each element's value from inside); the
+    pillar potentials are smooth, so this holds only for stepped test
+    potentials.  n_points sizes nothing; it stays because the benchmark's tracer
     (perfbench/tracing.py) reads it.
     """
     if alpha_max < 1:

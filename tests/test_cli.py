@@ -18,6 +18,8 @@ import neontrap.config
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
+from neontrap.dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
+                                 total_perpendicular_potential)
 from neontrap.tables import (FLOAT_FMT, ResultTable, emit_quantity, format_value,
                              parse_quantity)
 
@@ -382,6 +384,37 @@ class TestCliEndToEnd:
         v = table.column("V_total")
         assert z[0] == pytest.approx(0.23, rel=1e-6)
         assert all(a < 0.0 for a in v)
+
+    @pytest.mark.parametrize("body, substrate, e_ex, n_files", [
+        ("[substrate]\ntype = dielectric\neps_b = 12\n"
+         "[sweep]\nL = 1 nm, 10 nm\nE_ex = -1e6 V/m\n", Dielectric(12.0), -1e6, 2),
+        ("[sweep]\nL = inf\nE_ex = 0 V/m\n", Superconductor(), 0.0, 1)],
+        ids=["eps12_field", "bulk"])
+    def test_potential_z_columns(self, tmp_path, monkeypatch, body, substrate, e_ex, n_files):
+        # V_total is V_perp + V_ex exactly, and prints as the public
+        # total_perpendicular_potential on the same z
+        tables = {}
+        write = neontrap.cli._write
+
+        def keep(cfg, table, path):
+            tables[path] = table
+            write(cfg, table, path)
+
+        monkeypatch.setattr(neontrap.cli, "_write", keep)
+        cfg = write_config(tmp_path, FAST_GRID + body)
+        assert main(["potential-z", "--config", cfg, "--out", str(tmp_path / "pot.csv")]) == 0
+        assert len(tables) == n_files
+        for path, table in tables.items():
+            z, v_perp, v_ex, v_total = (table.column(c)
+                                        for c in ("z", "V_perp", "V_ex", "V_total"))
+            assert len(z) == 50
+            assert all(t == p + e for p, e, t in zip(v_perp, v_ex, v_total))
+            assert all((e != 0.0) == (e_ex != 0.0) for e in v_ex)
+            stack = DielectricStack(substrate, float(table.metadata["L_nm"]))
+            want = total_perpendicular_potential(stack, FieldSpec(e_ex), np.array(z))
+            rows = [line.split(",") for line in Path(path).read_text().splitlines()
+                    if not line.startswith("#")][1:]
+            assert [row[3] for row in rows] == [FLOAT_FMT.format(v) for v in want]
 
     def test_potential_z_bulk_at_nonzero_field_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\nE_ex = 1e6 V/m\n")

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from neontrap import (DEFAULT_CONSTANTS, Dielectric, DielectricStack, FieldSpec,
                       Superconductor, external_potential, perpendicular_potential, reflection_coefficient,
                       solver_mesh, total_perpendicular_potential)
+import neontrap.dielectric
 from neontrap.dielectric import cached_perpendicular_potential
+from neontrap.perpendicular import SpectralMesh
 
 SC = Superconductor()
 LAM_BULK = (1.0 - 1.244) / (1.0 + 1.244)  # vacuum/neon coefficient
@@ -209,6 +211,25 @@ class TestExternalPotential:
         with pytest.raises(ValueError):
             external_potential(FieldSpec(1e6), 10.0, -10.5)
 
+    def test_bulk_at_zero_field_is_zero(self):
+        # bulk neon has no grounded substrate; at zero field there is no field term
+        got = external_potential(FieldSpec(0.0), math.inf, 3.0)
+        assert isinstance(got, float) and got == 0.0
+        z = np.array([-5.0, 0.0, 0.23, 40.0])
+        got = external_potential(FieldSpec(0.0), math.inf, z)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, np.zeros_like(z))
+
+    @pytest.mark.parametrize("z", [1.0, np.array([0.5, 5.0])])
+    def test_bulk_rejects_nonzero_field(self, z):
+        with pytest.raises(ValueError, match="bulk"):
+            external_potential(FieldSpec(1e6), math.inf, z)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan])
+    def test_invalid_thickness_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be"):
+            external_potential(FieldSpec(0.0), L, 1.0)
+
 
 class TestTotalPotential:
     def test_below_cutoff_is_clamped_image_value(self):
@@ -247,6 +268,36 @@ class TestTotalPotential:
     def test_bulk_rejects_nonzero_field(self):
         with pytest.raises(ValueError, match="bulk"):
             total_perpendicular_potential(DielectricStack(SC, math.inf), FieldSpec(1e6), 1.0)
+
+    @pytest.mark.parametrize("breakpoints", [(0.0, 0.23, 40.0), (-2.0, -1.0, 0.0, 0.23, 40.0)])
+    def test_mesh_must_end_its_first_element_on_the_surface(self, breakpoints):
+        # the first element's row is set to the barrier, so it must be the
+        # whole of the neon side of z = 0
+        with pytest.raises(ValueError, match="z = 0"):
+            cached_perpendicular_potential(DielectricStack(SC, 10.0), FieldSpec(0.0),
+                                           SpectralMesh(breakpoints))
+
+    def test_memo_miss_sums_the_series_once_and_a_hit_never(self, monkeypatch):
+        # the benchmark tracer counts a cached call without a nested
+        # perpendicular_potential call as a hit; spy on the same module global
+        calls = []
+        series = neontrap.dielectric.perpendicular_potential
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(neontrap.dielectric, "perpendicular_potential", spy)
+        neontrap.dielectric._cached_field_free_potential.cache_clear()
+        stack = DielectricStack(Dielectric(12.0), 7.0)
+        grid = solver_mesh(stack)
+        miss = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        assert len(calls) == 1
+        hit = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(hit, miss)
+        cached_perpendicular_potential(stack, FieldSpec(1e6), grid)
+        assert len(calls) == 1
 
     def test_inside_neon_is_barrier(self):
         stack = DielectricStack(SC, 10.0)
