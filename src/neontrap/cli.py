@@ -26,17 +26,12 @@ from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
 from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
-from .lateral import (CURVE_L_LIMITS, CurveValidationError, ModelInvalidError,
-                      PillarProfile, build_energy_curve, curve_range,
+from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve, curve_range,
                       default_rho_max, field_response, fit_harmonic_field_model,
                       lta_potential, pillar_spectrum, thickness_at)
-from .perpendicular import (EigensolverError, UnboundStateError, mean_height,
-                            perpendicular_gap, solve_perpendicular)
+from .perpendicular import (NumericalFailure, mean_height, perpendicular_gap,
+                            solve_perpendicular)
 from .tables import ResultTable
-
-
-class NumericalFailure(RuntimeError):
-    """Unrecoverable numerical problem (beyond flagged rows)."""
 
 
 def _constants(cfg: RunConfig) -> PhysicalConstants:
@@ -347,8 +342,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, UnboundStateError, EigensolverError, CurveValidationError,
-            ModelInvalidError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -19,16 +19,15 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import DielectricStack, FieldSpec
-from .perpendicular import (EigensolverError, SpectralMesh, UnboundStateError, WarmStart,
-                            build_hamiltonian, ground_state_energy, is_confined,
-                            solve_lowest)
+from .perpendicular import (NumericalFailure, WarmStart, build_hamiltonian,
+                            ground_state_energy, is_confined, solve_lowest, spectral_mesh)
 
 
-class CurveValidationError(RuntimeError):
+class CurveValidationError(NumericalFailure):
     """Energy curve failed its held-out validation budget."""
 
 
-class ModelInvalidError(ValueError):
+class ModelInvalidError(NumericalFailure, ValueError):
     """Harmonic field model evaluated where the trap is destroyed."""
 
 
@@ -89,11 +88,12 @@ class EnergyCurve:
 
     VALIDATION_BUDGET_MEV = 0.01
 
-    def __init__(self, l_knots: np.ndarray, w_knots: np.ndarray, validation_error: float):
+    def __init__(self, poly: Chebyshev, l_knots: np.ndarray, w_knots: np.ndarray,
+                 validation_error: float):
         self.l_knots = l_knots
         self.w_knots = w_knots
         self.validation_error = validation_error
-        self._poly = _log_chebyshev(l_knots, w_knots)
+        self._poly = poly  # _log_chebyshev(l_knots, w_knots), fitted by build_energy_curve
 
     @property
     def l_range(self) -> tuple[float, float]:
@@ -171,7 +171,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
             f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(l_knots, w_knots, validation_error)
+    return EnergyCurve(poly, l_knots, w_knots, validation_error)
 
 
 def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
@@ -220,7 +220,8 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     potential is a callable rho[nm] -> V_par[meV].  The weak form
     integral of c rho R' phi' + (c alpha^2 / rho + V rho) R phi drho
     = E integral of rho R phi drho, c = hbar^2/2m_e, is solved on the radial
-    SpectralMesh over breakpoints (0, ..., rho_max), hard wall at rho_max.
+    mesh spectral_mesh(breakpoints, radial=True) over (0, ..., rho_max),
+    hard wall at rho_max; a mesh is built once per distinct breakpoints.
     For alpha >= 1 the axis node is a wall; for alpha = 0 it carries no
     mass and is condensed out, which leaves the regular (no-flux) axis.
     The callable is sampled once per node, so a step placed on a
@@ -233,7 +234,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
     c = constants.hbar2_over_2me
-    mesh = SpectralMesh(tuple(breakpoints), radial=True)
+    mesh = spectral_mesh(tuple(breakpoints), radial=True)
     rho = mesh.nodes
     v = np.asarray(potential(rho), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -341,7 +342,7 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
                                    rho_max=rho_max, constants=constants)
             rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
                                          spec.rho_e, spec.rho_e_line, spec.bound))
-        except (UnboundStateError, CurveValidationError, EigensolverError):
+        except NumericalFailure:
             rows.append(FieldResponseRow(float(e_ex), math.nan, math.nan,
                                          math.nan, False))
     rows.sort(key=lambda r: r.e_ex)

@@ -35,11 +35,15 @@ from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potent
                          external_potential)
 
 
-class UnboundStateError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """Unrecoverable numerical problem (beyond flagged rows)."""
+
+
+class UnboundStateError(NumericalFailure):
     """The requested configuration does not hold a (quasi-)bound ground state."""
 
 
-class EigensolverError(RuntimeError):
+class EigensolverError(NumericalFailure):
     """LAPACK eigensolver failed to converge."""
 
 
@@ -53,6 +57,7 @@ DEGREE = 16  # polynomial degree on every element of the solver mesh
 # relative lengths of the elements from cutoff_zc to z_max: growing by a
 # ratio of 3, the last one halved so that it still resolves the tenth state
 OUTER_ELEMENTS = (1.0, 3.0, 9.0, 13.5, 13.5)
+_OUTER_CUMSUM = np.cumsum(OUTER_ELEMENTS).tolist()  # summed once, not per solve
 # a refined ground state is kept once its residual |Hx - Ex| falls to RQI_TOL
 # (meV) within RQI_STEPS Rayleigh-quotient steps; the certificate's margin
 # is at least CERTIFICATE_FLOOR (meV)
@@ -93,7 +98,8 @@ class SpectralMesh:
     GLL nodes; neighbouring elements share their end node.  A radial mesh
     starts on the axis, breakpoints[0] = 0, and weighs every integral with
     the measure rho drho: rho enters the quadrature as a nodal coefficient.
-    The derived arrays are built once, with the mesh:
+    Build meshes with spectral_mesh, which makes each one once.  The derived
+    arrays are built with the mesh:
 
     nodes:     (n_elements, degree + 1) node coordinates per element, nm
     weights:   quadrature weights per element node, GLL weight times rho on
@@ -106,6 +112,10 @@ class SpectralMesh:
     axis:      radial meshes only, else None: the vector u for which
                stiffness - u u^T = M^{-1/2} (K_rr - K_r0 K_0r / K_00) M^{-1/2},
                the stiffness with the zero-mass axis node 0 condensed out
+    band:      LAPACK band storage of a matrix on the unknowns: row k of column
+               j is the flat index of A[j + k - degree, j]; rows 0..degree are
+               dpbtrf's upper band, all 2 degree + 1 rows dgbsv's
+    outside:   True where a band slot falls outside the matrix
     """
 
     breakpoints: tuple
@@ -118,6 +128,8 @@ class SpectralMesh:
     mass: np.ndarray = dc_field(init=False, repr=False, compare=False)
     stiffness: np.ndarray = dc_field(init=False, repr=False, compare=False)
     axis: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
+    band: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    outside: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
@@ -144,9 +156,13 @@ class SpectralMesh:
             k[e * p:e * p + p + 1, e * p:e * p + p + 1] += d.T @ (w_local[e, :, None] * d) / j
         s = 1.0 / np.sqrt(mass[1:-1])
         axis = s * k[1:-1, 0] / np.sqrt(k[0, 0]) if self.radial else None
+        i = np.arange(n - 2) + np.arange(-p, p + 1)[:, None]
+        outside = (i < 0) | (i >= n - 2)
+        band = np.where(outside, 0, i * (n - 2) + np.arange(n - 2))
         for name, value in (("nodes", nodes), ("weights", weights), ("index", index),
                             ("points", points), ("mass", mass),
-                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s), ("axis", axis)):
+                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s), ("axis", axis),
+                            ("band", band), ("outside", outside)):
             if value is not None:
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -156,6 +172,13 @@ class SpectralMesh:
         return self.points.size
 
 
+@functools.lru_cache(maxsize=16)
+def spectral_mesh(breakpoints: tuple, radial: bool = False,
+                  degree: int = DEGREE) -> SpectralMesh:
+    """The SpectralMesh over breakpoints, built once per call spelling: pass keywords by name."""
+    return SpectralMesh(breakpoints, degree, radial)
+
+
 def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SpectralMesh:
     """Mesh of the perpendicular solve: hard walls at max(-L, -2 nm) and z_max.
@@ -163,18 +186,14 @@ def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
     The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
     on the substrate for a layer thinner than 2 nm; 40 nm leaves negligible
     tail density for all bound configurations.  Breakpoints: the wall, the
-    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max.
+    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max; spectral_mesh
+    builds it once per (wall, cutoff_zc, z_max).
     """
-    return _mesh(max(-stack.thickness_L, -2.0), constants.cutoff_zc, z_max)
-
-
-@functools.lru_cache(maxsize=16)
-def _mesh(z_lo: float, z_c: float, z_max: float) -> SpectralMesh:
+    z_c = constants.cutoff_zc
     if not z_c < z_max:
         raise ValueError("z_max must exceed the cutoff distance")
-    outer = z_c + (z_max - z_c) * np.cumsum(OUTER_ELEMENTS) / sum(OUTER_ELEMENTS)
-    outer[-1] = z_max
-    return SpectralMesh((z_lo, 0.0, z_c, *map(float, outer)))
+    outer = [z_c + (z_max - z_c) * c / sum(OUTER_ELEMENTS) for c in _OUTER_CUMSUM[:-1]]
+    return spectral_mesh((max(-stack.thickness_L, -2.0), 0.0, z_c, *outer, z_max))
 
 
 def build_hamiltonian(potential, grid: SpectralMesh, *,
@@ -240,23 +259,9 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-@functools.lru_cache(maxsize=4)
-def _band_index(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the band of half-width p of an n x n matrix, LAPACK band storage.
-
-    Row k of the (2p + 1, n) index array points at A[j + k - p, j] in column
-    j: rows 0..p are the upper band in dpbtrf's storage (diagonal in row p),
-    and all 2p + 1 rows are the band rows of dgbsv's storage.  The mask flags
-    the entries that fall outside the matrix.
-    """
-    i = np.arange(n) + np.arange(-p, p + 1)[:, None]
-    outside = (i < 0) | (i >= n)
-    return np.where(outside, 0, i * n + np.arange(n)), outside
-
-
-def _refine_ground_state(hamiltonian: np.ndarray, p: int,
+def _refine_ground_state(hamiltonian: np.ndarray, grid: SpectralMesh,
                          x: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Ground eigenpair of a matrix of half-bandwidth p, refined from x, or None.
+    """Ground eigenpair of a banded matrix on grid's unknowns, refined from x, or None.
 
     Rayleigh-quotient iteration on the band (one dgbsv per step) runs until
     the residual r = Hx - Ex is at most RQI_TOL.  The pair is kept only if
@@ -264,10 +269,9 @@ def _refine_ground_state(hamiltonian: np.ndarray, p: int,
     positive definiteness puts every eigenvalue above E - delta, and the
     residual puts one within |r| of E, so E is the lowest within delta.
     """
-    n = x.size
-    index, outside = _band_index(n, p)
-    band = hamiltonian.take(index)
-    band[outside] = 0.0
+    n, p = x.size, grid.degree
+    band = hamiltonian.take(grid.band)
+    band[grid.outside] = 0.0
     x = x / np.linalg.norm(x)
     for _ in range(RQI_STEPS + 1):
         hx = hamiltonian @ x
@@ -294,19 +298,18 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                  start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
 
-    For one state and a start solved on the same (non-radial) grid, the
-    ground state is refined from start's by _refine_ground_state; without a
-    start, for more states or when the refinement is not certified, a dense
-    LAPACK solve (evr) returns the pairs.  Each state is signed so that its
+    For one state and a start solved on the same grid, the ground state is
+    refined from start's by _refine_ground_state; without a start, for more
+    states or when the refinement is not certified, a dense LAPACK solve
+    (evr) returns the pairs.  Each state is signed so that its
     largest-magnitude nodal value is positive.
     """
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
     sqrt_mass = np.sqrt(grid.mass[1:-1])
     refined = None
-    if n_states == 1 and start is not None and start.grid == grid and not grid.radial:
-        refined = _refine_ground_state(hamiltonian, grid.degree,
-                                       start.wavefunctions[0, 1:-1] * sqrt_mass)
+    if n_states == 1 and start is not None and start.grid == grid:
+        refined = _refine_ground_state(hamiltonian, grid, start.wavefunctions[0, 1:-1] * sqrt_mass)
     if refined is not None:
         w, y = np.array([refined[0]]), refined[1][:, None]
     else:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import neontrap.cli
 import neontrap.config
+import neontrap.lateral
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
@@ -560,6 +561,38 @@ n_knots = 20
         with pytest.raises(ValueError, match="bug"):
             main(["growth", "--out", str(tmp_path / "g.csv")])
 
+    @pytest.mark.parametrize("failure", [
+        neontrap.cli.NumericalFailure, neontrap.perpendicular.UnboundStateError,
+        neontrap.perpendicular.EigensolverError, neontrap.lateral.CurveValidationError,
+        neontrap.lateral.ModelInvalidError], ids=lambda cls: cls.__name__)
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, failure):
+        def failing(cfg):
+            raise failure("injected")
+
+        monkeypatch.setitem(neontrap.cli._COMMANDS, "growth", failing)
+        assert main(["growth", "--out", str(tmp_path / "g.csv")]) == 3
+        assert "numerical failure: injected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, n_meshes", [
+        ("ground-sweep", "ground_sweep.ini", 4),  # walls at -1, -1.27, -1.62 and -2 nm
+        ("lateral", "lateral_scan.ini", 6),  # one perpendicular mesh, one per pillar radius
+        ("field-sweep", "field_sweep.ini", 2),  # one perpendicular mesh, one pillar
+    ])
+    def test_one_mesh_build_per_breakpoints(self, tmp_path, monkeypatch, command, config,
+                                            n_meshes):
+        built = []
+        post_init = neontrap.perpendicular.SpectralMesh.__post_init__
+
+        def counting(mesh):
+            built.append((mesh.breakpoints, mesh.radial))
+            post_init(mesh)
+
+        monkeypatch.setattr(neontrap.perpendicular.SpectralMesh, "__post_init__", counting)
+        neontrap.perpendicular.spectral_mesh.cache_clear()
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(BENCH_CONFIGS / config), "--out", str(out)]) == 0
+        assert len(built) == n_meshes and len(set(built)) == n_meshes
+
     def test_injected_eigensolver_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise neontrap.perpendicular.EigensolverError("injected")
@@ -658,6 +691,14 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         ratio = float(table.metadata["asymmetry_ratio"])
         assert ratio > 1.0  # negative fields tune the splitting harder
         assert float(table.metadata["harmonic_fit_hbar_omega0_ueV"]) > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_package_version_is_read_from_the_module():
+    setuptools = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    project = setuptools.read_configuration(root / "pyproject.toml")["project"]
+    assert project["version"] == neontrap.__version__
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():

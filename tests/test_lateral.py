@@ -21,7 +21,7 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       radial_spectrum, thickness_at)
 from fd_oracle import radial_richardson_level
 from neontrap.lateral import NODE_TOL_MEV, default_rho_max, pillar_breakpoints
-from neontrap.perpendicular import EigensolverError, SpectralMesh
+from neontrap.perpendicular import EigensolverError, spectral_mesh
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 SC = Superconductor()
@@ -240,8 +240,8 @@ class TestRadialOracles:
         ell = math.sqrt(2.0 * C / hw)
         errors = []
         for degree in (8, 16):
-            monkeypatch.setattr(neontrap.lateral, "SpectralMesh",
-                                functools.partial(SpectralMesh, degree=degree))
+            monkeypatch.setattr(neontrap.lateral, "spectral_mesh",
+                                functools.partial(spectral_mesh, degree=degree))
             spec = radial_spectrum(pot, alpha_max=3, breakpoints=_oscillator_breakpoints(ell))
             errors.append(max(abs(spec.u_alpha[a] / ((a + 1) * hw) - 1.0) for a in range(4)))
         assert errors[0] <= 1e-6 and errors[1] <= 1e-3 * errors[0]
@@ -285,8 +285,8 @@ class TestRadialOracles:
         # measured 1.3e-8 ueV at worst
         p = PillarProfile(L0, dL, R, B)
         base = pillar_spectrum(curve, p).delta_u_mev
-        monkeypatch.setattr(neontrap.lateral, "SpectralMesh",
-                            functools.partial(SpectralMesh, degree=24))
+        monkeypatch.setattr(neontrap.lateral, "spectral_mesh",
+                            functools.partial(spectral_mesh, degree=24))
         assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(base, rel=0.0,
                                                                       abs=1e-10)
 

@@ -17,6 +17,8 @@ from neontrap import (DEFAULT_CONSTANTS, BoundStateSolution, DielectricStack, Fi
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
 from neontrap.dielectric import Dielectric, cached_perpendicular_potential
+from neontrap.lateral import pillar_breakpoints
+from neontrap.perpendicular import spectral_mesh
 
 C = DEFAULT_CONSTANTS.hbar2_over_2me
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
@@ -276,6 +278,54 @@ class TestSolverMesh:
         assert solver_mesh(DielectricStack(SC, 1.0)) != solver_mesh(DielectricStack(SC, 10.0))
         assert hash(solver_mesh(DielectricStack(SC, 1.5))) == hash(SpectralMesh(
             solver_mesh(DielectricStack(SC, 1.5)).breakpoints))
+
+
+BAND_MESHES = {
+    "perpendicular": lambda: solver_mesh(DielectricStack(SC, 10.0)),
+    "radial": lambda: spectral_mesh(pillar_breakpoints(110.0, 2.0, 330.0), radial=True),
+    "one_element": lambda: spectral_mesh((0.0, 10.0)),
+}
+
+
+def _oscillator_matrix(grid, hw):
+    """Oscillator matrix on grid; on a radial mesh alpha = 0, the axis condensed out."""
+    h = build_hamiltonian(_oscillator(grid.nodes, hw), grid)
+    return h - C * np.outer(grid.axis, grid.axis) if grid.radial else h
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("name", BAND_MESHES)
+    def test_band_holds_the_hamiltonian(self, name):
+        grid = BAND_MESHES[name]()
+        h = _oscillator_matrix(grid, 0.1)
+        n, p = h.shape[0], grid.degree
+        # LAPACK band storage: slot (k, j) holds A[j + k - p, j]
+        row = np.arange(n) + np.arange(-p, p + 1)[:, None]
+        col = np.broadcast_to(np.arange(n), row.shape)
+        assert grid.band.shape == (2 * p + 1, n)
+        assert np.array_equal(grid.outside, (row < 0) | (row >= n))
+        inside = ~grid.outside
+        band = h.take(grid.band)
+        assert np.array_equal(band[inside], h[row[inside], col[inside]])
+        # the band holds every entry of the matrix
+        rebuilt = np.zeros_like(h)
+        rebuilt[row[inside], col[inside]] = band[inside]
+        assert np.array_equal(rebuilt, h)
+
+    def test_radial_start_is_refined_and_certified(self, monkeypatch):
+        grid = spectral_mesh(tuple(np.linspace(0.0, 600.0, 7)), radial=True)
+        start = solve_lowest(_oscillator_matrix(grid, 0.026), grid, 1)
+        h = _oscillator_matrix(grid, 0.027)
+        dense = solve_lowest(h, grid, 1)
+        calls = _spy_lapack(monkeypatch)
+        sol = solve_lowest(h, grid, 1, start=start)
+        names = [name for name, _ in calls]
+        assert "eigh" not in names and "dgbsv" in names
+        assert [c for c in calls if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
+        assert abs(sol.energies[0] - dense.energies[0]) <= 1e-9
+        # the state is off by about (RQI_TOL / gap)^2, gap 2 hw = 0.054 meV;
+        # measured 2.3e-11
+        assert _overlap(sol, dense) >= 1.0 - 1e-9
 
 
 class TestSolverPotential:
