@@ -23,12 +23,13 @@ coefficient, and the axis node, of zero mass, is condensed out for alpha = 0.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import legendre
-from scipy.linalg import lapack
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
@@ -45,6 +46,38 @@ class UnboundStateError(NumericalFailure):
 
 class EigensolverError(NumericalFailure):
     """LAPACK eigensolver failed to converge."""
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK extension, loaded without importing scipy.linalg.
+
+    Importing scipy.linalg costs most of the package's import time; the
+    solver needs only dsyevr, dstevd, dgbsv and dpbtrf, which the
+    extension module scipy/linalg/_flapack holds.  That name is private to
+    scipy: if the file is not there, scipy.linalg.lapack, which exposes the
+    same functions, is imported instead.  The extension is loaded under
+    scipy's own name, so a later import of scipy.linalg reuses this module.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None:
+        path = os.path.join(os.path.dirname(spec.origin), "linalg",
+                            "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack as module
+    return module
+
+
+lapack = _load_lapack()
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise EigensolverError(f"LAPACK {routine} failed with info = {info}")
 
 
 # Fraction of the grid's span next to the outer wall used for the
@@ -76,7 +109,8 @@ def _gll(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     k = np.arange(1, degree - 1)
     beta = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
-    inner = scipy.linalg.eigvalsh_tridiagonal(np.zeros(degree - 1), beta)
+    inner, _, info = lapack.dstevd(np.zeros(degree - 1), beta, compute_v=0)
+    _check_info("dstevd", info)
     x = np.concatenate(([-1.0], inner, [1.0]))
     p = legendre.legval(x, np.eye(degree + 1)[degree])
     w = 2.0 / (degree * (degree + 1) * p * p)
@@ -294,6 +328,18 @@ def _refine_ground_state(hamiltonian: np.ndarray, grid: SpectralMesh,
     return (e, x) if info == 0 else None
 
 
+@functools.lru_cache(maxsize=8)
+def _dsyevr_workspace(n: int) -> tuple[int, int]:
+    """dsyevr's optimal lwork and liwork for a matrix of order n, lower triangle.
+
+    The workspace size selects dsyevr's blocking, so these are the values
+    scipy.linalg.eigh passes: its eigenpairs are reproduced bit for bit.
+    """
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+    _check_info("dsyevr_lwork", info)
+    return int(work), int(iwork)
+
+
 def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                  start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
@@ -301,8 +347,9 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
     For one state and a start solved on the same grid, the ground state is
     refined from start's by _refine_ground_state; without a start, for more
     states or when the refinement is not certified, a dense LAPACK solve
-    (evr) returns the pairs.  Each state is signed so that its
-    largest-magnitude nodal value is positive.
+    (dsyevr, called with the arguments of scipy.linalg.eigh's evr solve)
+    returns the pairs.  Each state is signed so that its largest-magnitude
+    nodal value is positive.
     """
     if not 1 <= n_states <= 10:
         raise ValueError("n_states must be between 1 and 10")
@@ -313,11 +360,13 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
     if refined is not None:
         w, y = np.array([refined[0]]), refined[1][:, None]
     else:
-        try:
-            w, y = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, n_states - 1],
-                                     driver="evr")
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+        if not np.all(np.isfinite(hamiltonian)):
+            raise ValueError("hamiltonian must contain only finite values")
+        lwork, liwork = _dsyevr_workspace(hamiltonian.shape[0])
+        w, y, m, _, info = lapack.dsyevr(hamiltonian, compute_v=1, range="I", il=1,
+                                         iu=n_states, lower=1, lwork=lwork, liwork=liwork)
+        _check_info("dsyevr", info)
+        w, y = w[:m], y[:, :m]
     y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0
     psi = np.zeros((n_states, grid.n_points))
     psi[:, 1:-1] = y.T / sqrt_mass

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy.linalg
 
+import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import load_config
 from neontrap.tables import ResultTable
@@ -77,8 +77,7 @@ EIGENSOLVE_LAYERS = [("neontrap.perpendicular", "solve_lowest"),
                      ("neontrap.lateral", "radial_spectrum")]
 # those LAPACK calls: the dense evr solve, and the banded Rayleigh-quotient
 # step and certificate of a warm-started ground state
-EIGEN_LAPACK = [(scipy.linalg, "eigh"), (scipy.linalg.lapack, "dgbsv"),
-                (scipy.linalg.lapack, "dpbtrf")]
+EIGEN_LAPACK = ["dsyevr", "dgbsv", "dpbtrf"]
 BANDED = {"dgbsv", "dpbtrf"}
 
 
@@ -95,12 +94,13 @@ def _patch_everywhere(monkeypatch, module_name, attr, wrap):
 
 def _spy_eigen_lapack(monkeypatch, record):
     """Call record(name, args, result) after each call of an EIGEN_LAPACK routine."""
-    for module, name in EIGEN_LAPACK:
-        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+    lapack = neontrap.perpendicular.lapack
+    for name in EIGEN_LAPACK:
+        def wrapper(*args, _name=name, _fn=getattr(lapack, name), **kwargs):
             result = _fn(*args, **kwargs)
             record(_name, args, result)
             return result
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(lapack, name, wrapper)
 
 
 @pytest.mark.parametrize("command, workload", [("ground-sweep", "ground_sweep"),
@@ -123,7 +123,7 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
         return wrap
 
     def record(name, args, result):
-        # the order of the system: eigh's matrix is square, the band
+        # the order of the system: dsyevr's matrix is square, the band
         # storage of dgbsv (its third argument) and dpbtrf has n columns
         matrix = args[2] if name == "dgbsv" else args[0]
         calls.append((name, matrix.shape[-1], set(layers)))
@@ -139,13 +139,13 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
     # pillar spectra add dense solves on the 127 of the radial meshes; only
     # the curves' ground states take the banded path
     names = {name for name, *_ in calls}
-    assert ("eigh", 111) in {(name, n) for name, n, _ in calls}
+    assert ("dsyevr", 111) in {(name, n) for name, n, _ in calls}
     assert all(n == 111 for name, n, _ in calls if name in BANDED)
     if command == "ground-sweep":
-        assert names == {"eigh"}
+        assert names == {"dsyevr"}
     else:
-        assert names == {"eigh"} | BANDED
-        assert ("eigh", 127) in {(name, n) for name, n, _ in calls}
+        assert names == {"dsyevr"} | BANDED
+        assert ("dsyevr", 127) in {(name, n) for name, n, _ in calls}
 
 
 @pytest.mark.parametrize("command, workload, n_curves, n_solves",
@@ -178,7 +178,7 @@ def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, worklo
 
     def record(name, args, result):
         if solving[0]:
-            curves[-1][-1].append((name, result[-1] if name in BANDED else None))
+            curves[-1][-1].append((name, result[-1]))  # each routine returns info last
 
     _patch_everywhere(monkeypatch, "neontrap.lateral", "build_energy_curve", enclose_curve)
     _patch_everywhere(monkeypatch, "neontrap.perpendicular", "ground_state_energy",
@@ -188,10 +188,10 @@ def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, worklo
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert len(curves) == n_curves and sum(map(len, curves)) == n_solves
     for first, *rest in curves:
-        assert first == [("eigh", None)]
+        assert first == [("dsyevr", 0)]
         for solve in rest:
             names = [name for name, _ in solve]
-            assert "eigh" not in names and "dgbsv" in names
+            assert "dsyevr" not in names and "dgbsv" in names
             assert [c for c in solve if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
 
 

@@ -701,16 +701,57 @@ def test_package_version_is_read_from_the_module():
     assert project["version"] == neontrap.__version__
 
 
-def test_cli_import_leaves_heavy_scipy_unloaded():
-    """`import neontrap.cli` needs numpy and scipy.linalg only.
-
-    Runs in a fresh interpreter: the test modules import scipy.special.
-    """
+def _fresh_interpreter(code):
+    """Standard output of `python -c code` in a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate")
-    code = f"import neontrap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    """`import neontrap.cli` needs numpy and scipy's LAPACK extension only.
+
+    Runs in a fresh interpreter: the test modules import scipy.linalg.
+    """
+    heavy = ("scipy.linalg", "numpy.f2py", "scipy.interpolate", "scipy.special",
+             "scipy.optimize", "scipy.integrate")
+    code = f"import neontrap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    assert _fresh_interpreter(code) == "[]"
+
+
+# W_G cases for the LAPACK loader: two dense solves, then a warm chain whose
+# later solves take the banded path
+LOADER_CASES = [(1.0, 1e6), (10.0, 0.0), (9.5, 0.0), (10.5, 0.0)]
+
+
+def test_lapack_fallback_gives_the_same_energies(tmp_path):
+    # a scipy package found in an empty directory holds no linalg/_flapack
+    # file, so perpendicular imports scipy.linalg.lapack instead
+    code = f"""
+import importlib.machinery, importlib.util, sys
+find_spec = importlib.util.find_spec
+
+def no_flapack(name, package=None):
+    if name == "scipy":
+        return importlib.machinery.ModuleSpec(name, None, origin={str(tmp_path / "__init__.py")!r},
+                                              is_package=True)
+    return find_spec(name, package)
+
+importlib.util.find_spec = no_flapack
+from neontrap import DielectricStack, FieldSpec, Superconductor, WarmStart, ground_state_energy
+from neontrap.perpendicular import lapack
+warm = WarmStart()
+print(lapack.__name__, "scipy.linalg" in sys.modules)
+print(*[ground_state_energy(DielectricStack(Superconductor(), L), FieldSpec(e), warm=warm).hex()
+        for L, e in {LOADER_CASES!r}])
+"""
+    loaded, energies = _fresh_interpreter(code).splitlines()
+    assert loaded == "scipy.linalg.lapack True"
+    warm = neontrap.perpendicular.WarmStart()
+    assert energies.split() == [
+        neontrap.perpendicular.ground_state_energy(DielectricStack(Superconductor(), L),
+                                                   FieldSpec(e), warm=warm).hex()
+        for L, e in LOADER_CASES]

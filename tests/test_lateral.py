@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.interpolate import BarycentricInterpolator
 from scipy.special import jn_zeros
 
 import neontrap.lateral
+import neontrap.perpendicular
 from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       EnergyCurve, FieldSpec, ModelInvalidError, PillarProfile,
                       QuadraticProfile,
@@ -308,11 +308,10 @@ class TestRadialOracles:
             radial_spectrum(lambda r: np.full_like(r, np.inf), breakpoints=(0.0, 10.0))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("injected")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        with pytest.raises(EigensolverError, match="injected"):
+        dsyevr = neontrap.perpendicular.lapack.dsyevr
+        monkeypatch.setattr(neontrap.perpendicular.lapack, "dsyevr",
+                            lambda *args, **kwargs: (*dsyevr(*args, **kwargs)[:-1], 1))
+        with pytest.raises(EigensolverError, match="dsyevr failed with info = 1"):
             radial_spectrum(lambda r: np.zeros_like(r), breakpoints=(0.0, 10.0))
 
 

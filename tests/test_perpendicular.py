@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import neontrap.lateral
 import neontrap.perpendicular as perpendicular
 from fd_oracle import fd_levels, richardson_levels
 from neontrap import (DEFAULT_CONSTANTS, BoundStateSolution, DielectricStack, FieldSpec,
@@ -146,12 +147,85 @@ class TestSolverContracts:
         assert np.sum(grid.mass * grid.points ** 2) == pytest.approx(2500.0, rel=1e-14)
 
     def test_dense_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("injected")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        with pytest.raises(perpendicular.EigensolverError, match="injected"):
+        _fail_lapack(monkeypatch, "dsyevr")
+        with pytest.raises(perpendicular.EigensolverError, match="dsyevr failed with info = 1"):
             solve_perpendicular(DielectricStack(SC, 10.0))
+
+    def test_gll_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        _fail_lapack(monkeypatch, "dstevd")
+        with pytest.raises(perpendicular.EigensolverError, match="dstevd failed with info = 1"):
+            perpendicular._gll.__wrapped__(perpendicular.DEGREE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        h[5, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_lowest(h, grid, 1)
+
+
+def _fail_lapack(monkeypatch, name):
+    """Make perpendicular's LAPACK routine `name` return its results with info = 1."""
+    routine = getattr(perpendicular.lapack, name)
+    monkeypatch.setattr(perpendicular.lapack, name,
+                        lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1))
+
+
+def _evr_oracle(h, grid, n_states):
+    """scipy.linalg.eigh's evr eigenpairs, signed and scaled as solve_lowest's states."""
+    w, y = scipy.linalg.eigh(h, subset_by_index=[0, n_states - 1], driver="evr")
+    y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0
+    return w, y.T / np.sqrt(grid.mass[1:-1])
+
+
+def _radial_matrices(monkeypatch):
+    """The alpha = 0 (axis condensed) and alpha = 1 matrices of one pillar-mesh radial_spectrum."""
+    seen = []
+
+    def capture(hamiltonian, grid, n_states, start=None):
+        seen.append((hamiltonian.copy(), grid))
+        return solve_lowest(hamiltonian, grid, n_states, start)
+
+    monkeypatch.setattr(neontrap.lateral, "solve_lowest", capture)
+    neontrap.lateral.radial_spectrum(lambda rho: _oscillator(rho, 0.027),
+                                     breakpoints=pillar_breakpoints(110.0, 2.0, 330.0))
+    return seen
+
+
+class TestDenseOracle:
+    """The dense solve against scipy.linalg.eigh's evr solve, bit for bit."""
+
+    @pytest.mark.parametrize("n_states", [1, 2, 10])
+    # the bulk stack takes no external field
+    @pytest.mark.parametrize("L, e_ex", [(1.0, 0.0), (1.0, 1e6), (10.0, 0.0), (10.0, 1e6),
+                                         (math.inf, 0.0)])
+    def test_perpendicular(self, L, e_ex, n_states):
+        h, grid = _hamiltonian(DielectricStack(SC, L), FieldSpec(e_ex))
+        self._check(h, grid, n_states)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 10])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_radial(self, monkeypatch, alpha, n_states):
+        matrices = _radial_matrices(monkeypatch)
+        assert len(matrices) == 2
+        h, grid = matrices[alpha]
+        assert grid.radial and h.shape == (127, 127)
+        self._check(h, grid, n_states)
+
+    @staticmethod
+    def _check(h, grid, n_states):
+        w, psi = _evr_oracle(h, grid, n_states)
+        sol = solve_lowest(h, grid, n_states)
+        assert np.array_equal(sol.energies, w)
+        assert np.array_equal(sol.wavefunctions[:, 1:-1], psi)
+        assert not np.any(sol.wavefunctions[:, [0, -1]])
+
+    @pytest.mark.parametrize("degree", [16, 24])
+    def test_gll_nodes(self, degree):
+        k = np.arange(1, degree - 1)
+        beta = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+        inner = scipy.linalg.eigvalsh_tridiagonal(np.zeros(degree - 1), beta)
+        assert np.array_equal(perpendicular._gll.__wrapped__(degree)[0][1:-1], inner)
 
 
 class TestNeonConfigurations:
@@ -320,7 +394,7 @@ class TestBandLayout:
         calls = _spy_lapack(monkeypatch)
         sol = solve_lowest(h, grid, 1, start=start)
         names = [name for name, _ in calls]
-        assert "eigh" not in names and "dgbsv" in names
+        assert "dsyevr" not in names and "dgbsv" in names
         assert [c for c in calls if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
         assert abs(sol.energies[0] - dense.energies[0]) <= 1e-9
         # the state is off by about (RQI_TOL / gap)^2, gap 2 hw = 0.054 meV;
@@ -377,19 +451,17 @@ def _spy_lapack(monkeypatch):
     """Record (routine, info) of every dense and banded LAPACK call of the solver."""
     calls = []
 
-    def spy(module, name):
-        fn = getattr(module, name)
+    def spy(name):
+        fn = getattr(perpendicular.lapack, name)
 
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            # the banded routines return info last; eigh raises instead
-            calls.append((name, None if name == "eigh" else out[-1]))
+            calls.append((name, out[-1]))  # each routine returns info last
             return out
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(perpendicular.lapack, name, wrapper)
 
-    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg.lapack, "dgbsv"),
-                         (scipy.linalg.lapack, "dpbtrf")):
-        spy(module, name)
+    for name in ("dsyevr", "dgbsv", "dpbtrf"):
+        spy(name)
     return calls
 
 
@@ -418,13 +490,13 @@ class TestWarmStart:
             if grid != previous:
                 # no start on this mesh: the dense solve itself
                 cold += 1
-                assert solve_calls == [("eigh", None)]
+                assert solve_calls == [("dsyevr", 0)]
                 assert np.array_equal(sol.energies, dense.energies)
                 assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
             else:
                 # refined by at least one step, and certified
                 names = [name for name, _ in solve_calls]
-                assert "eigh" not in names and "dgbsv" in names
+                assert "dsyevr" not in names and "dgbsv" in names
                 assert [c for c in solve_calls if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
             assert abs(sol.energies[0] - dense.energies[0]) <= 1e-9
             assert _overlap(sol, dense) >= 1.0 - 1e-12
@@ -452,9 +524,7 @@ class TestWarmStart:
         start = solve_perpendicular(DielectricStack(SC, 9.8))
         h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
         dense = solve_lowest(h, grid, 1)
-        factor = scipy.linalg.lapack.dpbtrf
-        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
-                            lambda *args, **kwargs: (factor(*args, **kwargs)[0], 1))
+        _fail_lapack(monkeypatch, "dpbtrf")
         sol = solve_lowest(h, grid, 1, start=start)
         assert np.array_equal(sol.energies, dense.energies)
         assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
@@ -465,6 +535,6 @@ class TestWarmStart:
         dense = solve_lowest(h, grid, 2)
         calls = _spy_lapack(monkeypatch)
         sol = solve_lowest(h, grid, 2, start=start)
-        assert [name for name, _ in calls] == ["eigh"]
+        assert [name for name, _ in calls] == ["dsyevr"]
         assert np.array_equal(sol.energies, dense.energies)
         assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
