@@ -4,6 +4,10 @@ Subcommands: potential-z, ground-sweep, lateral, field-sweep, growth,
 verify.  Every sweep runs serially, and all outputs are deterministic:
 identical (config, version) pairs produce byte-identical files.
 
+Each command yields its tables as (file-name suffix, ResultTable) pairs and
+opens no file; main stamps the provenance on each table as it arrives and
+writes it, so it is the only writer.  verify takes the tables in memory.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Any
 other exception is a bug and propagates with its traceback.
 """
@@ -15,7 +19,6 @@ import dataclasses
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
 from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve, curve_range,
                       default_rho_max, field_response, fit_harmonic_field_model,
-                      lta_potential, pillar_spectrum, thickness_at)
+                      harmonic_field_model, lta_potential, pillar_spectrum, thickness_at)
 from .perpendicular import (NumericalFailure, mean_height, perpendicular_gap,
                             solve_perpendicular)
 from .tables import ResultTable
@@ -45,22 +48,13 @@ def _stack(cfg: RunConfig, thickness: float) -> DielectricStack:
     return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon)
 
 
-def _base_metadata(cfg: RunConfig, command: str) -> dict:
-    return {"tool": "neontrap", "version": __version__, "command": command,
-            "config_sha256": cfg.config_hash()}
-
-
 def _fmt_axis(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:g}"
 
 
-def _out_path(cfg: RunConfig, suffix: str = "") -> str:
+def _out_path(cfg: RunConfig, suffix: str) -> str:
     stem, ext = os.path.splitext(cfg.out_path)
     return f"{stem}{suffix}{ext}" if suffix else cfg.out_path
-
-
-def _write(cfg: RunConfig, table: ResultTable, path: str):
-    table.write(path, cfg.out_format)
 
 
 def _write_effective_config(cfg: RunConfig):
@@ -84,7 +78,7 @@ def _curve_range(cfg: RunConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def cmd_potential_z(cfg: RunConfig) -> list[str]:
+def cmd_potential_z(cfg: RunConfig):
     """Perpendicular potential profile V(z); one file per layer thickness.
 
     z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential."""
@@ -93,7 +87,6 @@ def cmd_potential_z(cfg: RunConfig) -> list[str]:
         raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
                           f"got {field.e_ex:g} V/m")
     constants = _constants(cfg)
-    written = []
     for L in cfg.L:
         stack = _stack(cfg, L)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
@@ -101,21 +94,16 @@ def cmd_potential_z(cfg: RunConfig) -> list[str]:
         v_ex = external_potential(field, L, z, eps_neon=cfg.eps_neon)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
-                            metadata=_base_metadata(cfg, "potential-z"))
-        table.metadata["L_nm"] = _fmt_axis(L)
+                            metadata={"L_nm": _fmt_axis(L)})
         table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
-        path = _out_path(cfg, f"_L{_fmt_axis(L)}")
-        _write(cfg, table, path)
-        written.append(path)
-    return written
+        yield f"_L{_fmt_axis(L)}", table
 
 
-def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
+def cmd_ground_sweep(cfg: RunConfig):
     """W^G, h_e and the perpendicular gap over the (L, E_ex) grid."""
     constants = _constants(cfg)
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
-                                 ("h_e", "nm"), ("gap", "meV"), ("bound", "")],
-                        metadata=_base_metadata(cfg, "ground-sweep"))
+                                 ("h_e", "nm"), ("gap", "meV"), ("bound", "")])
     for L, e_ex in sorted((L, e) for L in cfg.L for e in cfg.E_ex):
         stack = _stack(cfg, L)
         sol = None
@@ -127,12 +115,10 @@ def cmd_ground_sweep(cfg: RunConfig) -> list[str]:
                           perpendicular_gap(sol), True)
         else:
             table.add_row(L, e_ex, math.nan, math.nan, math.nan, False)
-    path = _out_path(cfg)
-    _write(cfg, table, path)
-    return [path]
+    yield "", table
 
 
-def cmd_lateral(cfg: RunConfig) -> list[str]:
+def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     field = _single_field(cfg, "lateral")
     l_range = _curve_range(cfg)
@@ -140,12 +126,10 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
     stack0 = _stack(cfg, cfg.L0)
     curve = build_energy_curve(stack0, field, l_range, cfg.n_knots,
                                z_max=cfg.z_max, constants=constants)
-    written = []
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
                  ("U_alpha", "ueV"), ("delta_U", "ueV"), ("rho_e", "nm"),
-                 ("rho_e_line", "nm"), ("bound", "")],
-        metadata=_base_metadata(cfg, "lateral"))
+                 ("rho_e_line", "nm"), ("bound", "")])
     for R in sorted(cfg.R):
         for dL in sorted(cfg.delta_L):
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
@@ -154,14 +138,10 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
             v_par = np.asarray(lta_potential(curve, profile, rho))
             prof_table = ResultTable(
                 columns=[("rho", "nm"), ("L_rho", "nm"), ("V_par", "meV")],
-                metadata=_base_metadata(cfg, "lateral"))
-            prof_table.metadata["R_nm"] = f"{R:g}"
-            prof_table.metadata["delta_L_nm"] = f"{dL:g}"
+                metadata={"R_nm": f"{R:g}", "delta_L_nm": f"{dL:g}"})
             lr = np.asarray(thickness_at(profile, rho))
             prof_table.add_columns(rho, lr, v_par)
-            path = _out_path(cfg, f"_R{R:g}_dL{dL:g}")
-            _write(cfg, prof_table, path)
-            written.append(path)
+            yield f"_R{R:g}_dL{dL:g}", prof_table
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=rho_max, constants=constants)
@@ -169,13 +149,10 @@ def cmd_lateral(cfg: RunConfig) -> list[str]:
                 spectrum.add_row(R, dL, alpha, spec.u_alpha_uev(alpha),
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
                                  spec.bound)
-    path = _out_path(cfg, "_spectrum")
-    _write(cfg, spectrum, path)
-    written.append(path)
-    return written
+    yield "_spectrum", spectrum
 
 
-def cmd_field_sweep(cfg: RunConfig) -> list[str]:
+def cmd_field_sweep(cfg: RunConfig):
     """Delta U and rho_e versus external field for one pillar geometry."""
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
@@ -189,8 +166,7 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
                           z_max=cfg.z_max, constants=constants)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
-                                 ("bound", "")],
-                        metadata=_base_metadata(cfg, "field-sweep"))
+                                 ("bound", "")])
     for r in resp.rows:
         table.add_row(r.e_ex, r.delta_u_uev, r.rho_e, r.rho_e_line, r.bound)
     if resp.asymmetry_ratio is not None:
@@ -202,21 +178,17 @@ def cmd_field_sweep(cfg: RunConfig) -> list[str]:
     if len(fit_rows) >= 2:
         e, du = zip(*fit_rows)
         w0, b1 = fit_harmonic_field_model(e, du)
-        model = np.sqrt(np.maximum(np.asarray(w0) ** 2 + b1 * np.asarray(e), 0.0))
-        resid = float(np.max(np.abs(model - np.asarray(du))))
+        resid = max(abs(harmonic_field_model(w0, b1, x) - d) for x, d in fit_rows)
         table.metadata["harmonic_fit_hbar_omega0_ueV"] = f"{w0:.6e}"
         table.metadata["harmonic_fit_beta1_ueV2_per_V_per_m"] = f"{b1:.6e}"
         table.metadata["harmonic_fit_max_residual_ueV"] = f"{resid:.6e}"
-    path = _out_path(cfg)
-    _write(cfg, table, path)
-    return [path]
+    yield "", table
 
 
-def cmd_growth(cfg: RunConfig) -> list[str]:
+def cmd_growth(cfg: RunConfig):
     """Gibbs-Thomson, diffusion-length and gravity estimates."""
     mat = DEFAULT_NEON
-    table = ResultTable(columns=[("quantity", ""), ("value", ""), ("unit", "")],
-                        metadata=_base_metadata(cfg, "growth"))
+    table = ResultTable(columns=[("quantity", ""), ("value", ""), ("unit", "")])
     table.add_row("gibbs_thomson_coefficient",
                   gibbs_thomson_coefficient(mat), "K nm")
     for r_c in cfg.r_c:
@@ -226,9 +198,7 @@ def cmd_growth(cfg: RunConfig) -> list[str]:
                   diffusion_length(mat, cfg.diffusion_time), "nm")
     table.add_row(f"gravity_potential_dh_{cfg.delta_h:g}nm",
                   gravity_potential_difference(mat, cfg.delta_h), "meV")
-    path = _out_path(cfg)
-    _write(cfg, table, path)
-    return [path]
+    yield "", table
 
 
 def _table_identity(table: ResultTable) -> tuple:
@@ -236,8 +206,12 @@ def _table_identity(table: ResultTable) -> tuple:
     return table.columns, [table.metadata.get(k) for k in ("L_nm", "R_nm", "delta_L_nm")]
 
 
-def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
-    """Re-run the stored table's command and compare within rtol."""
+def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
+    """Re-run the stored table's command in memory and compare within rtol.
+
+    The run stops at the first table with the stored table's identity, which
+    goes through one CSV round trip so both sides carry the printed precision.
+    """
     if not 0.0 <= rtol < math.inf:
         raise ConfigError(f"--rtol must be finite and >= 0, got {rtol!r}")
     try:
@@ -246,21 +220,11 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read stored table {stored_path}: {exc}") from exc
     command = stored.metadata.get("command")
-    if command not in _COMMANDS or command == "verify":
+    if command not in _COMMANDS:
         raise ConfigError(f"stored table has no re-runnable command ({command!r})")
-    # re-run into a scratch directory: the configured output may be the
-    # stored file itself, which must survive a failed comparison
-    with tempfile.TemporaryDirectory() as tmp:
-        scratch = dataclasses.replace(
-            cfg, out_path=os.path.join(tmp, os.path.basename(cfg.out_path)),
-            out_format="csv")
-        fresh = None
-        for path in _COMMANDS[command](scratch):
-            with open(path) as fh:
-                candidate = ResultTable.from_csv(fh.read())
-            if _table_identity(candidate) == _table_identity(stored):
-                fresh = candidate
-                break
+    identity = _table_identity(stored)
+    fresh = next((ResultTable.from_csv(table.to_csv()) for _, table in _COMMANDS[command](cfg)
+                  if _table_identity(table) == identity), None)
     if fresh is None:
         raise NumericalFailure("no regenerated table matches the stored schema and axes")
     if len(fresh.rows) != len(stored.rows):
@@ -280,7 +244,6 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float) -> list[str]:
             elif va != vb:
                 raise NumericalFailure(f"row {i}: {va!r} != {vb!r}")
     print(f"verify OK: {len(stored.rows)} rows, worst relative error {worst:.3e}")
-    return []
 
 
 _COMMANDS = {
@@ -335,7 +298,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cmd_verify(cfg, args.stored, args.rtol)
         else:
-            paths = _COMMANDS[args.command](cfg)
+            provenance = {"tool": "neontrap", "version": __version__,
+                          "command": args.command, "config_sha256": cfg.config_hash()}
+            paths = []
+            for suffix, table in _COMMANDS[args.command](cfg):
+                table.metadata.update(provenance)
+                path = _out_path(cfg, suffix)
+                table.write(path, cfg.out_format)
+                paths.append(path)
             _write_effective_config(cfg)
             for path in paths:
                 print(path)

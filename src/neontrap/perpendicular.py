@@ -328,18 +328,6 @@ def _refine_ground_state(hamiltonian: np.ndarray, grid: SpectralMesh,
     return (e, x) if info == 0 else None
 
 
-@functools.lru_cache(maxsize=8)
-def _dsyevr_workspace(n: int) -> tuple[int, int]:
-    """dsyevr's optimal lwork and liwork for a matrix of order n, lower triangle.
-
-    The workspace size selects dsyevr's blocking, so these are the values
-    scipy.linalg.eigh passes: its eigenpairs are reproduced bit for bit.
-    """
-    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
-    _check_info("dsyevr_lwork", info)
-    return int(work), int(iwork)
-
-
 def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                  start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
@@ -362,9 +350,13 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
     else:
         if not np.all(np.isfinite(hamiltonian)):
             raise ValueError("hamiltonian must contain only finite values")
-        lwork, liwork = _dsyevr_workspace(hamiltonian.shape[0])
+        # the queried workspace selects dsyevr's blocking: with the sizes
+        # scipy.linalg.eigh passes, its evr eigenpairs are reproduced bit for bit
+        lwork, liwork, info = lapack.dsyevr_lwork(hamiltonian.shape[0], lower=1)
+        _check_info("dsyevr_lwork", info)
         w, y, m, _, info = lapack.dsyevr(hamiltonian, compute_v=1, range="I", il=1,
-                                         iu=n_states, lower=1, lwork=lwork, liwork=liwork)
+                                         iu=n_states, lower=1, lwork=int(lwork),
+                                         liwork=int(liwork))
         _check_info("dsyevr", info)
         w, y = w[:m], y[:, :m]
     y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0

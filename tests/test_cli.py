@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import neontrap
 import neontrap.cli
 import neontrap.config
 import neontrap.lateral
@@ -395,13 +397,13 @@ class TestCliEndToEnd:
         # V_total is V_perp + V_ex exactly, and prints as the public
         # total_perpendicular_potential on the same z
         tables = {}
-        write = neontrap.cli._write
+        write = ResultTable.write
 
-        def keep(cfg, table, path):
+        def keep(table, path, fmt="csv"):
             tables[path] = table
-            write(cfg, table, path)
+            write(table, path, fmt)
 
-        monkeypatch.setattr(neontrap.cli, "_write", keep)
+        monkeypatch.setattr(ResultTable, "write", keep)
         cfg = write_config(tmp_path, FAST_GRID + body)
         assert main(["potential-z", "--config", cfg, "--out", str(tmp_path / "pot.csv")]) == 0
         assert len(tables) == n_files
@@ -497,6 +499,63 @@ class TestCliEndToEnd:
         assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
         stored = tmp_path / "lat_R110_dL0.5.csv"
         assert main(["verify", str(stored), "--config", cfg, "--out", str(out)]) == 0
+
+    def test_verify_writes_nothing_and_stops_at_match(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\nn_knots = 20\n")
+        out = tmp_path / "lat.csv"
+        assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        writes, spectra = [], []
+        write, spectrum = ResultTable.write, neontrap.cli.pillar_spectrum
+
+        def counting_write(table, path, fmt="csv"):
+            writes.append(path)
+            write(table, path, fmt)
+
+        def counting_spectrum(*args, **kwargs):
+            spectra.append(args)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(ResultTable, "write", counting_write)
+        monkeypatch.setattr(neontrap.cli, "pillar_spectrum", counting_spectrum)
+        stored = tmp_path / "lat_R60_dL0.5.csv"
+        assert main(["verify", str(stored), "--config", cfg, "--out", str(out)]) == 0
+        assert writes == []
+        # the R = 60 nm profile is the first table: no pillar spectrum is solved
+        assert spectra == []
+        assert list(scratch.iterdir()) == []
+        scratch.rmdir()
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command, config, n_tables", [
+        ("ground-sweep", "ground_sweep.ini", 1),
+        ("lateral", "lateral_scan.ini", 16),
+        ("field-sweep", "field_sweep.ini", 1),
+        ("potential-z", None, 2),
+        ("growth", None, 1),
+    ])
+    def test_every_table_carries_provenance(self, tmp_path, monkeypatch, command, config,
+                                            n_tables):
+        written = []
+        write = ResultTable.write
+
+        def keep(table, path, fmt="csv"):
+            written.append(path)
+            write(table, path, fmt)
+
+        monkeypatch.setattr(ResultTable, "write", keep)
+        cfg = (str(BENCH_CONFIGS / config) if config else
+               write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\nE_ex = 0 V/m\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        want = {"tool": "neontrap", "version": neontrap.__version__, "command": command,
+                "config_sha256": load_config(cfg).config_hash()}
+        assert len(written) == len(set(written)) == n_tables
+        for path in written:
+            metadata = ResultTable.from_csv(Path(path).read_text()).metadata
+            assert {k: metadata.get(k) for k in want} == want
 
     @pytest.mark.parametrize("command", ["lateral", "field-sweep"])
     def test_curve_range_outside_limits_exits_2(self, tmp_path, capsys, command):
