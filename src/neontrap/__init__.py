@@ -8,7 +8,7 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,

@@ -32,7 +32,7 @@ from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
 from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve, curve_range,
                       default_rho_max, field_response, fit_harmonic_field_model,
                       harmonic_field_model, lta_potential, pillar_spectrum, thickness_at)
-from .perpendicular import (NumericalFailure, mean_height, perpendicular_gap,
+from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicular_gap,
                             solve_perpendicular)
 from .tables import ResultTable
 
@@ -76,6 +76,11 @@ def _curve_range(cfg: RunConfig) -> tuple[float, float]:
         raise ConfigError(f"L0 and delta_L need an energy curve over [{lo:g}, {hi:g}] nm, "
                           "outside [%g, %g] nm" % CURVE_L_LIMITS)
     return lo, hi
+
+
+def _curve_metadata(validation_error: float, nodes: int) -> dict:
+    """Table metadata of an energy curve: its held-out error and node count."""
+    return {"curve_validation_error_meV": f"{validation_error:.6e}", "curve_nodes": str(nodes)}
 
 
 def cmd_potential_z(cfg: RunConfig):
@@ -129,7 +134,10 @@ def cmd_lateral(cfg: RunConfig):
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
                  ("U_alpha", "ueV"), ("delta_U", "ueV"), ("rho_e", "nm"),
-                 ("rho_e_line", "nm"), ("bound", "")])
+                 ("rho_e_line", "nm"), ("bound", "")],
+        metadata=_curve_metadata(curve.validation_error, curve.l_knots.size))
+    # each (R, alpha) chains its radial solves across delta_L; a new R is a new mesh
+    warm = [WarmStart() for _ in range(cfg.alpha_max + 1)]
     for R in sorted(cfg.R):
         for dL in sorted(cfg.delta_L):
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
@@ -144,7 +152,7 @@ def cmd_lateral(cfg: RunConfig):
             yield f"_R{R:g}_dL{dL:g}", prof_table
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=rho_max, constants=constants)
+                                   rho_max=rho_max, constants=constants, warm=warm)
             for alpha in range(cfg.alpha_max + 1):
                 spectrum.add_row(R, dL, alpha, spec.u_alpha_uev(alpha),
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
@@ -169,6 +177,10 @@ def cmd_field_sweep(cfg: RunConfig):
                                  ("bound", "")])
     for r in resp.rows:
         table.add_row(r.e_ex, r.delta_u_uev, r.rho_e, r.rho_e_line, r.bound)
+    curves = [r for r in resp.rows if r.curve_nodes]
+    if curves:  # the worst curve over the fields
+        table.metadata.update(_curve_metadata(max(r.curve_validation_error for r in curves),
+                                              max(r.curve_nodes for r in curves)))
     if resp.asymmetry_ratio is not None:
         table.metadata["slope_neg_ueV_per_V_per_m"] = f"{resp.slope_neg:.6e}"
         table.metadata["slope_pos_ueV_per_V_per_m"] = f"{resp.slope_pos:.6e}"
@@ -206,11 +218,26 @@ def _table_identity(table: ResultTable) -> tuple:
     return table.columns, [table.metadata.get(k) for k in ("L_nm", "R_nm", "delta_L_nm")]
 
 
+# provenance keys that verify does not compare: main stamps them, and the
+# config hash is checked against the config before anything is regenerated
+_UNCOMPARED_METADATA = ("tool", "version", "command", "config_sha256")
+
+
+def _as_float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     """Re-run the stored table's command in memory and compare within rtol.
 
-    The run stops at the first table with the stored table's identity, which
-    goes through one CSV round trip so both sides carry the printed precision.
+    The stored config_sha256 must be the config's own hash.  The run stops at
+    the first table with the stored table's identity, which goes through one
+    CSV round trip so both sides carry the printed precision.  Every row cell
+    and every stored metadata value but the provenance is compared: numbers
+    within rtol, text exactly.
     """
     if not 0.0 <= rtol < math.inf:
         raise ConfigError(f"--rtol must be finite and >= 0, got {rtol!r}")
@@ -222,6 +249,10 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     command = stored.metadata.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"stored table has no re-runnable command ({command!r})")
+    if stored.metadata.get("config_sha256") != cfg.config_hash():
+        raise ConfigError(f"stored table was made from another config (config_sha256 "
+                          f"{stored.metadata.get('config_sha256')!r}, this config's "
+                          f"{cfg.config_hash()!r})")
     identity = _table_identity(stored)
     fresh = next((ResultTable.from_csv(table.to_csv()) for _, table in _COMMANDS[command](cfg)
                   if _table_identity(table) == identity), None)
@@ -230,19 +261,26 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     if len(fresh.rows) != len(stored.rows):
         raise NumericalFailure(
             f"row count changed: {len(stored.rows)} stored vs {len(fresh.rows)} fresh")
+    cells = [(f"row {i}", va, vb) for i, (a, b) in enumerate(zip(stored.rows, fresh.rows))
+             for va, vb in zip(a, b)]
+    for key in sorted(set(stored.metadata) - set(_UNCOMPARED_METADATA)):
+        va, vb = stored.metadata[key], fresh.metadata.get(key)
+        if vb is None:
+            raise NumericalFailure(f"metadata {key}: the regenerated table has no such key")
+        fa, fb = _as_float(va), _as_float(vb)
+        cells.append((f"metadata {key}", va, vb) if fa is None or fb is None
+                     else (f"metadata {key}", fa, fb))
     worst = 0.0
-    for i, (a, b) in enumerate(zip(stored.rows, fresh.rows)):
-        for va, vb in zip(a, b):
-            if isinstance(va, float) and isinstance(vb, float):
-                if va == vb or (math.isnan(va) and math.isnan(vb)):
-                    continue
-                err = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
-                if not err <= rtol:  # a NaN or inf on one side only is a mismatch
-                    raise NumericalFailure(
-                        f"row {i}: {va!r} vs {vb!r} differ beyond rtol={rtol}")
-                worst = max(worst, err)
-            elif va != vb:
-                raise NumericalFailure(f"row {i}: {va!r} != {vb!r}")
+    for where, va, vb in cells:
+        if isinstance(va, float) and isinstance(vb, float):
+            if va == vb or (math.isnan(va) and math.isnan(vb)):
+                continue
+            err = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
+            if not err <= rtol:  # a NaN or inf on one side only is a mismatch
+                raise NumericalFailure(f"{where}: {va!r} vs {vb!r} differ beyond rtol={rtol}")
+            worst = max(worst, err)
+        elif va != vb:
+            raise NumericalFailure(f"{where}: {va!r} != {vb!r}")
     print(f"verify OK: {len(stored.rows)} rows, worst relative error {worst:.3e}")
 
 

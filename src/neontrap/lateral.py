@@ -214,7 +214,8 @@ class LateralSpectrum:
 
 def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
                     n_points: int = 16384,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
+                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                    warm: list[WarmStart] | None = None) -> LateralSpectrum:
     """Lowest eigenvalue per alpha in {0..alpha_max} of the radial equation.
 
     potential is a callable rho[nm] -> V_par[meV].  The weak form
@@ -229,7 +230,9 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     potential, by contrast, takes each element's value from inside); the
     pillar potentials are smooth, so this holds only for stepped test
     potentials.  n_points sizes nothing; it stays because the benchmark's tracer
-    (perfbench/tracing.py) reads it.
+    (perfbench/tracing.py) reads it.  warm, if given, holds one WarmStart per
+    alpha: each solve starts from warm[alpha].state, which solve_lowest takes
+    only on the same mesh, and leaves its own solution there.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
@@ -241,12 +244,16 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
         raise ValueError("non-finite lateral potential sample")
     centrifugal = np.divide(c, rho * rho, out=np.zeros_like(rho), where=rho > 0.0)
 
+    if warm is not None and len(warm) != alpha_max + 1:
+        raise ValueError("warm must hold one WarmStart per alpha")
     states = []
     for alpha in range(alpha_max + 1):
         h = build_hamiltonian(v + alpha * alpha * centrifugal, mesh, constants=constants)
         if alpha == 0:  # static condensation of the axis node
             h -= c * np.outer(mesh.axis, mesh.axis)
-        states.append(solve_lowest(h, mesh, 1))
+        states.append(solve_lowest(h, mesh, 1, start=warm[alpha].state if warm else None))
+        if warm:
+            warm[alpha].state = states[-1]
     u_alpha = {alpha: float(sol.energies[0]) for alpha, sol in enumerate(states)}
 
     # R_1 on the nodes off the axis, normalized by the integral of rho R_1^2
@@ -287,23 +294,32 @@ def pillar_breakpoints(R: float, b: float, rho_max: float) -> tuple:
 
 def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                     alpha_max: int = 1, rho_max: float | None = None,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LateralSpectrum:
-    """Radial spectrum of the trap formed by a pillar profile, on pillar_breakpoints."""
+                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                    warm: list[WarmStart] | None = None) -> LateralSpectrum:
+    """Radial spectrum of the trap formed by a pillar profile, on pillar_breakpoints.
+
+    warm, one WarmStart per alpha, chains its solves to the previous
+    spectrum's (radial_spectrum).
+    """
     if rho_max is None:
         rho_max = default_rho_max(profile.R)
     pot = lambda r: lta_potential(curve, profile, r)
     return radial_spectrum(pot, alpha_max,
                            breakpoints=pillar_breakpoints(profile.R, profile.b, rho_max),
-                           constants=constants)
+                           constants=constants, warm=warm)
 
 
 @dataclass
 class FieldResponseRow:
+    """One field's spectrum; the curve fields are NaN and 0 where no curve was built."""
+
     e_ex: float
     delta_u_uev: float
     rho_e: float
     rho_e_line: float
     bound: bool
+    curve_validation_error: float = math.nan  # meV, EnergyCurve.validation_error
+    curve_nodes: int = 0
 
 
 @dataclass
@@ -329,9 +345,11 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
     """Sweep the external field: one energy curve per field value, then solve.
 
     z_max sets the perpendicular meshes of the curve.  Unbound entries are
-    flagged in their row, never dropped.
+    flagged in their row, never dropped.  Each field's radial solves start
+    from the previous field's (pillar_spectrum's warm).
     """
     l_range = curve_range(profile.L0, profile.delta_L)
+    warm = [WarmStart() for _ in range(alpha_max + 1)]
     rows = []
     for e_ex in fields:
         fs = FieldSpec(float(e_ex))
@@ -339,9 +357,10 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
             curve = build_energy_curve(stack_template, fs, l_range, n_knots,
                                        z_max=z_max, constants=constants)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
-                                   rho_max=rho_max, constants=constants)
+                                   rho_max=rho_max, constants=constants, warm=warm)
             rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
-                                         spec.rho_e, spec.rho_e_line, spec.bound))
+                                         spec.rho_e, spec.rho_e_line, spec.bound,
+                                         curve.validation_error, curve.l_knots.size))
         except NumericalFailure:
             rows.append(FieldResponseRow(float(e_ex), math.nan, math.nan,
                                          math.nan, False))

@@ -86,15 +86,21 @@ def _check_info(routine: str, info: int) -> None:
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
 
-DEGREE = 16  # polynomial degree on every element of the solver mesh
+DEGREE = 16  # default polynomial degree of a SpectralMesh, the radial mesh's
+# polynomial degree of the perpendicular solver mesh: two states stay within
+# 5.5e-9 meV of degree 24 on the same breakpoints, while at degree 12 spurious
+# ringing in the 9-nm outer element fails the node check at L = 1 nm
+PERPENDICULAR_DEGREE = 13
 # relative lengths of the elements from cutoff_zc to z_max: growing by a
 # ratio of 3, the last one halved so that it still resolves the tenth state
 OUTER_ELEMENTS = (1.0, 3.0, 9.0, 13.5, 13.5)
 _OUTER_CUMSUM = np.cumsum(OUTER_ELEMENTS).tolist()  # summed once, not per solve
 # a refined ground state is kept once its residual |Hx - Ex| falls to RQI_TOL
 # (meV) within RQI_STEPS Rayleigh-quotient steps; the certificate's margin
-# is at least CERTIFICATE_FLOOR (meV)
-RQI_TOL = 1e-6
+# is at least CERTIFICATE_FLOOR (meV).  The state is off by about RQI_TOL /
+# gap: a radial gap near 0.03 meV reads that error into rho_e, so RQI_TOL
+# sits near the residual's rounding floor (below 1e-10 meV on the solver mesh)
+RQI_TOL = 1e-9
 RQI_STEPS = 4
 CERTIFICATE_FLOOR = 1e-7
 
@@ -195,7 +201,10 @@ class SpectralMesh:
         band = np.where(outside, 0, i * (n - 2) + np.arange(n - 2))
         for name, value in (("nodes", nodes), ("weights", weights), ("index", index),
                             ("points", points), ("mass", mass),
-                            ("stiffness", s[:, None] * k[1:-1, 1:-1] * s), ("axis", axis),
+                            # Fortran order: dsyevr takes a copy of the
+                            # Hamiltonian without transposing it
+                            ("stiffness", np.asfortranarray(s[:, None] * k[1:-1, 1:-1] * s)),
+                            ("axis", axis),
                             ("band", band), ("outside", outside)):
             if value is not None:
                 value.setflags(write=False)
@@ -220,14 +229,16 @@ def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
     The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
     on the substrate for a layer thinner than 2 nm; 40 nm leaves negligible
     tail density for all bound configurations.  Breakpoints: the wall, the
-    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max; spectral_mesh
-    builds it once per (wall, cutoff_zc, z_max).
+    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max, every element
+    of PERPENDICULAR_DEGREE; spectral_mesh builds it once per (wall,
+    cutoff_zc, z_max).
     """
     z_c = constants.cutoff_zc
     if not z_c < z_max:
         raise ValueError("z_max must exceed the cutoff distance")
     outer = [z_c + (z_max - z_c) * c / sum(OUTER_ELEMENTS) for c in _OUTER_CUMSUM[:-1]]
-    return spectral_mesh((max(-stack.thickness_L, -2.0), 0.0, z_c, *outer, z_max))
+    return spectral_mesh((max(-stack.thickness_L, -2.0), 0.0, z_c, *outer, z_max),
+                         degree=PERPENDICULAR_DEGREE)
 
 
 def build_hamiltonian(potential, grid: SpectralMesh, *,
@@ -248,7 +259,7 @@ def build_hamiltonian(potential, grid: SpectralMesh, *,
         bad = grid.points[1:-1][~np.isfinite(mv)][0]
         raise ValueError(f"non-finite potential sample at z = {bad} nm")
     h = constants.hbar2_over_2me * grid.stiffness
-    h[np.diag_indices_from(h)] += mv / grid.mass[1:-1]
+    h.flat[::h.shape[0] + 1] += mv / grid.mass[1:-1]
     return h
 
 
@@ -285,12 +296,14 @@ def is_confined(z: np.ndarray, psi: np.ndarray) -> bool:
     return tail_density(z, psi) < TAIL_DENSITY_THRESHOLD
 
 
-def _count_nodes(psi: np.ndarray) -> int:
-    # ignore amplitudes at rounding level relative to the state's peak
-    scale = np.max(np.abs(psi))
-    s = np.sign(np.where(np.abs(psi) > 1e-10 * scale, psi, 0.0))
-    s = s[s != 0.0]
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def _count_nodes(psi: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of psi, ignoring amplitudes at rounding level of its peak."""
+    a = np.abs(psi)
+    keep = a > 1e-10 * a.max(axis=1, keepdims=True)
+    row = np.nonzero(keep)[0]
+    s = psi[keep] > 0.0
+    change = (s[1:] != s[:-1]) & (row[1:] == row[:-1])
+    return np.bincount(row[1:][change], minlength=psi.shape[0])
 
 
 def _refine_ground_state(hamiltonian: np.ndarray, grid: SpectralMesh,
@@ -359,10 +372,10 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                                          liwork=int(liwork))
         _check_info("dsyevr", info)
         w, y = w[:m], y[:, :m]
-    y[:, y[np.argmax(np.abs(y), axis=0), np.arange(n_states)] < 0.0] *= -1.0
+    y = y * np.sign(y[np.argmax(np.abs(y), axis=0), np.arange(n_states)])
     psi = np.zeros((n_states, grid.n_points))
     psi[:, 1:-1] = y.T / sqrt_mass
-    converged = [_count_nodes(psi[i, 1:-1]) == i for i in range(n_states)]
+    converged = (_count_nodes(psi[:, 1:-1]) == np.arange(n_states)).tolist()
     return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
                               converged=converged)
 

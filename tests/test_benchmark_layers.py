@@ -135,17 +135,18 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     # radial_spectrum's solves, too, run inside solve_lowest
     assert all("solve_lowest" in inside for *_, inside in calls)
-    # every perpendicular solve runs on the 111 unknowns of the mesh, and the
-    # pillar spectra add dense solves on the 127 of the radial meshes; only
-    # the curves' ground states take the banded path
+    # every perpendicular solve runs on the 90 unknowns of the mesh, and the
+    # pillar spectra add solves on the 127 of the radial meshes; the curves'
+    # ground states and the radial states chained to a spectrum on the same
+    # mesh take the banded path
     names = {name for name, *_ in calls}
-    assert ("dsyevr", 111) in {(name, n) for name, n, _ in calls}
-    assert all(n == 111 for name, n, _ in calls if name in BANDED)
+    assert ("dsyevr", 90) in {(name, n) for name, n, _ in calls}
     if command == "ground-sweep":
         assert names == {"dsyevr"}
     else:
         assert names == {"dsyevr"} | BANDED
         assert ("dsyevr", 127) in {(name, n) for name, n, _ in calls}
+        assert {n for name, n, _ in calls if name in BANDED} == {90, 127}
 
 
 @pytest.mark.parametrize("command, workload, n_curves, n_solves",
@@ -193,6 +194,28 @@ def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, worklo
             names = [name for name, _ in solve]
             assert "dsyevr" not in names and "dgbsv" in names
             assert [c for c in solve if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
+
+
+@pytest.mark.parametrize("command, workload, n_dense, n_spectra",
+                         [("lateral", "lateral_scan", 10, 15),
+                          ("field-sweep", "field_sweep", 2, 4)])
+def test_radial_spectra_chain_on_their_mesh(monkeypatch, tmp_path, command, workload,
+                                            n_dense, n_spectra):
+    # the first spectrum on each radial mesh (one per R) solves its two alphas
+    # dense; every later one refines each alpha from the spectrum before it
+    radial = []
+
+    def record(name, args, result):
+        # dsyevr's matrix and dpbtrf's band have the 127 columns of the radial meshes
+        if name != "dgbsv" and args[0].shape[-1] == 127:
+            radial.append((name, result[-1]))
+
+    _spy_eigen_lapack(monkeypatch, record)
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert radial.count(("dsyevr", 0)) == n_dense
+    assert radial.count(("dpbtrf", 0)) == 2 * n_spectra - n_dense
+    assert len(radial) == 2 * n_spectra
 
 
 @pytest.mark.parametrize("command, workload, n_tables", [("ground-sweep", "ground_sweep", 1),

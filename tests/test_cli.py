@@ -530,6 +530,73 @@ class TestCliEndToEnd:
         scratch.rmdir()
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.fixture(scope="class")
+    def field_sweep_table(self, tmp_path_factory):
+        """A field-sweep table of three bound fields, with every fit metadata key."""
+        tmp_path = tmp_path_factory.mktemp("field_sweep")
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
+                           "E_ex = -1e5 V/m, 0 V/m, 1e5 V/m\nn_knots = 20\n")
+        out = tmp_path / "fs.csv"
+        assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
+        return cfg, out.read_text()
+
+    @pytest.mark.parametrize("key, value, code", [
+        (None, None, 0),
+        ("harmonic_fit_max_residual_ueV", "9.9e+99", 3),
+        ("asymmetry_ratio", "1.5", 3),
+        ("curve_nodes", "33", 3),
+        ("config_sha256", "0" * 16, 2),
+    ], ids=["untampered", "fit_residual", "asymmetry", "curve_nodes", "zeroed_hash"])
+    def test_verify_checks_metadata(self, tmp_path, capsys, field_sweep_table, key, value,
+                                    code):
+        cfg, text = field_sweep_table
+        stored = ResultTable.from_csv(text)
+        if key is not None:
+            assert key in stored.metadata
+            stored.metadata[key] = value
+        path = tmp_path / "stored.csv"
+        stored.write(path)
+        assert main(["verify", str(path), "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
+            == code
+        if key is not None:
+            assert key in capsys.readouterr().err
+
+    def test_verify_compares_metadata_numbers_within_rtol(self, tmp_path, field_sweep_table):
+        cfg, text = field_sweep_table
+        stored = ResultTable.from_csv(text)
+        key = "harmonic_fit_hbar_omega0_ueV"
+        stored.metadata[key] = f"{float(stored.metadata[key]) * (1.0 + 1e-7):.9e}"
+        path = tmp_path / "stored.csv"
+        stored.write(path)
+        argv = ["verify", str(path), "--config", cfg, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 3
+        assert main(argv + ["--rtol", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("command, suffix, fields", [
+        ("lateral", "_spectrum", "0 V/m"),
+        ("field-sweep", "", "-1e6 V/m, 0 V/m, 1e6 V/m"),
+    ])
+    def test_curve_validation_error_in_metadata(self, tmp_path, monkeypatch, command, suffix,
+                                                fields):
+        curves = []
+        build = neontrap.lateral.build_energy_curve
+
+        def keep(*args, **kwargs):
+            curves.append(build(*args, **kwargs))
+            return curves[-1]
+
+        monkeypatch.setattr(neontrap.lateral, "build_energy_curve", keep)
+        monkeypatch.setattr(neontrap.cli, "build_energy_curve", keep)
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
+                           f"n_knots = 20\nE_ex = {fields}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        metadata = ResultTable.from_csv((tmp_path / f"out{suffix}.csv").read_text()).metadata
+        # field-sweep reports the worst of its curves, one per field
+        assert len(curves) == fields.count("V/m")
+        worst = max(c.validation_error for c in curves)
+        assert metadata["curve_validation_error_meV"] == f"{worst:.6e}"
+        assert metadata["curve_nodes"] == str(max(c.l_knots.size for c in curves))
+
     @pytest.mark.parametrize("command, config, n_tables", [
         ("ground-sweep", "ground_sweep.ini", 1),
         ("lateral", "lateral_scan.ini", 16),

@@ -116,6 +116,20 @@ class TestSolverContracts:
         sol = _solve(_oscillator, OSCILLATOR_MESH, 5)
         assert all(sol.converged)
 
+    def test_node_count_of_every_row_at_once(self):
+        def one_row(psi):  # sign changes, ignoring amplitudes 1e-10 below the peak
+            s = np.sign(np.where(np.abs(psi) > 1e-10 * np.max(np.abs(psi)), psi, 0.0))
+            s = s[s != 0.0]
+            return int(np.count_nonzero(s[1:] != s[:-1]))
+
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((6, 40)) * 10.0 ** rng.integers(-14, 1, (6, 40))
+        rows[4] = 0.0
+        rows[5, ::2] = 0.0
+        states = _solve(_oscillator, OSCILLATOR_MESH, 10).wavefunctions
+        for psi in (rows, states):
+            assert perpendicular._count_nodes(psi).tolist() == [one_row(p) for p in psi]
+
     def test_energies_strictly_ascending(self):
         sol = _solve(_hydrogen, HYDROGEN_MESH, 4)
         assert np.all(np.diff(sol.energies) > 0.0)
@@ -331,6 +345,12 @@ class TestHellmannFeynman:
             hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(-4.9e6), 2e5)
 
 
+# the bulk stack takes no external field
+DEGREE_CASES = [(substrate, L, e_ex) for substrate in (SC, Dielectric(12.0))
+                for L in (1.0, 1.5, 2.0, 10.0, 200.0, math.inf) for e_ex in (-1e6, 0.0, 1e6)
+                if math.isfinite(L) or e_ex == 0.0]
+
+
 class TestSolverMesh:
     def test_breakpoints_on_surface_and_cutoff(self):
         g = solver_mesh(DielectricStack(SC, 10.0))
@@ -342,16 +362,31 @@ class TestSolverMesh:
         assert g.points[-1] == 40.0
         assert g.points[0] == -2.0
 
-    def test_seven_elements_of_degree_16(self):
+    def test_seven_elements_of_degree_13(self):
         g = solver_mesh(DielectricStack(SC, 10.0))
-        assert g.nodes.shape == (7, 17) and g.n_points == 113
+        assert g.degree == perpendicular.PERPENDICULAR_DEGREE == 13
+        assert g.nodes.shape == (7, 14) and g.n_points == 92
         assert np.all(np.diff(g.points) > 0.0)
 
     def test_built_once_per_wall_cutoff_and_height(self):
         assert solver_mesh(DielectricStack(SC, 10.0)) is solver_mesh(DielectricStack(SC, 30.0))
         assert solver_mesh(DielectricStack(SC, 1.0)) != solver_mesh(DielectricStack(SC, 10.0))
         assert hash(solver_mesh(DielectricStack(SC, 1.5))) == hash(SpectralMesh(
-            solver_mesh(DielectricStack(SC, 1.5)).breakpoints))
+            solver_mesh(DielectricStack(SC, 1.5)).breakpoints, 13))
+
+    @pytest.mark.parametrize("substrate, L, e_ex", DEGREE_CASES,
+                             ids=[_case_id((*case, 2)) for case in DEGREE_CASES])
+    def test_degree_converged_against_degree_24(self, substrate, L, e_ex):
+        # measured over 1-200 nm and inf, |E_ex| <= 2e6 V/m, three substrates:
+        # |dE| <= 5.5e-9 meV, |dh_e| <= 1.7e-11 nm, every node check passed
+        stack, field = DielectricStack(substrate, L), FieldSpec(e_ex)
+        sol = solve_perpendicular(stack, field, n_states=2)
+        fine = spectral_mesh(sol.grid.breakpoints, degree=24)
+        v = cached_perpendicular_potential(stack, field, fine)
+        ref = solve_lowest(build_hamiltonian(v, fine), fine, 2)
+        assert sol.converged == [True, True]
+        np.testing.assert_allclose(sol.energies, ref.energies, rtol=0.0, atol=2e-8)
+        assert mean_height(sol) == pytest.approx(mean_height(ref), rel=0.0, abs=1e-9)
 
 
 BAND_MESHES = {
@@ -397,8 +432,8 @@ class TestBandLayout:
         assert "dsyevr" not in names and "dgbsv" in names
         assert [c for c in calls if c[0] == "dpbtrf"] == [("dpbtrf", 0)]
         assert abs(sol.energies[0] - dense.energies[0]) <= 1e-9
-        # the state is off by about (RQI_TOL / gap)^2, gap 2 hw = 0.054 meV;
-        # measured 2.3e-11
+        # the overlap is off by about (RQI_TOL / gap)^2, gap 2 hw = 0.054 meV;
+        # measured 2.3e-11 at RQI_TOL = 1e-6 meV, rounding level at 1e-9 meV
         assert _overlap(sol, dense) >= 1.0 - 1e-9
 
 
@@ -418,7 +453,7 @@ class TestSolverPotential:
 
         monkeypatch.setattr(perpendicular, "solve_lowest", capture)
         solve_perpendicular(stack, field)
-        assert seen["grid"] is grid and seen["h"].shape == (111, 111)
+        assert seen["grid"] is grid and seen["h"].shape == (90, 90)
         z = grid.points[1:-1]
         expected = total_perpendicular_potential(stack, field, z)
         below, above = grid.weights[0, -1], grid.weights[1, 0]
