@@ -10,8 +10,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from neontrap import (DEFAULT_CONSTANTS, DielectricStack, Superconductor,
-                      perpendicular_potential, reflection_coefficient)
+from neontrap import (DielectricStack, Superconductor, perpendicular_potential,
+                      reflection_coefficient)
+from neontrap.constants import IMAGE_PREFACTOR
 
 SC = Superconductor()
 
@@ -33,7 +34,7 @@ print("thinner layers bind harder: the substrate mirror shines through")
 stack = DielectricStack(SC, 10.0)
 v_series = perpendicular_potential(stack, z)
 v_quad = np.array([
-    DEFAULT_CONSTANTS.image_prefactor
+    IMAGE_PREFACTOR
     * quad(lambda k: reflection_coefficient(stack, k) * math.exp(-2.0 * k * zi),
            0.0, math.inf, epsabs=0.0, epsrel=1e-12)[0]
     for zi in z])

@@ -8,9 +8,8 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
                          external_potential, perpendicular_potential,
                          reflection_coefficient, total_perpendicular_potential)
@@ -31,7 +30,6 @@ from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
                             solver_mesh)
 
 __all__ = [
-    "DEFAULT_CONSTANTS", "PhysicalConstants",
     "Dielectric", "DielectricStack", "FieldSpec", "Superconductor",
     "external_potential", "perpendicular_potential",
     "reflection_coefficient", "total_perpendicular_potential",

@@ -26,26 +26,21 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
                          external_potential, perpendicular_potential)
-from .constants import PhysicalConstants
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
-from .lateral import (CURVE_L_LIMITS, PillarProfile, build_energy_curve, curve_range,
-                      default_rho_max, field_response, fit_harmonic_field_model,
+from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
+                      curve_range, default_rho_max, field_response, fit_harmonic_field_model,
                       harmonic_field_model, lta_potential, pillar_spectrum, thickness_at)
 from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicular_gap,
                             solve_perpendicular)
 from .tables import ResultTable
 
 
-def _constants(cfg: RunConfig) -> PhysicalConstants:
-    return PhysicalConstants(barrier_height=cfg.barrier_height,
-                             cutoff_zc=cfg.cutoff_zc)
-
-
 def _stack(cfg: RunConfig, thickness: float) -> DielectricStack:
     sub = Superconductor() if cfg.substrate_type == "superconductor" \
         else Dielectric(cfg.eps_b)
-    return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon)
+    return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon,
+                           barrier_height=cfg.barrier_height, cutoff_zc=cfg.cutoff_zc)
 
 
 def _fmt_axis(value: float) -> str:
@@ -91,11 +86,10 @@ def cmd_potential_z(cfg: RunConfig):
     if field.e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
         raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
                           f"got {field.e_ex:g} V/m")
-    constants = _constants(cfg)
     for L in cfg.L:
         stack = _stack(cfg, L)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
-        v_perp = perpendicular_potential(stack, z, constants=constants)
+        v_perp = perpendicular_potential(stack, z)
         v_ex = external_potential(field, L, z, eps_neon=cfg.eps_neon)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
@@ -106,15 +100,13 @@ def cmd_potential_z(cfg: RunConfig):
 
 def cmd_ground_sweep(cfg: RunConfig):
     """W^G, h_e and the perpendicular gap over the (L, E_ex) grid."""
-    constants = _constants(cfg)
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
                                  ("h_e", "nm"), ("gap", "meV"), ("bound", "")])
     for L, e_ex in sorted((L, e) for L in cfg.L for e in cfg.E_ex):
         stack = _stack(cfg, L)
         sol = None
         if not (stack.is_bulk and e_ex != 0.0):
-            sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2,
-                                      z_max=cfg.z_max, constants=constants)
+            sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2, z_max=cfg.z_max)
         if sol is not None and sol.is_bound():
             table.add_row(L, e_ex, float(sol.energies[0]), mean_height(sol),
                           perpendicular_gap(sol), True)
@@ -127,10 +119,8 @@ def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     field = _single_field(cfg, "lateral")
     l_range = _curve_range(cfg)
-    constants = _constants(cfg)
-    stack0 = _stack(cfg, cfg.L0)
-    curve = build_energy_curve(stack0, field, l_range, cfg.n_knots,
-                               z_max=cfg.z_max, constants=constants)
+    curve = build_energy_curve(_stack(cfg, cfg.L0), field, l_range, cfg.n_knots,
+                               z_max=cfg.z_max)
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
                  ("U_alpha", "ueV"), ("delta_U", "ueV"), ("rho_e", "nm"),
@@ -152,7 +142,7 @@ def cmd_lateral(cfg: RunConfig):
             yield f"_R{R:g}_dL{dL:g}", prof_table
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=rho_max, constants=constants, warm=warm)
+                                   rho_max=rho_max, warm=warm)
             for alpha in range(cfg.alpha_max + 1):
                 spectrum.add_row(R, dL, alpha, spec.u_alpha_uev(alpha),
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
@@ -165,13 +155,10 @@ def cmd_field_sweep(cfg: RunConfig):
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
     _curve_range(cfg)
-    constants = _constants(cfg)
-    stack0 = _stack(cfg, cfg.L0)
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
-    resp = field_response(stack0, profile, sorted(cfg.E_ex),
+    resp = field_response(_stack(cfg, cfg.L0), profile, sorted(cfg.E_ex),
                           n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
-                          rho_max=cfg.rho_max,
-                          z_max=cfg.z_max, constants=constants)
+                          rho_max=cfg.rho_max, z_max=cfg.z_max)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")])
@@ -237,7 +224,8 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     the first table with the stored table's identity, which goes through one
     CSV round trip so both sides carry the printed precision.  Every row cell
     and every stored metadata value but the provenance is compared: numbers
-    within rtol, text exactly.
+    within rtol, text exactly.  Two curve validation errors at or below
+    NODE_TOL_MEV, where node doubling stops, are rounding noise and match.
     """
     if not 0.0 <= rtol < math.inf:
         raise ConfigError(f"--rtol must be finite and >= 0, got {rtol!r}")
@@ -268,8 +256,11 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
         if vb is None:
             raise NumericalFailure(f"metadata {key}: the regenerated table has no such key")
         fa, fb = _as_float(va), _as_float(vb)
-        cells.append((f"metadata {key}", va, vb) if fa is None or fb is None
-                     else (f"metadata {key}", fa, fb))
+        if fa is None or fb is None:
+            cells.append((f"metadata {key}", va, vb))
+        elif not (key == "curve_validation_error_meV"
+                  and abs(fa) <= NODE_TOL_MEV and abs(fb) <= NODE_TOL_MEV):
+            cells.append((f"metadata {key}", fa, fb))
     worst = 0.0
     for where, va, vb in cells:
         if isinstance(va, float) and isinstance(vb, float):

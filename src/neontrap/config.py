@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
+from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON
 from .tables import emit_quantity, parse_quantity
 
 
@@ -43,9 +44,9 @@ class RunConfig:
     substrate_type: str = _key("substrate", ("superconductor", "dielectric"), "superconductor",
                                key="type")
     eps_b: float = _key("substrate", "float", 12.0)
-    eps_neon: float = _key("constants", "float", 1.244)
-    barrier_height: float = _key("constants", "float", 700.0, "meV")
-    cutoff_zc: float = _key("constants", "float", 0.23, "nm")
+    eps_neon: float = _key("constants", "float", EPS_NEON)
+    barrier_height: float = _key("constants", "float", BARRIER_HEIGHT, "meV")
+    cutoff_zc: float = _key("constants", "float", CUTOFF_ZC, "nm")
     # accepted and echoed for old configs; the perpendicular mesh is fixed
     n_points: int = _key("grid", "int", 8192)
     z_max: float = _key("grid", "float", 40.0, "nm")

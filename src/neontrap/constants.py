@@ -1,12 +1,10 @@
-"""Physical constants and unit conversions.
+"""Physical constants, unit conversions and the neon layer's defaults.
 
 Working units throughout the package: lengths in nm, energies in meV,
 electric fields in V/m (converted internally to meV/(e*nm)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Conversion table. Every unit change in the package goes through one of
 # these factors; no module defines its own.
@@ -24,24 +22,11 @@ M_E_SI = 9.1093837015e-31  # kg
 E_CHARGE_SI = 1.602176634e-19  # C
 EPS0_SI = 8.8541878128e-12  # F/m
 
+# The electron-on-neon model's constants, in meV*nm units
+HBAR2_OVER_2ME = 38.0998  # hbar^2 / (2 m_e), meV*nm^2
+IMAGE_PREFACTOR = 719.982  # e^2 / (8 pi eps0), meV*nm
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable record of the constants entering the electron-on-neon model.
-
-    hbar2_over_2me:  hbar^2 / (2 m_e) in meV*nm^2
-    image_prefactor: e^2 / (8 pi eps0) in meV*nm
-    barrier_height:  repulsive step modeling Pauli exclusion by the neon
-                     shell electrons, in meV
-    cutoff_zc:       distance above the neon surface below which the
-                     barrier applies, in nm
-    """
-
-    hbar2_over_2me: float = 38.0998
-    image_prefactor: float = 719.982
-    barrier_height: float = 0.7 * MEV_PER_EV
-    cutoff_zc: float = 0.23
-    eps_neon_default: float = 1.244
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+# Defaults of the neon layer, which each DielectricStack carries and may vary
+EPS_NEON = 1.244  # relative permittivity of solid neon
+BARRIER_HEIGHT = 0.7 * MEV_PER_EV  # Pauli repulsion by the neon shell electrons, meV
+CUTOFF_ZC = 0.23  # height below which the image potential keeps its value there, nm

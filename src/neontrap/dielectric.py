@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, V_PER_M_TO_MEV_PER_NM
+from .constants import (BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, IMAGE_PREFACTOR,
+                        V_PER_M_TO_MEV_PER_NM)
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,15 @@ class DielectricStack:
     """Vacuum above, neon layer of thickness_L (nm), substrate below.
 
     thickness_L = math.inf denotes bulk neon; thickness_L = 0 is allowed
-    only as the mirror-charge limit check.
+    only as the mirror-charge limit check.  The stack carries the neon surface
+    too: the Pauli barrier_height (meV) for z < 0 and the image cutoff_zc (nm).
     """
 
     substrate: Substrate
     thickness_L: float
-    eps_neon: float = DEFAULT_CONSTANTS.eps_neon_default
+    eps_neon: float = EPS_NEON
+    barrier_height: float = BARRIER_HEIGHT
+    cutoff_zc: float = CUTOFF_ZC
 
     def __post_init__(self):
         if not self.eps_neon > 1.0:
@@ -129,8 +133,7 @@ def _series_terms(lam: float, mu: float) -> int:
     return math.ceil(math.log(1e-17) / math.log(ratio))
 
 
-def perpendicular_potential(stack: DielectricStack, z, *,
-                            constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def perpendicular_potential(stack: DielectricStack, z):
     """Image potential V_perp(L, z) in meV for z > 0 (nm); scalar or array.
 
     Sums the multiple-image series
@@ -153,12 +156,12 @@ def perpendicular_potential(stack: DielectricStack, z, *,
                        np.cumprod(weights, axis=0) / (2.0 * (z_row + n * stack.thickness_L))])
     # cumsum adds the terms in order, leading image first, so every z gets
     # the same sum whatever the shape of z (a pairwise .sum would not)
-    out = constants.image_prefactor * np.cumsum(terms, axis=0)[-1].reshape(z_arr.shape)
+    out = IMAGE_PREFACTOR * np.cumsum(terms, axis=0)[-1].reshape(z_arr.shape)
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def external_potential(field: FieldSpec, L: float, z, *,
-                       eps_neon: float = DEFAULT_CONSTANTS.eps_neon_default):
+                       eps_neon: float = EPS_NEON):
     """Potential of the uniform external field, zero at the grounded substrate (z = -L).
 
     Piecewise linear: slope e E_ex / eps_Ne inside the neon (-L < z < 0) and
@@ -179,21 +182,18 @@ def external_potential(field: FieldSpec, L: float, z, *,
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _field_free_potential(stack: DielectricStack, z: np.ndarray,
-                          constants: PhysicalConstants) -> np.ndarray:
+def _field_free_potential(stack: DielectricStack, z: np.ndarray) -> np.ndarray:
     """Barrier, clamped image and image series on z (meV).
 
     The one branch rule: the Pauli barrier for z < 0, else the image series
     at max(z, cutoff_zc), summed in one call that gives each z the same bits
     at any array shape.  The surface z = 0 thus takes V(z_c).
     """
-    image = perpendicular_potential(stack, np.maximum(z, constants.cutoff_zc),
-                                    constants=constants)
-    return np.where(z < 0.0, constants.barrier_height, image)
+    image = perpendicular_potential(stack, np.maximum(z, stack.cutoff_zc))
+    return np.where(z < 0.0, stack.barrier_height, image)
 
 
-def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *,
-                                  constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z):
     """Potential entering the perpendicular Schroedinger equation, in meV.
 
     _field_free_potential (barrier for z < 0, image series at max(z, cutoff_zc)
@@ -201,35 +201,34 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z, *
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     v_ex = external_potential(field, stack.thickness_L, z_arr, eps_neon=stack.eps_neon)
-    out = _field_free_potential(stack, z_arr, constants) + v_ex
+    out = _field_free_potential(stack, z_arr) + v_ex
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 # A field sweep re-solves the same energy-curve nodes at every field, and a
 # ground sweep each thickness at every field; memoize the field-free part
-# per (stack, constants, grid).
+# per (stack, grid).
 @functools.lru_cache(maxsize=4096)
-def _cached_field_free_potential(stack: DielectricStack, constants: PhysicalConstants,
-                                 grid) -> np.ndarray:
+def _cached_field_free_potential(stack: DielectricStack, grid) -> np.ndarray:
     if grid.breakpoints[1] != 0.0:
         raise ValueError("the perpendicular mesh's first element must end on the "
                          f"surface z = 0, got breakpoints {grid.breakpoints}")
-    static = _field_free_potential(stack, grid.nodes, constants)
-    static[0] = constants.barrier_height  # the neon side of the surface node
+    static = _field_free_potential(stack, grid.nodes)
+    static[0] = stack.barrier_height  # the neon side of the surface node
     static.setflags(write=False)
     return static
 
 
-def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec, grid, *,
-                                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec,
+                                   grid) -> np.ndarray:
     """total_perpendicular_potential at grid.nodes, each element seen from inside (meV).
 
     grid is a perpendicular.SpectralMesh whose first element ends on the surface
-    z = 0 (else ValueError) and whose breakpoints include cutoff_zc.  The rule of
-    _field_free_potential gives every node its value, except that the whole
-    first element, the neon, takes the barrier: the surface node is the barrier
-    there and V(z_c) above.  The field-free part is memoized per (stack,
-    constants, grid), so cached values always match grid.nodes.
+    z = 0 (else ValueError) and whose breakpoints include the stack's cutoff_zc.
+    The rule of _field_free_potential gives every node its value, except that
+    the whole first element, the neon, takes the barrier: the surface node is
+    the barrier there and V(z_c) above.  The field-free part is memoized per
+    (stack, grid), so cached values always match the stack's surface and grid.nodes.
     """
     v_ex = external_potential(field, stack.thickness_L, grid.nodes, eps_neon=stack.eps_neon)
-    return _cached_field_free_potential(stack, constants, grid) + v_ex
+    return _cached_field_free_potential(stack, grid) + v_ex

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, polyutils
 from numpy.polynomial.chebyshev import chebvander
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import HBAR2_OVER_2ME
 from .dielectric import DielectricStack, FieldSpec
 from .perpendicular import (NumericalFailure, WarmStart, build_hamiltonian,
                             ground_state_energy, is_confined, solve_lowest, spectral_mesh)
@@ -127,8 +127,7 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
 
 def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
                        l_range: tuple[float, float], n_knots: int = 60, *,
-                       z_max: float = 40.0,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EnergyCurve:
+                       z_max: float = 40.0) -> EnergyCurve:
     """Interpolate W^G at nested Chebyshev-Lobatto nodes in log L over l_range.
 
     The next level's new nodes are held out; while their worst error exceeds
@@ -148,8 +147,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         # l ascends, so an unbound field fails on its first (thinnest) solve;
         # each solve starts from the ground state of the solve before it
         stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
-        return np.array([ground_state_energy(s, field, z_max=z_max, constants=constants,
-                                             warm=warm)
+        return np.array([ground_state_energy(s, field, z_max=z_max, warm=warm)
                          for s in stacks])
 
     n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
@@ -214,7 +212,6 @@ class LateralSpectrum:
 
 def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
                     n_points: int = 16384,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
                     warm: list[WarmStart] | None = None) -> LateralSpectrum:
     """Lowest eigenvalue per alpha in {0..alpha_max} of the radial equation.
 
@@ -236,7 +233,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
-    c = constants.hbar2_over_2me
+    c = HBAR2_OVER_2ME
     mesh = spectral_mesh(tuple(breakpoints), radial=True)
     rho = mesh.nodes
     v = np.asarray(potential(rho), dtype=float)
@@ -248,7 +245,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
         raise ValueError("warm must hold one WarmStart per alpha")
     states = []
     for alpha in range(alpha_max + 1):
-        h = build_hamiltonian(v + alpha * alpha * centrifugal, mesh, constants=constants)
+        h = build_hamiltonian(v + alpha * alpha * centrifugal, mesh)
         if alpha == 0:  # static condensation of the axis node
             h -= c * np.outer(mesh.axis, mesh.axis)
         states.append(solve_lowest(h, mesh, 1, start=warm[alpha].state if warm else None))
@@ -294,7 +291,6 @@ def pillar_breakpoints(R: float, b: float, rho_max: float) -> tuple:
 
 def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                     alpha_max: int = 1, rho_max: float | None = None,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
                     warm: list[WarmStart] | None = None) -> LateralSpectrum:
     """Radial spectrum of the trap formed by a pillar profile, on pillar_breakpoints.
 
@@ -306,7 +302,7 @@ def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
     pot = lambda r: lta_potential(curve, profile, r)
     return radial_spectrum(pot, alpha_max,
                            breakpoints=pillar_breakpoints(profile.R, profile.b, rho_max),
-                           constants=constants, warm=warm)
+                           warm=warm)
 
 
 @dataclass
@@ -340,8 +336,7 @@ class FieldResponse:
 def field_response(stack_template: DielectricStack, profile: PillarProfile,
                    fields, *, n_knots: int = 60,
                    alpha_max: int = 1, rho_max: float | None = None,
-                   z_max: float = 40.0,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> FieldResponse:
+                   z_max: float = 40.0) -> FieldResponse:
     """Sweep the external field: one energy curve per field value, then solve.
 
     z_max sets the perpendicular meshes of the curve.  Unbound entries are
@@ -354,10 +349,9 @@ def field_response(stack_template: DielectricStack, profile: PillarProfile,
     for e_ex in fields:
         fs = FieldSpec(float(e_ex))
         try:
-            curve = build_energy_curve(stack_template, fs, l_range, n_knots,
-                                       z_max=z_max, constants=constants)
+            curve = build_energy_curve(stack_template, fs, l_range, n_knots, z_max=z_max)
             spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
-                                   rho_max=rho_max, constants=constants, warm=warm)
+                                   rho_max=rho_max, warm=warm)
             rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
                                          spec.rho_e, spec.rho_e_line, spec.bound,
                                          curve.validation_error, curve.l_knots.size))

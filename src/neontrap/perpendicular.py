@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import HBAR2_OVER_2ME
 from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
                          external_potential)
 
@@ -222,18 +222,17 @@ def spectral_mesh(breakpoints: tuple, radial: bool = False,
     return SpectralMesh(breakpoints, degree, radial)
 
 
-def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SpectralMesh:
+def solver_mesh(stack: DielectricStack, z_max: float = 40.0) -> SpectralMesh:
     """Mesh of the perpendicular solve: hard walls at max(-L, -2 nm) and z_max.
 
     The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
     on the substrate for a layer thinner than 2 nm; 40 nm leaves negligible
     tail density for all bound configurations.  Breakpoints: the wall, the
-    surface z = 0, cutoff_zc, then OUTER_ELEMENTS up to z_max, every element
-    of PERPENDICULAR_DEGREE; spectral_mesh builds it once per (wall,
-    cutoff_zc, z_max).
+    surface z = 0, the stack's cutoff_zc, then OUTER_ELEMENTS up to z_max,
+    every element of PERPENDICULAR_DEGREE; spectral_mesh builds it once per
+    (wall, cutoff_zc, z_max).
     """
-    z_c = constants.cutoff_zc
+    z_c = stack.cutoff_zc
     if not z_c < z_max:
         raise ValueError("z_max must exceed the cutoff distance")
     outer = [z_c + (z_max - z_c) * c / sum(OUTER_ELEMENTS) for c in _OUTER_CUMSUM[:-1]]
@@ -241,8 +240,7 @@ def solver_mesh(stack: DielectricStack, z_max: float = 40.0,
                          degree=PERPENDICULAR_DEGREE)
 
 
-def build_hamiltonian(potential, grid: SpectralMesh, *,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def build_hamiltonian(potential, grid: SpectralMesh) -> np.ndarray:
     """Symmetric matrix M^{-1/2} H M^{-1/2} of the weak form on grid's unknowns, meV.
 
     potential holds V in meV at grid.nodes, each element's values taken from
@@ -258,7 +256,7 @@ def build_hamiltonian(potential, grid: SpectralMesh, *,
     if not np.all(np.isfinite(mv)):
         bad = grid.points[1:-1][~np.isfinite(mv)][0]
         raise ValueError(f"non-finite potential sample at z = {bad} nm")
-    h = constants.hbar2_over_2me * grid.stiffness
+    h = HBAR2_OVER_2ME * grid.stiffness
     h.flat[::h.shape[0] + 1] += mv / grid.mass[1:-1]
     return h
 
@@ -393,16 +391,15 @@ class WarmStart:
 
 def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
                         n_states: int = 1, z_max: float = 40.0,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
                         warm: WarmStart | None = None) -> BoundStateSolution:
     """Solve the perpendicular problem for the given stack and external field on solver_mesh.
 
     With a warm holder, the solve starts from warm.state and leaves its
     solution there.
     """
-    grid = solver_mesh(stack, z_max, constants)
-    v = cached_perpendicular_potential(stack, field, grid, constants=constants)
-    sol = solve_lowest(build_hamiltonian(v, grid, constants=constants), grid, n_states,
+    grid = solver_mesh(stack, z_max)
+    v = cached_perpendicular_potential(stack, field, grid)
+    sol = solve_lowest(build_hamiltonian(v, grid), grid, n_states,
                        start=warm.state if warm is not None else None)
     if warm is not None:
         warm.state = sol
@@ -411,14 +408,12 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
 
 def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
                         z_max: float = 40.0,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
                         warm: WarmStart | None = None) -> float:
     """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping.
 
     warm, if given, chains this solve to the previous one (solve_perpendicular).
     """
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants,
-                              warm=warm)
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, warm=warm)
     if not sol.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "
@@ -441,10 +436,9 @@ def perpendicular_gap(solution: BoundStateSolution) -> float:
 
 
 def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: float, *,
-                           z_max: float = 40.0,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+                           z_max: float = 40.0) -> float:
     """Relative residual between dW/dE_ex (central difference) and <psi0| dV/dE |psi0>."""
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, constants=constants)
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max)
     if not sol.is_bound():
         raise UnboundStateError("unbound at the central field point")
     g = sol.grid
@@ -452,9 +446,7 @@ def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: floa
     dv = external_potential(FieldSpec(1.0), stack.thickness_L, g.points,
                             eps_neon=stack.eps_neon)
     expect = float(np.sum(g.mass * dv * sol.wavefunctions[0] ** 2))
-    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max,
-                                 constants=constants)
-    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max,
-                                  constants=constants)
+    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max)
+    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max)
     fd = (w_plus - w_minus) / (2.0 * delta)
     return abs(fd - expect) / abs(expect)

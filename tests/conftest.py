@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from neontrap import DEFAULT_CONSTANTS, reflection_coefficient
+from neontrap import reflection_coefficient
+from neontrap.constants import IMAGE_PREFACTOR
 
 
 def _kspace_image_potential(stack, z):
@@ -18,7 +19,7 @@ def _kspace_image_potential(stack, z):
     z = np.asarray(z, dtype=float)
     integral, _ = quad_vec(lambda k: reflection_coefficient(stack, k) * np.exp(-2.0 * k * z),
                            0.0, math.inf, epsabs=0.0, epsrel=1e-12)
-    return DEFAULT_CONSTANTS.image_prefactor * integral
+    return IMAGE_PREFACTOR * integral
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,10 @@ import functools
 import numpy as np
 import scipy.linalg
 
-from neontrap import DEFAULT_CONSTANTS, perpendicular_potential, total_perpendicular_potential
+from neontrap import perpendicular_potential, total_perpendicular_potential
+from neontrap.constants import HBAR2_OVER_2ME
 
-C = DEFAULT_CONSTANTS.hbar2_over_2me
+C = HBAR2_OVER_2ME
 # Richardson pair of spacings (nm): cutoff_zc = 0.23 nm, 40 nm and any wall
 # depth that is a multiple of 5 pm are whole multiples of both, so nodes sit
 # on the walls, the surface step and the kink
@@ -38,8 +39,8 @@ def stack_hamiltonian(stack, field, n_intervals: int):
     z = np.linspace(z_lo, Z_MAX, n_intervals + 1)[1:-1]
     z[np.abs(z) < 1e-9] = 0.0
     v = total_perpendicular_potential(stack, field, z)
-    v_zc = perpendicular_potential(stack, DEFAULT_CONSTANTS.cutoff_zc)
-    v[z == 0.0] += 0.5 * (DEFAULT_CONSTANTS.barrier_height - v_zc)
+    v_zc = perpendicular_potential(stack, stack.cutoff_zc)
+    v[z == 0.0] += 0.5 * (stack.barrier_height - v_zc)
     return (*uniform_hamiltonian(v, (Z_MAX - z_lo) / n_intervals), z)
 
 

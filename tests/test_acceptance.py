@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from neontrap import (DEFAULT_CONSTANTS, DEFAULT_NEON, Dielectric,
+from neontrap import (DEFAULT_NEON, Dielectric,
                       DielectricStack, FieldSpec, PillarProfile, Superconductor,
                       SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
@@ -24,8 +24,9 @@ from neontrap import (DEFAULT_CONSTANTS, DEFAULT_NEON, Dielectric,
                       pillar_spectrum, radial_spectrum, solve_lowest,
                       solve_perpendicular, thickness_at)
 from neontrap.cli import main as cli_main
+from neontrap.constants import HBAR2_OVER_2ME
 
-C = DEFAULT_CONSTANTS.hbar2_over_2me
+C = HBAR2_OVER_2ME
 SC = Superconductor()
 
 

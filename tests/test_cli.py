@@ -376,6 +376,26 @@ class TestCliEndToEnd:
         assert table.column("bound") == [0.0]
         assert math.isnan(table.rows[0][2])
 
+    def test_ground_sweep_solves_on_the_constants_section(self, tmp_path):
+        # every [constants] key off its default: each row is the solve on the
+        # stack that carries them, as printed
+        cfg = write_config(tmp_path, FAST_GRID + "[constants]\neps_neon = 1.3\n"
+                           "barrier_height = 650 meV\ncutoff_zc = 0.25 nm\n"
+                           "[sweep]\nL = 2 nm, 10 nm\nE_ex = 0 V/m, 1e6 V/m\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["ground-sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        want = []
+        for L, e_ex in ((2.0, 0.0), (2.0, 1e6), (10.0, 0.0), (10.0, 1e6)):
+            stack = DielectricStack(Superconductor(), L, eps_neon=1.3, barrier_height=650.0,
+                                    cutoff_zc=0.25)
+            sol = neontrap.perpendicular.solve_perpendicular(stack, FieldSpec(e_ex), n_states=2)
+            want.append([FLOAT_FMT.format(v) for v in (
+                sol.energies[0], neontrap.perpendicular.mean_height(sol),
+                neontrap.perpendicular.perpendicular_gap(sol))])
+        assert [row[2:5] for row in rows] == want
+
     def test_potential_z_one_file_per_thickness(self, tmp_path):
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\n")
         out = tmp_path / "pot.csv"
@@ -546,19 +566,22 @@ class TestCliEndToEnd:
         ("asymmetry_ratio", "1.5", 3),
         ("curve_nodes", "33", 3),
         ("config_sha256", "0" * 16, 2),
-    ], ids=["untampered", "fit_residual", "asymmetry", "curve_nodes", "zeroed_hash"])
+        ("curve_validation_error_meV", lambda v: f"{2.0 * float(v):.6e}", 0),
+        ("curve_validation_error_meV", "1e-03", 3),
+    ], ids=["untampered", "fit_residual", "asymmetry", "curve_nodes", "zeroed_hash",
+            "noise_curve_error_doubled", "curve_error_above_node_tol"])
     def test_verify_checks_metadata(self, tmp_path, capsys, field_sweep_table, key, value,
                                     code):
         cfg, text = field_sweep_table
         stored = ResultTable.from_csv(text)
         if key is not None:
             assert key in stored.metadata
-            stored.metadata[key] = value
+            stored.metadata[key] = value(stored.metadata[key]) if callable(value) else value
         path = tmp_path / "stored.csv"
         stored.write(path)
         assert main(["verify", str(path), "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
             == code
-        if key is not None:
+        if code:
             assert key in capsys.readouterr().err
 
     def test_verify_compares_metadata_numbers_within_rtol(self, tmp_path, field_sweep_table):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neontrap import (DEFAULT_CONSTANTS, Dielectric, DielectricStack, FieldSpec,
+from neontrap import (Dielectric, DielectricStack, FieldSpec,
                       Superconductor, external_potential, perpendicular_potential, reflection_coefficient,
                       solver_mesh, total_perpendicular_potential)
 import neontrap.dielectric
+from neontrap.constants import IMAGE_PREFACTOR
 from neontrap.dielectric import cached_perpendicular_potential
 from neontrap.perpendicular import SpectralMesh
 
@@ -33,7 +34,7 @@ def image_series_loop(stack, z):
     for n in range(1, n_terms + 1):
         total = total + weight / (2.0 * (z_arr + n * stack.thickness_L))
         weight *= -lam * mu
-    return DEFAULT_CONSTANTS.image_prefactor * total
+    return IMAGE_PREFACTOR * total
 
 
 class TestStackConstruction:
@@ -104,13 +105,13 @@ class TestReflectionCoefficient:
 class TestPerpendicularPotential:
     def test_bulk_closed_form(self):
         stack = DielectricStack(SC, math.inf)
-        expected = DEFAULT_CONSTANTS.image_prefactor * LAM_BULK / 2.0
+        expected = IMAGE_PREFACTOR * LAM_BULK / 2.0
         assert perpendicular_potential(stack, 1.0) == pytest.approx(expected, rel=1e-12)
         assert perpendicular_potential(stack, 1.0) == pytest.approx(-39.14, abs=0.01)
 
     def test_mirror_charge_limit(self):
         stack = DielectricStack(SC, 0.0)
-        expected = -DEFAULT_CONSTANTS.image_prefactor / 2.0
+        expected = -IMAGE_PREFACTOR / 2.0
         assert perpendicular_potential(stack, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_quadrature_agrees_with_image_series(self, kspace_potential):
@@ -131,7 +132,7 @@ class TestPerpendicularPotential:
         # single mirror in the superconductor, V -> -pref/(2z)
         stack = DielectricStack(SC, 10.0)
         z = 100.0 * stack.thickness_L
-        mirror = -DEFAULT_CONSTANTS.image_prefactor / (2.0 * z)
+        mirror = -IMAGE_PREFACTOR / (2.0 * z)
         assert perpendicular_potential(stack, z) == pytest.approx(mirror, rel=0.02)
 
     def test_large_l_approaches_bulk(self):
@@ -236,7 +237,7 @@ class TestTotalPotential:
         # between surface and cutoff the image potential is held at V(z_c);
         # calibrated against the documented ground-state energies
         stack = DielectricStack(SC, 10.0)
-        zc = DEFAULT_CONSTANTS.cutoff_zc
+        zc = stack.cutoff_zc
         got = total_perpendicular_potential(stack, FieldSpec(0.0), zc / 2.0)
         assert got == pytest.approx(perpendicular_potential(stack, zc), rel=1e-12)
 
@@ -244,10 +245,10 @@ class TestTotalPotential:
         # z = 0 takes the clamped image value; the barrier holds only below it
         stack = DielectricStack(SC, 10.0)
         got = total_perpendicular_potential(stack, FieldSpec(0.0), 0.0)
-        v_zc = perpendicular_potential(stack, DEFAULT_CONSTANTS.cutoff_zc)
+        v_zc = perpendicular_potential(stack, stack.cutoff_zc)
         assert got == pytest.approx(v_zc, rel=1e-12)
         below = total_perpendicular_potential(stack, FieldSpec(0.0), -1e-12)
-        assert below == pytest.approx(DEFAULT_CONSTANTS.barrier_height, rel=1e-12)
+        assert below == pytest.approx(stack.barrier_height, rel=1e-12)
 
     @pytest.mark.parametrize("L, e_ex", [(10.0, 1e6), (1.0, -1e6), (math.inf, 0.0)])
     def test_mesh_potential_is_each_element_from_inside(self, L, e_ex):
@@ -260,8 +261,8 @@ class TestTotalPotential:
         assert got.shape == grid.nodes.shape
         z = grid.nodes
         expected = total_perpendicular_potential(stack, field, z.ravel()).reshape(z.shape)
-        expected[0, -1] += DEFAULT_CONSTANTS.barrier_height - perpendicular_potential(
-            stack, DEFAULT_CONSTANTS.cutoff_zc)
+        expected[0, -1] += stack.barrier_height - perpendicular_potential(
+            stack, stack.cutoff_zc)
         assert z[0, -1] == 0.0 == z[1, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -299,10 +300,33 @@ class TestTotalPotential:
         cached_perpendicular_potential(stack, FieldSpec(1e6), grid)
         assert len(calls) == 1
 
+    def test_stack_carries_the_barrier_and_cutoff(self):
+        stack = DielectricStack(SC, 10.0, barrier_height=650.0, cutoff_zc=0.25)
+        grid = solver_mesh(stack)
+        assert grid.breakpoints[2] == 0.25
+        got = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        np.testing.assert_array_equal(got[0], 650.0)  # the neon element
+        assert got[1, 0] == perpendicular_potential(stack, 0.25)
+
+    @pytest.mark.parametrize("surface", [{"barrier_height": 650.0}, {"cutoff_zc": 0.25}])
+    def test_memo_keeps_stacks_with_another_surface_apart(self, surface):
+        # both stacks on one mesh: only the stack's surface fields tell the
+        # memo entries apart
+        base, other = DielectricStack(SC, 10.0), DielectricStack(SC, 10.0, **surface)
+        grid = solver_mesh(base)
+        first = cached_perpendicular_potential(base, FieldSpec(0.0), grid)
+        got = cached_perpendicular_potential(other, FieldSpec(0.0), grid)
+        neontrap.dielectric._cached_field_free_potential.cache_clear()
+        np.testing.assert_array_equal(
+            got, cached_perpendicular_potential(other, FieldSpec(0.0), grid))
+        np.testing.assert_array_equal(
+            first, cached_perpendicular_potential(base, FieldSpec(0.0), grid))
+        assert not np.array_equal(first, got)
+
     def test_inside_neon_is_barrier(self):
         stack = DielectricStack(SC, 10.0)
         got = total_perpendicular_potential(stack, FieldSpec(0.0), -1.0)
-        assert got == pytest.approx(DEFAULT_CONSTANTS.barrier_height, rel=1e-12)
+        assert got == pytest.approx(stack.barrier_height, rel=1e-12)
 
     def test_zero_field_reduces_to_image_potential(self):
         stack = DielectricStack(SC, 10.0)

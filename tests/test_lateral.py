@@ -12,7 +12,7 @@ from scipy.special import jn_zeros
 
 import neontrap.lateral
 import neontrap.perpendicular
-from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
+from neontrap import (CurveValidationError, DielectricStack,
                       EnergyCurve, FieldSpec, ModelInvalidError, PillarProfile,
                       QuadraticProfile,
                       Superconductor, build_energy_curve, field_response,
@@ -20,10 +20,11 @@ from neontrap import (DEFAULT_CONSTANTS, CurveValidationError, DielectricStack,
                       harmonic_field_model, lta_potential, pillar_spectrum,
                       radial_spectrum, thickness_at)
 from fd_oracle import radial_richardson_level
+from neontrap.constants import HBAR2_OVER_2ME
 from neontrap.lateral import NODE_TOL_MEV, default_rho_max, pillar_breakpoints
 from neontrap.perpendicular import EigensolverError, spectral_mesh
 
-C = DEFAULT_CONSTANTS.hbar2_over_2me
+C = HBAR2_OVER_2ME
 SC = Superconductor()
 
 L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0

@@ -11,17 +11,18 @@ import scipy.linalg
 import neontrap.lateral
 import neontrap.perpendicular as perpendicular
 from fd_oracle import fd_levels, richardson_levels
-from neontrap import (DEFAULT_CONSTANTS, BoundStateSolution, DielectricStack, FieldSpec,
+from neontrap import (BoundStateSolution, DielectricStack, FieldSpec,
                       SpectralMesh, Superconductor, UnboundStateError, WarmStart,
                       build_hamiltonian,
                       ground_state_energy, hellmann_feynman_check, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
+from neontrap.constants import CUTOFF_ZC, HBAR2_OVER_2ME
 from neontrap.dielectric import Dielectric, cached_perpendicular_potential
 from neontrap.lateral import pillar_breakpoints
 from neontrap.perpendicular import spectral_mesh
 
-C = DEFAULT_CONSTANTS.hbar2_over_2me
+C = HBAR2_OVER_2ME
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
 # E_n = -A^2 / (4 C n^2), psi_1 ~ z exp(-z/a) with a = 2C/A, <z> = 3a/2.
 A_H = 719.982 * 0.108734
@@ -291,7 +292,7 @@ class TestNeonConfigurations:
     def test_ground_state_between_minimum_and_zero(self):
         stack = DielectricStack(SC, 10.0)
         sol = solve_perpendicular(stack, n_states=1)
-        v_min = perpendicular_potential(stack, DEFAULT_CONSTANTS.cutoff_zc)
+        v_min = perpendicular_potential(stack, stack.cutoff_zc)
         assert v_min < sol.energies[0] < 0.0
 
 
@@ -354,8 +355,8 @@ DEGREE_CASES = [(substrate, L, e_ex) for substrate in (SC, Dielectric(12.0))
 class TestSolverMesh:
     def test_breakpoints_on_surface_and_cutoff(self):
         g = solver_mesh(DielectricStack(SC, 10.0))
-        assert g.breakpoints[1:3] == (0.0, DEFAULT_CONSTANTS.cutoff_zc)
-        assert {0.0, DEFAULT_CONSTANTS.cutoff_zc} <= set(g.points)
+        assert g.breakpoints[1:3] == (0.0, CUTOFF_ZC)
+        assert {0.0, CUTOFF_ZC} <= set(g.points)
 
     def test_bounds_preserved(self):
         g = solver_mesh(DielectricStack(SC, 10.0), 40.0)
@@ -457,8 +458,8 @@ class TestSolverPotential:
         z = grid.points[1:-1]
         expected = total_perpendicular_potential(stack, field, z)
         below, above = grid.weights[0, -1], grid.weights[1, 0]
-        step = DEFAULT_CONSTANTS.barrier_height - perpendicular_potential(
-            stack, DEFAULT_CONSTANTS.cutoff_zc)
+        step = stack.barrier_height - perpendicular_potential(
+            stack, stack.cutoff_zc)
         expected[z == 0.0] += step * below / (below + above)
         kinetic = C * np.diag(grid.stiffness)
         np.testing.assert_allclose(np.diag(seen["h"]) - kinetic, expected, rtol=0.0, atol=1e-8)
