@@ -8,7 +8,7 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
                          external_potential, perpendicular_potential,
@@ -24,8 +24,7 @@ from .lateral import (CurveValidationError, EnergyCurve, FieldResponse,
                       thickness_at)
 from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
                             UnboundStateError, WarmStart,
-                            build_hamiltonian, ground_state_energy,
-                            hellmann_feynman_check, mean_height,
+                            build_hamiltonian, ground_state_energy, mean_height,
                             perpendicular_gap, solve_lowest, solve_perpendicular,
                             solver_mesh)
 
@@ -43,7 +42,7 @@ __all__ = [
     "pillar_spectrum", "radial_spectrum", "thickness_at",
     "BoundStateSolution", "SpectralMesh", "UnboundStateError", "WarmStart",
     "build_hamiltonian",
-    "ground_state_energy", "hellmann_feynman_check",
+    "ground_state_energy",
     "mean_height", "perpendicular_gap", "solve_lowest", "solve_perpendicular",
     "solver_mesh",
     "__version__",

@@ -90,7 +90,7 @@ def cmd_potential_z(cfg: RunConfig):
         stack = _stack(cfg, L)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
         v_perp = perpendicular_potential(stack, z)
-        v_ex = external_potential(field, L, z, eps_neon=cfg.eps_neon)
+        v_ex = external_potential(stack, field, z)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata={"L_nm": _fmt_axis(L)})

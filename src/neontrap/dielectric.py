@@ -47,7 +47,8 @@ class DielectricStack:
 
     thickness_L = math.inf denotes bulk neon; thickness_L = 0 is allowed
     only as the mirror-charge limit check.  The stack carries the neon surface
-    too: the Pauli barrier_height (meV) for z < 0 and the image cutoff_zc (nm).
+    too: the Pauli barrier_height (meV) for z < 0 and the image cutoff_zc (nm),
+    both positive and finite.
     """
 
     substrate: Substrate
@@ -57,10 +58,13 @@ class DielectricStack:
     cutoff_zc: float = CUTOFF_ZC
 
     def __post_init__(self):
-        if not self.eps_neon > 1.0:
-            raise ValueError(f"eps_neon must exceed 1, got {self.eps_neon}")
+        if not 1.0 < self.eps_neon < math.inf:
+            raise ValueError(f"eps_neon must exceed 1 and be finite, got {self.eps_neon}")
         if not (self.thickness_L >= 0.0):
             raise ValueError(f"thickness_L must be >= 0 or inf, got {self.thickness_L}")
+        for name in ("barrier_height", "cutoff_zc"):  # a surface that repels, above z = 0
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def is_bulk(self) -> bool:
@@ -160,25 +164,23 @@ def perpendicular_potential(stack: DielectricStack, z):
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def external_potential(field: FieldSpec, L: float, z, *,
-                       eps_neon: float = EPS_NEON):
+def external_potential(stack: DielectricStack, field: FieldSpec, z):
     """Potential of the uniform external field, zero at the grounded substrate (z = -L).
 
     Piecewise linear: slope e E_ex / eps_Ne inside the neon (-L < z < 0) and
-    e E_ex above (z > 0); continuous at the surface.  Returns meV.  Bulk neon
-    (L = inf) has no grounded substrate to fix the gauge, so it takes only
+    e E_ex above (z > 0); continuous at the surface.  Returns meV.  A bulk
+    stack has no grounded substrate to fix the gauge, so it takes only
     E_ex = 0 and gives zero.
     """
-    if not L >= 0.0:
-        raise ValueError(f"L must be >= 0 or inf, got {L}")
-    if math.isinf(L) and field.e_ex != 0.0:
+    L = stack.thickness_L
+    if stack.is_bulk and field.e_ex != 0.0:
         raise ValueError("bulk stack (L = inf) supports only zero external field")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < -L):
         raise ValueError("z < -L lies inside the substrate")
-    s = field.slope_mev_per_nm
-    out = np.zeros_like(z_arr) if math.isinf(L) else np.where(
-        z_arr < 0.0, s * (z_arr + L) / eps_neon, s * (L / eps_neon + z_arr))
+    s, eps = field.slope_mev_per_nm, stack.eps_neon
+    out = np.zeros_like(z_arr) if stack.is_bulk else np.where(
+        z_arr < 0.0, s * (z_arr + L) / eps, s * (L / eps + z_arr))
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -200,7 +202,7 @@ def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z):
     for z >= 0) plus external_potential, which rejects bulk at nonzero field.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    v_ex = external_potential(field, stack.thickness_L, z_arr, eps_neon=stack.eps_neon)
+    v_ex = external_potential(stack, field, z_arr)
     out = _field_free_potential(stack, z_arr) + v_ex
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
@@ -230,5 +232,5 @@ def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec,
     the barrier there and V(z_c) above.  The field-free part is memoized per
     (stack, grid), so cached values always match the stack's surface and grid.nodes.
     """
-    v_ex = external_potential(field, stack.thickness_L, grid.nodes, eps_neon=stack.eps_neon)
+    v_ex = external_potential(stack, field, grid.nodes)
     return _cached_field_free_potential(stack, grid) + v_ex

@@ -20,7 +20,7 @@ from numpy.polynomial.chebyshev import chebvander
 from .constants import HBAR2_OVER_2ME
 from .dielectric import DielectricStack, FieldSpec
 from .perpendicular import (NumericalFailure, WarmStart, build_hamiltonian,
-                            ground_state_energy, is_confined, solve_lowest, spectral_mesh)
+                            ground_state_energy, solve_lowest, spectral_mesh)
 
 
 class CurveValidationError(NumericalFailure):
@@ -260,8 +260,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
 
     # bound if the ground state sits below the far-field potential rim and
     # its density rho R_0^2 does not lean on the outer wall
-    bound = (u_alpha[0] < float(v[-1, -1])) and is_confined(
-        mesh.points, np.sqrt(mesh.points) * states[0].wavefunctions[0])
+    bound = u_alpha[0] < float(v[-1, -1]) and states[0].is_bound()
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
                            bound=bound)
 

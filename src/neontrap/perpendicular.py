@@ -32,8 +32,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .constants import HBAR2_OVER_2ME
-from .dielectric import (DielectricStack, FieldSpec, cached_perpendicular_potential,
-                         external_potential)
+from .dielectric import DielectricStack, FieldSpec, cached_perpendicular_potential
 
 
 class NumericalFailure(RuntimeError):
@@ -276,22 +275,20 @@ class BoundStateSolution:
     converged: list = dc_field(default_factory=list)
 
     def tail_density(self) -> float:
-        """Peak ground-state probability density near the outer wall (1/nm)."""
-        return tail_density(self.grid.points, self.wavefunctions[0])
+        """Peak ground-state density within TAIL_FRACTION of the span from the outer wall.
+
+        The density is psi^2 (1/nm), or rho psi^2 on a radial mesh (measure rho drho).
+        """
+        z, psi = self.grid.points, self.wavefunctions[0]
+        near = z >= z[-1] - TAIL_FRACTION * (z[-1] - z[0])
+        density = psi[near] ** 2
+        if self.grid.radial:
+            density = z[near] * density
+        return float(np.max(density))
 
     def is_bound(self) -> bool:
-        return is_confined(self.grid.points, self.wavefunctions[0])
-
-
-def tail_density(z: np.ndarray, psi: np.ndarray) -> float:
-    """Peak of psi^2 over the nodes z within TAIL_FRACTION * (z[-1] - z[0]) of the last node."""
-    near = z >= z[-1] - TAIL_FRACTION * (z[-1] - z[0])
-    return float(np.max(psi[near] ** 2))
-
-
-def is_confined(z: np.ndarray, psi: np.ndarray) -> bool:
-    """False if the state psi on the nodes z (psi^2 a density in 1/nm) leaks to the outer wall."""
-    return tail_density(z, psi) < TAIL_DENSITY_THRESHOLD
+        """True unless the ground state leaks to the outer wall (tail_density)."""
+        return self.tail_density() < TAIL_DENSITY_THRESHOLD
 
 
 def _count_nodes(psi: np.ndarray) -> np.ndarray:
@@ -433,20 +430,3 @@ def perpendicular_gap(solution: BoundStateSolution) -> float:
     if solution.energies.size < 2:
         raise ValueError("perpendicular_gap needs at least two solved states")
     return float(solution.energies[1] - solution.energies[0])
-
-
-def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: float, *,
-                           z_max: float = 40.0) -> float:
-    """Relative residual between dW/dE_ex (central difference) and <psi0| dV/dE |psi0>."""
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max)
-    if not sol.is_bound():
-        raise UnboundStateError("unbound at the central field point")
-    g = sol.grid
-    # dV_ex/dE_ex in meV per (V/m), by GLL quadrature
-    dv = external_potential(FieldSpec(1.0), stack.thickness_L, g.points,
-                            eps_neon=stack.eps_neon)
-    expect = float(np.sum(g.mass * dv * sol.wavefunctions[0] ** 2))
-    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max)
-    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max)
-    fd = (w_plus - w_minus) / (2.0 * delta)
-    return abs(fd - expect) / abs(expect)

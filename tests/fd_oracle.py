@@ -1,6 +1,7 @@
 """Independent oracles for the perpendicular and radial solvers: second-order
 finite differences (perpendicular) and cylindrical finite volumes (radial) on
-uniform grids, solved by LAPACK bisection.
+uniform grids, solved by LAPACK bisection, and a central difference of W^G in
+the field against its Hellmann-Feynman expectation.
 
 They share only the potential's pieces with production, not the
 discretization: each spectral-element solve must agree with the Richardson
@@ -12,7 +13,9 @@ import functools
 import numpy as np
 import scipy.linalg
 
-from neontrap import perpendicular_potential, total_perpendicular_potential
+from neontrap import (DielectricStack, FieldSpec, UnboundStateError, external_potential,
+                      ground_state_energy, perpendicular_potential,
+                      solve_perpendicular, total_perpendicular_potential)
 from neontrap.constants import HBAR2_OVER_2ME
 
 C = HBAR2_OVER_2ME
@@ -88,3 +91,19 @@ def radial_richardson_level(potential, rho_max: float, alpha: int) -> float:
     coarse, fine = (radial_fv_level(potential, rho_max, n, alpha) for n in RADIAL_CELLS)
     r2 = (RADIAL_CELLS[1] / RADIAL_CELLS[0]) ** 2
     return fine + (fine - coarse) / (r2 - 1.0)
+
+
+def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: float, *,
+                           z_max: float = 40.0) -> float:
+    """Relative residual between dW/dE_ex (central difference) and <psi0| dV/dE |psi0>."""
+    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max)
+    if not sol.is_bound():
+        raise UnboundStateError("unbound at the central field point")
+    g = sol.grid
+    # dV_ex/dE_ex in meV per (V/m), by GLL quadrature
+    dv = external_potential(stack, FieldSpec(1.0), g.points)
+    expect = float(np.sum(g.mass * dv * sol.wavefunctions[0] ** 2))
+    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max)
+    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max)
+    fd = (w_plus - w_minus) / (2.0 * delta)
+    return abs(fd - expect) / abs(expect)

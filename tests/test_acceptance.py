@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from fd_oracle import hellmann_feynman_check
 from neontrap import (DEFAULT_NEON, Dielectric,
                       DielectricStack, FieldSpec, PillarProfile, Superconductor,
                       SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
                       gibbs_thomson_shift, gravity_potential_difference,
-                      ground_state_energy, hellmann_feynman_check,
+                      ground_state_energy,
                       lta_potential, mean_height,
                       perpendicular_gap, perpendicular_potential,
                       pillar_spectrum, radial_spectrum, solve_lowest,

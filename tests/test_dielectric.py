@@ -42,6 +42,11 @@ class TestStackConstruction:
         with pytest.raises(ValueError):
             DielectricStack(SC, 10.0, eps_neon=0.9)
 
+    def test_eps_neon_must_be_finite(self):
+        # an infinite permittivity made the image series' term count NaN
+        with pytest.raises(ValueError, match="eps_neon"):
+            DielectricStack(SC, 10.0, eps_neon=math.inf)
+
     def test_substrate_permittivity_must_be_physical(self):
         with pytest.raises(ValueError):
             Dielectric(0.5)
@@ -49,6 +54,15 @@ class TestStackConstruction:
     def test_negative_thickness_rejected(self):
         with pytest.raises(ValueError):
             DielectricStack(SC, -1.0)
+
+    @pytest.mark.parametrize("name", ["barrier_height", "cutoff_zc"])
+    @pytest.mark.parametrize("value", [-5.0, -0.1, 0.0, math.nan, math.inf])
+    def test_surface_must_be_positive_and_finite(self, name, value):
+        # a barrier at or below zero lets the electron settle inside the neon
+        # (W_G = -67.38 meV at -5 meV, with h_e = 0.66 nm), and a cutoff at or
+        # below zero or NaN failed only later, in the mesh builder
+        with pytest.raises(ValueError, match=name):
+            DielectricStack(SC, 10.0, **{name: value})
 
 
 class TestReflectionCoefficient:
@@ -188,48 +202,53 @@ class TestPerpendicularPotential:
 
 class TestExternalPotential:
     def test_grounded_at_substrate(self):
-        assert external_potential(FieldSpec(3e6), 10.0, -10.0) == 0.0
+        assert external_potential(DielectricStack(SC, 10.0), FieldSpec(3e6), -10.0) == 0.0
 
     def test_surface_value(self):
         # e * 1e6 V/m over 10 nm of neon
-        got = external_potential(FieldSpec(1e6), 10.0, 0.0)
+        got = external_potential(DielectricStack(SC, 10.0), FieldSpec(1e6), 0.0)
         assert got == pytest.approx(10.0 / 1.244, rel=1e-12)
         assert got == pytest.approx(8.039, abs=1e-3)
 
+    def test_permittivity_comes_from_the_stack(self):
+        stack = DielectricStack(SC, 10.0, eps_neon=1.3)
+        got = external_potential(stack, FieldSpec(1e6), 0.0)
+        assert got == pytest.approx(10.0 / 1.3, rel=1e-12)
+
     def test_continuous_at_surface(self):
-        below = external_potential(FieldSpec(2e6), 10.0, -1e-12)
-        above = external_potential(FieldSpec(2e6), 10.0, +1e-12)
+        below = external_potential(DielectricStack(SC, 10.0), FieldSpec(2e6), -1e-12)
+        above = external_potential(DielectricStack(SC, 10.0), FieldSpec(2e6), +1e-12)
         assert below == pytest.approx(above, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(e=st.floats(-5e6, 5e6, allow_subnormal=False), z=st.floats(-5.0, 30.0))
     def test_linear_in_field(self, e, z):
-        v1 = external_potential(FieldSpec(e), 5.0, z)
-        v2 = external_potential(FieldSpec(2.0 * e), 5.0, z)
+        v1 = external_potential(DielectricStack(SC, 5.0), FieldSpec(e), z)
+        v2 = external_potential(DielectricStack(SC, 5.0), FieldSpec(2.0 * e), z)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12, abs=1e-300)
 
     def test_inside_substrate_rejected(self):
         with pytest.raises(ValueError):
-            external_potential(FieldSpec(1e6), 10.0, -10.5)
+            external_potential(DielectricStack(SC, 10.0), FieldSpec(1e6), -10.5)
 
     def test_bulk_at_zero_field_is_zero(self):
         # bulk neon has no grounded substrate; at zero field there is no field term
-        got = external_potential(FieldSpec(0.0), math.inf, 3.0)
+        got = external_potential(DielectricStack(SC, math.inf), FieldSpec(0.0), 3.0)
         assert isinstance(got, float) and got == 0.0
         z = np.array([-5.0, 0.0, 0.23, 40.0])
-        got = external_potential(FieldSpec(0.0), math.inf, z)
+        got = external_potential(DielectricStack(SC, math.inf), FieldSpec(0.0), z)
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, np.zeros_like(z))
 
     @pytest.mark.parametrize("z", [1.0, np.array([0.5, 5.0])])
     def test_bulk_rejects_nonzero_field(self, z):
         with pytest.raises(ValueError, match="bulk"):
-            external_potential(FieldSpec(1e6), math.inf, z)
+            external_potential(DielectricStack(SC, math.inf), FieldSpec(1e6), z)
 
     @pytest.mark.parametrize("L", [-1.0, math.nan])
     def test_invalid_thickness_rejected(self, L):
         with pytest.raises(ValueError, match="L must be"):
-            external_potential(FieldSpec(0.0), L, 1.0)
+            external_potential(DielectricStack(SC, L), FieldSpec(0.0), 1.0)
 
 
 class TestTotalPotential:
@@ -343,5 +362,5 @@ class TestTotalPotential:
         f = FieldSpec(1e6)
         got = total_perpendicular_potential(stack, f, 5.0)
         expected = perpendicular_potential(stack, 5.0) \
-            + external_potential(f, 10.0, 5.0)
+            + external_potential(stack, f, 5.0)
         assert got == pytest.approx(expected, rel=1e-12)

@@ -1,6 +1,14 @@
 """The package's public names."""
 
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
 import neontrap
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "neontrap"
 
 
 def test_every_exported_name_resolves_once():
@@ -13,3 +21,34 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from neontrap import *", namespace)
     assert set(neontrap.__all__) <= set(namespace)
+
+
+def test_no_function_takes_a_loose_layer_parameter():
+    # the neon layer reaches every function on its DielectricStack
+    loose = {"L", "eps_neon", "barrier_height", "cutoff_zc"}
+    taken = {name: sorted(loose & set(inspect.signature(obj).parameters))
+             for name in neontrap.__all__
+             if inspect.isfunction(obj := getattr(neontrap, name))}
+    assert {name: params for name, params in taken.items() if params} == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports but never reads, from `from __future__` aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_imports_only_names_it_uses(path):
+    assert _unused_imports(path) == []

@@ -10,11 +10,11 @@ import scipy.linalg
 
 import neontrap.lateral
 import neontrap.perpendicular as perpendicular
-from fd_oracle import fd_levels, richardson_levels
+from fd_oracle import fd_levels, hellmann_feynman_check, richardson_levels
 from neontrap import (BoundStateSolution, DielectricStack, FieldSpec,
                       SpectralMesh, Superconductor, UnboundStateError, WarmStart,
                       build_hamiltonian,
-                      ground_state_energy, hellmann_feynman_check, mean_height,
+                      ground_state_energy, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
 from neontrap.constants import CUTOFF_ZC, HBAR2_OVER_2ME
@@ -103,6 +103,18 @@ class TestAnalyticOracles:
 
 
 class TestSolverContracts:
+    def test_radial_tail_density_weighs_rho(self):
+        # psi^2 = 2.5e-7 /nm next to the wall at rho = 100 nm is below the
+        # threshold, but the radial density rho psi^2 = 2.5e-5 /nm is above it
+        psi = np.full((1, spectral_mesh((0.0, 50.0, 100.0)).n_points), 5e-4)
+        psi[0, -1] = 0.0
+        for radial, bound in ((False, True), (True, False)):
+            grid = spectral_mesh((0.0, 50.0, 100.0), radial=radial)
+            sol = BoundStateSolution(np.zeros(1), psi, grid)
+            assert sol.is_bound() is bound
+            want = np.max((grid.points if radial else 1.0) * psi[0] ** 2)
+            assert sol.tail_density() == pytest.approx(want, rel=1e-15)
+
     def test_normalization(self):
         sol = _solve(_hydrogen, HYDROGEN_MESH, 3)
         for psi in sol.wavefunctions:
