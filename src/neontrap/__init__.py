@@ -8,7 +8,7 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
                          external_potential, perpendicular_potential,
@@ -16,12 +16,11 @@ from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
 from .growth import (DEFAULT_NEON, NeonMaterialData, diffusion_length,
                      gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
-from .lateral import (CurveValidationError, EnergyCurve, FieldResponse,
-                      LateralSpectrum, ModelInvalidError, PillarProfile,
-                      QuadraticProfile, build_energy_curve, field_response,
-                      fit_harmonic_field_model, harmonic_field_model,
-                      lta_potential, pillar_spectrum, radial_spectrum,
-                      thickness_at)
+from .lateral import (CurveValidationError, EnergyCurve, LateralSpectrum,
+                      ModelInvalidError, PillarProfile, QuadraticProfile,
+                      build_energy_curve, fit_harmonic_field_model,
+                      harmonic_field_model, lta_potential, near_zero_slopes,
+                      pillar_spectrum, radial_spectrum, thickness_at)
 from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
                             UnboundStateError, WarmStart,
                             build_hamiltonian, ground_state_energy, mean_height,
@@ -36,10 +35,10 @@ __all__ = [
     "gibbs_thomson_coefficient", "gibbs_thomson_shift",
     "gravity_potential_difference",
     "CurveValidationError", "EigensolverError", "ModelInvalidError",
-    "EnergyCurve", "FieldResponse", "LateralSpectrum", "PillarProfile",
-    "QuadraticProfile", "build_energy_curve", "field_response",
+    "EnergyCurve", "LateralSpectrum", "PillarProfile",
+    "QuadraticProfile", "build_energy_curve",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",
-    "pillar_spectrum", "radial_spectrum", "thickness_at",
+    "near_zero_slopes", "pillar_spectrum", "radial_spectrum", "thickness_at",
     "BoundStateSolution", "SpectralMesh", "UnboundStateError", "WarmStart",
     "build_hamiltonian",
     "ground_state_energy",

@@ -29,8 +29,9 @@ from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
 from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
                      gibbs_thomson_shift, gravity_potential_difference)
 from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
-                      curve_range, default_rho_max, field_response, fit_harmonic_field_model,
-                      harmonic_field_model, lta_potential, pillar_spectrum, thickness_at)
+                      curve_range, default_rho_max, fit_harmonic_field_model,
+                      harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
+                      thickness_at)
 from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicular_gap,
                             solve_perpendicular)
 from .tables import ResultTable
@@ -151,33 +152,47 @@ def cmd_lateral(cfg: RunConfig):
 
 
 def cmd_field_sweep(cfg: RunConfig):
-    """Delta U and rho_e versus external field for one pillar geometry."""
+    """Delta U and rho_e versus external field for one pillar geometry.
+
+    One energy curve and pillar spectrum per field, ascending, the radial solves
+    chained across fields by warm.  A field that fails numerically keeps a
+    flagged NaN row and adds no curve; the bound fields feed the slopes and fit.
+    """
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
-    _curve_range(cfg)
+    l_range = _curve_range(cfg)
+    stack = _stack(cfg, cfg.L0)
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
-    resp = field_response(_stack(cfg, cfg.L0), profile, sorted(cfg.E_ex),
-                          n_knots=cfg.n_knots, alpha_max=cfg.alpha_max,
-                          rho_max=cfg.rho_max, z_max=cfg.z_max)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")])
-    for r in resp.rows:
-        table.add_row(r.e_ex, r.delta_u_uev, r.rho_e, r.rho_e_line, r.bound)
-    curves = [r for r in resp.rows if r.curve_nodes]
+    warm = [WarmStart() for _ in range(cfg.alpha_max + 1)]
+    curves, e_fit, du_fit = [], [], []
+    for e_ex in sorted(cfg.E_ex):
+        try:
+            curve = build_energy_curve(stack, FieldSpec(e_ex), l_range, cfg.n_knots,
+                                       z_max=cfg.z_max)
+            spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
+                                   rho_max=cfg.rho_max, warm=warm)
+        except NumericalFailure:
+            table.add_row(e_ex, math.nan, math.nan, math.nan, False)
+            continue
+        table.add_row(e_ex, spec.delta_u_uev, spec.rho_e, spec.rho_e_line, spec.bound)
+        curves.append(curve)
+        if spec.bound:
+            e_fit.append(e_ex)
+            du_fit.append(spec.delta_u_uev)
     if curves:  # the worst curve over the fields
-        table.metadata.update(_curve_metadata(max(r.curve_validation_error for r in curves),
-                                              max(r.curve_nodes for r in curves)))
-    if resp.asymmetry_ratio is not None:
-        table.metadata["slope_neg_ueV_per_V_per_m"] = f"{resp.slope_neg:.6e}"
-        table.metadata["slope_pos_ueV_per_V_per_m"] = f"{resp.slope_pos:.6e}"
-        table.metadata["asymmetry_ratio"] = f"{resp.asymmetry_ratio:.6f}"
-    fit_rows = [(r.e_ex, r.delta_u_uev) for r in resp.rows
-                if r.bound and math.isfinite(r.delta_u_uev)]
-    if len(fit_rows) >= 2:
-        e, du = zip(*fit_rows)
-        w0, b1 = fit_harmonic_field_model(e, du)
-        resid = max(abs(harmonic_field_model(w0, b1, x) - d) for x, d in fit_rows)
+        table.metadata.update(_curve_metadata(max(c.validation_error for c in curves),
+                                              max(c.l_knots.size for c in curves)))
+    slope_neg, slope_pos = near_zero_slopes(e_fit, du_fit)
+    if slope_neg and slope_pos:
+        table.metadata["slope_neg_ueV_per_V_per_m"] = f"{slope_neg:.6e}"
+        table.metadata["slope_pos_ueV_per_V_per_m"] = f"{slope_pos:.6e}"
+        table.metadata["asymmetry_ratio"] = f"{abs(slope_neg) / abs(slope_pos):.6f}"
+    if len(e_fit) >= 2:
+        w0, b1 = fit_harmonic_field_model(e_fit, du_fit)
+        resid = max(abs(harmonic_field_model(w0, b1, e) - du) for e, du in zip(e_fit, du_fit))
         table.metadata["harmonic_fit_hbar_omega0_ueV"] = f"{w0:.6e}"
         table.metadata["harmonic_fit_beta1_ueV2_per_V_per_m"] = f"{b1:.6e}"
         table.metadata["harmonic_fit_max_residual_ueV"] = f"{resid:.6e}"

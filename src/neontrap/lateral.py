@@ -304,80 +304,6 @@ def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                            warm=warm)
 
 
-@dataclass
-class FieldResponseRow:
-    """One field's spectrum; the curve fields are NaN and 0 where no curve was built."""
-
-    e_ex: float
-    delta_u_uev: float
-    rho_e: float
-    rho_e_line: float
-    bound: bool
-    curve_validation_error: float = math.nan  # meV, EnergyCurve.validation_error
-    curve_nodes: int = 0
-
-
-@dataclass
-class FieldResponse:
-    """Delta U and rho_e versus external field, with the asymmetry diagnostic."""
-
-    rows: list
-    slope_neg: float | None = None
-    slope_pos: float | None = None
-
-    @property
-    def asymmetry_ratio(self) -> float | None:
-        if not self.slope_neg or not self.slope_pos:
-            return None
-        return abs(self.slope_neg) / abs(self.slope_pos)
-
-
-def field_response(stack_template: DielectricStack, profile: PillarProfile,
-                   fields, *, n_knots: int = 60,
-                   alpha_max: int = 1, rho_max: float | None = None,
-                   z_max: float = 40.0) -> FieldResponse:
-    """Sweep the external field: one energy curve per field value, then solve.
-
-    z_max sets the perpendicular meshes of the curve.  Unbound entries are
-    flagged in their row, never dropped.  Each field's radial solves start
-    from the previous field's (pillar_spectrum's warm).
-    """
-    l_range = curve_range(profile.L0, profile.delta_L)
-    warm = [WarmStart() for _ in range(alpha_max + 1)]
-    rows = []
-    for e_ex in fields:
-        fs = FieldSpec(float(e_ex))
-        try:
-            curve = build_energy_curve(stack_template, fs, l_range, n_knots, z_max=z_max)
-            spec = pillar_spectrum(curve, profile, alpha_max=alpha_max,
-                                   rho_max=rho_max, warm=warm)
-            rows.append(FieldResponseRow(float(e_ex), spec.delta_u_uev,
-                                         spec.rho_e, spec.rho_e_line, spec.bound,
-                                         curve.validation_error, curve.l_knots.size))
-        except NumericalFailure:
-            rows.append(FieldResponseRow(float(e_ex), math.nan, math.nan,
-                                         math.nan, False))
-    rows.sort(key=lambda r: r.e_ex)
-
-    sn, sp = _near_zero_slopes(rows)
-    return FieldResponse(rows=rows, slope_neg=sn, slope_pos=sp)
-
-
-def _near_zero_slopes(rows) -> tuple[float | None, float | None]:
-    """One-sided dDeltaU/dE slopes at the field points bracketing E = 0."""
-    good = [r for r in rows if r.bound and math.isfinite(r.delta_u_uev)]
-    neg = [r for r in good if r.e_ex < 0.0]
-    pos = [r for r in good if r.e_ex > 0.0]
-    zero = [r for r in good if r.e_ex == 0.0]
-    if not zero or not neg or not pos:
-        return None, None
-    z = zero[0]
-    n = max(neg, key=lambda r: r.e_ex)
-    p = min(pos, key=lambda r: r.e_ex)
-    return ((z.delta_u_uev - n.delta_u_uev) / (z.e_ex - n.e_ex),
-            (p.delta_u_uev - z.delta_u_uev) / (p.e_ex - z.e_ex))
-
-
 def harmonic_field_model(hbar_omega0_uev: float, beta1: float, e_ex: float) -> float:
     """Delta U of the harmonic trap model, sqrt((hbar w0)^2 + beta1 E_ex), in ueV.
 
@@ -407,3 +333,19 @@ def fit_harmonic_field_model(e_ex, delta_u_uev) -> tuple[float, float]:
     if p0 < 0.0:
         raise ModelInvalidError("fit produced a negative zero-field stiffness")
     return math.sqrt(p0), float(p1)
+
+
+def near_zero_slopes(e_ex, delta_u_uev) -> tuple[float | None, float | None]:
+    """One-sided dDelta U/dE_ex slopes (ueV per V/m) between E_ex = 0 and the
+    nearest field on each side of it, from the points fit_harmonic_field_model
+    takes; (None, None) without E_ex = 0 or without a field on either side.
+    """
+    points = list(zip(e_ex, delta_u_uev))
+    zero = [p for p in points if p[0] == 0.0]
+    neg = [p for p in points if p[0] < 0.0]
+    pos = [p for p in points if p[0] > 0.0]
+    if not zero or not neg or not pos:
+        return None, None
+    (ez, dz), (en, dn) = zero[0], max(neg, key=lambda p: p[0])
+    ep, dp = min(pos, key=lambda p: p[0])
+    return (dz - dn) / (ez - en), (dp - dz) / (ep - ez)

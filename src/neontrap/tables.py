@@ -97,9 +97,10 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
     def add_row(self, *values):
+        """Append one row; a numpy scalar cell becomes its Python scalar, as in add_columns."""
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
-        self.rows.append(tuple(values))
+        self.rows.append(tuple(v.item() if isinstance(v, np.generic) else v for v in values))
 
     def add_columns(self, *columns):
         """Append one row per index of equal-length 1-D arrays, one per column.

@@ -14,18 +14,19 @@ import pytest
 from scipy.special import jn_zeros
 
 from fd_oracle import hellmann_feynman_check
-from neontrap import (DEFAULT_NEON, Dielectric,
+from neontrap import (DEFAULT_NEON, Dielectric, WarmStart,
                       DielectricStack, FieldSpec, PillarProfile, Superconductor,
                       SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
                       gibbs_thomson_shift, gravity_potential_difference,
                       ground_state_energy,
-                      lta_potential, mean_height,
+                      lta_potential, mean_height, near_zero_slopes,
                       perpendicular_gap, perpendicular_potential,
                       pillar_spectrum, radial_spectrum, solve_lowest,
-                      solve_perpendicular, thickness_at)
+                      solve_perpendicular)
 from neontrap.cli import main as cli_main
 from neontrap.constants import HBAR2_OVER_2ME
+from neontrap.lateral import curve_range
 
 C = HBAR2_OVER_2ME
 SC = Superconductor()
@@ -174,12 +175,18 @@ def test_criterion_07_lateral_trap_properties(energy_curve_e0):
 
 def test_criterion_08_field_asymmetry():
     with criterion(8, "field asymmetry"):
-        from neontrap import field_response
         profile = PillarProfile(10.0, 0.5, 110.0, 2.0)
-        resp = field_response(DielectricStack(SC, 10.0), profile,
-                              (-1e6, 0.0, 1e6), n_knots=30)
-        assert resp.slope_neg is not None and resp.slope_pos is not None
-        assert abs(resp.slope_neg) > abs(resp.slope_pos)
+        warm = [WarmStart(), WarmStart()]  # one per alpha, chained across fields
+        bound = []  # only bound fields count, so an unbound one leaves a slope None
+        for e_ex in (-1e6, 0.0, 1e6):
+            curve = build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(e_ex),
+                                       curve_range(10.0, 0.5), n_knots=30)
+            spec = pillar_spectrum(curve, profile, warm=warm)
+            if spec.bound:
+                bound.append((e_ex, spec.delta_u_uev))
+        slope_neg, slope_pos = near_zero_slopes([e for e, _ in bound], [du for _, du in bound])
+        assert slope_neg is not None and slope_pos is not None
+        assert abs(slope_neg) > abs(slope_pos)
 
         w0, b1 = 26.4, 3.1e-5
         e = np.linspace(-4e6, 4e6, 9)

@@ -198,6 +198,14 @@ class TestResultTable:
         assert table.to_csv() == csv_cell_by_cell(table)
         assert table.to_json() == json_cell_by_cell(table)
 
+    def test_add_row_takes_numpy_scalars_as_python_ones(self):
+        columns = [("flag", ""), ("n", ""), ("x", "")]
+        plain, numpy_cells = ResultTable(columns=columns), ResultTable(columns=columns)
+        plain.add_row(False, 3, 1.5)
+        numpy_cells.add_row(np.False_, np.int64(3), np.float64(1.5))
+        assert numpy_cells.to_csv() == plain.to_csv()
+        assert numpy_cells.to_json() == plain.to_json()
+
     def test_add_columns_equals_add_row_per_sample(self):
         rho = np.linspace(0.5, 200.0, 400)
         columns = (rho, np.tanh(rho - 50.0), -1e-3 / rho, np.arange(400), rho > 100.0)
@@ -825,14 +833,10 @@ n_knots = 20
         assert spec.column("bound") == [0.0, 0.0]
         assert all(math.isfinite(v) for v in spec.column("delta_U"))
 
+    FIELD_SWEEP = FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\nn_knots = 20\n"
+
     def test_field_sweep_reports_asymmetry_and_fit(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_GRID + """
-[sweep]
-R = 110 nm
-delta_L = 0.5 nm
-n_knots = 20
-E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
-""")
+        cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = -1e6 V/m, 0 V/m, 1e6 V/m\n")
         out = tmp_path / "field.csv"
         assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
         table = ResultTable.from_csv(out.read_text())
@@ -840,6 +844,39 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         ratio = float(table.metadata["asymmetry_ratio"])
         assert ratio > 1.0  # negative fields tune the splitting harder
         assert float(table.metadata["harmonic_fit_hbar_omega0_ueV"]) > 0.0
+
+    def test_field_sweep_keeps_unbound_field_as_flagged_row(self, tmp_path):
+        # -5e6 V/m pulls the electron off the surface at these thicknesses
+        cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = 0 V/m, -5e6 V/m\n")
+        out = tmp_path / "field.csv"
+        assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
+        table = ResultTable.from_csv(out.read_text())
+        assert table.column("E_ex") == [-5e6, 0.0]
+        assert table.column("bound") == [0.0, 1.0]
+        unbound, bound = table.rows
+        assert all(math.isnan(v) for v in unbound[1:4])
+        assert all(math.isfinite(v) for v in bound[1:4])
+
+    def test_field_sweep_curve_over_budget_flags_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(neontrap.lateral.EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
+        cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = 0 V/m\n")
+        out = tmp_path / "field.csv"
+        assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
+        table = ResultTable.from_csv(out.read_text())
+        (row,) = table.rows
+        assert row[4] == 0.0 and all(math.isnan(v) for v in row[1:4])
+        # a field without a curve adds nothing to the curve metadata
+        assert "curve_nodes" not in table.metadata
+        assert "curve_validation_error_meV" not in table.metadata
+
+    def test_field_sweep_programming_fault_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(neontrap.cli, "pillar_spectrum", broken)
+        cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = 0 V/m\n")
+        with pytest.raises(TypeError, match="bug"):
+            main(["field-sweep", "--config", cfg, "--out", str(tmp_path / "field.csv")])
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

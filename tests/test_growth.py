@@ -1,7 +1,6 @@
 """Growth-side scalar estimates: curvature melting shift, diffusion length,
 and the gravitational scale of substrate height steps."""
 
-import math
 
 import pytest
 from hypothesis import given, settings

@@ -15,10 +15,10 @@ import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack,
                       EnergyCurve, FieldSpec, ModelInvalidError, PillarProfile,
                       QuadraticProfile,
-                      Superconductor, build_energy_curve, field_response,
+                      Superconductor, build_energy_curve,
                       fit_harmonic_field_model, ground_state_energy,
-                      harmonic_field_model, lta_potential, pillar_spectrum,
-                      radial_spectrum, thickness_at)
+                      harmonic_field_model, lta_potential, near_zero_slopes,
+                      pillar_spectrum, radial_spectrum, thickness_at)
 from fd_oracle import radial_richardson_level
 from neontrap.constants import HBAR2_OVER_2ME
 from neontrap.lateral import NODE_TOL_MEV, default_rho_max, pillar_breakpoints
@@ -173,16 +173,11 @@ class TestChebyshevCurve:
         direct = [ground_state_energy(DielectricStack(SC, float(L))) for L in ls]
         assert np.max(np.abs(curve(ls) - np.array(direct))) <= 1e-8
 
-    def test_budget_exceeded_raises_and_flags_row(self, monkeypatch):
+    def test_budget_exceeded_raises(self, monkeypatch):
         monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
         with pytest.raises(CurveValidationError, match="held-out error"):
             build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
                                (9.0, 10.5), n_knots=20)
-        resp = field_response(DielectricStack(SC, L0), PillarProfile(L0, DL, R_PILLAR, B),
-                              (0.0,), n_knots=20)
-        (row,) = resp.rows
-        assert not row.bound
-        assert all(math.isnan(v) for v in (row.delta_u_uev, row.rho_e, row.rho_e_line))
 
 
 class TestLtaPotential:
@@ -430,29 +425,6 @@ class TestFieldCoupling:
         assert shift == pytest.approx(expected, rel=0.2)
 
 
-class TestFieldResponse:
-    PROFILE = PillarProfile(L0, DL, R_PILLAR, B)
-
-    def test_unbound_field_keeps_flagged_row(self):
-        # -5e6 V/m pulls the electron off the surface at these thicknesses
-        resp = field_response(DielectricStack(SC, L0), self.PROFILE, (0.0, -5e6),
-                              n_knots=20)
-        assert [r.e_ex for r in resp.rows] == [-5e6, 0.0]
-        unbound, bound = resp.rows
-        assert not unbound.bound
-        assert all(math.isnan(v) for v in
-                   (unbound.delta_u_uev, unbound.rho_e, unbound.rho_e_line))
-        assert bound.bound and math.isfinite(bound.delta_u_uev)
-
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("bug")
-        monkeypatch.setattr(neontrap.lateral, "pillar_spectrum", broken)
-        with pytest.raises(TypeError, match="bug"):
-            field_response(DielectricStack(SC, L0), self.PROFILE, (0.0,),
-                           n_knots=20)
-
-
 class TestHarmonicFieldModel:
     def test_zero_field_returns_stiffness(self):
         assert harmonic_field_model(26.0, 3e-5, 0.0) == pytest.approx(26.0)
@@ -477,3 +449,16 @@ class TestHarmonicFieldModel:
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_harmonic_field_model([0.0], [26.0])
+
+
+class TestNearZeroSlopes:
+    def test_nearest_field_on_each_side(self):
+        # unsorted, with a second field on each side that must not be taken
+        e = (2e6, 0.0, -2e6, 5e5, -1e6)
+        du = (30.0, 26.0, 20.0, 27.0, 24.0)
+        assert near_zero_slopes(e, du) == ((26.0 - 24.0) / 1e6, (27.0 - 26.0) / 5e5)
+
+    @pytest.mark.parametrize("e", [(-1e6, 5e5, 1e6), (0.0, 1e6, 2e6), (-2e6, -1e6, 0.0)],
+                             ids=["no_zero", "no_negative", "no_positive"])
+    def test_none_without_zero_or_a_side(self, e):
+        assert near_zero_slopes(e, (25.0, 26.0, 27.0)) == (None, None)

@@ -48,7 +48,11 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+ROOT = SRC.parent.parent
+LINTED = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                + list((ROOT / "demos").glob("*.py")) + list((ROOT / "tests").glob("*.py")))
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert _unused_imports(path) == []
