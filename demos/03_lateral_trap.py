@@ -5,14 +5,13 @@ lateral potential via the local-thickness approximation, and solves the
 radial problem for the qubit splitting Delta U = U_1 - U_0.
 """
 
-from neontrap import (DielectricStack, FieldSpec, PillarProfile, Superconductor,
+from neontrap import (DielectricStack, PillarProfile, Superconductor,
                       build_energy_curve, lta_potential, pillar_spectrum)
 
 SC = Superconductor()
 L0, B = 10.0, 2.0
 
-curve = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0), (6.5, 10.5),
-                           n_knots=60)
+curve = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=60)
 print(f"energy curve over L in [6.5, 10.5] nm: {curve.l_knots.size} Chebyshev nodes, "
       f"held-out error {curve.validation_error:.2e} meV")
 

@@ -7,7 +7,7 @@ Delta U = sqrt((hbar w0)^2 + b1 E).
 
 import math
 
-from neontrap import (DielectricStack, FieldSpec, PillarProfile, Superconductor, WarmStart,
+from neontrap import (DielectricStack, PillarProfile, Superconductor, WarmStart,
                       build_energy_curve, fit_harmonic_field_model, near_zero_slopes,
                       pillar_spectrum)
 from neontrap.lateral import curve_range
@@ -22,7 +22,7 @@ print(f"{'E_ex [V/m]':>12} {'dU [ueV]':>10} {'rho_e [nm]':>11} bound")
 e_fit, du_fit = [], []
 for e_ex in fields:
     try:
-        curve = build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(e_ex),
+        curve = build_energy_curve(DielectricStack(SC, 10.0, e_ex=e_ex),
                                    curve_range(profile.L0, profile.delta_L), n_knots=30)
         spec = pillar_spectrum(curve, profile, warm=warm)
     except NumericalFailure:  # -2e6 V/m leaves the thinnest layers without a bound state

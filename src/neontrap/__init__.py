@@ -8,13 +8,12 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
-from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
+from .dielectric import (Dielectric, DielectricStack, Superconductor,
                          external_potential, perpendicular_potential,
                          reflection_coefficient, total_perpendicular_potential)
-from .growth import (DEFAULT_NEON, NeonMaterialData, diffusion_length,
-                     gibbs_thomson_coefficient, gibbs_thomson_shift,
+from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
 from .lateral import (CurveValidationError, EnergyCurve, LateralSpectrum,
                       ModelInvalidError, PillarProfile, QuadraticProfile,
@@ -28,11 +27,10 @@ from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
                             solver_mesh)
 
 __all__ = [
-    "Dielectric", "DielectricStack", "FieldSpec", "Superconductor",
+    "Dielectric", "DielectricStack", "Superconductor",
     "external_potential", "perpendicular_potential",
     "reflection_coefficient", "total_perpendicular_potential",
-    "DEFAULT_NEON", "NeonMaterialData", "diffusion_length",
-    "gibbs_thomson_coefficient", "gibbs_thomson_shift",
+    "diffusion_length", "gibbs_thomson_coefficient", "gibbs_thomson_shift",
     "gravity_potential_difference",
     "CurveValidationError", "EigensolverError", "ModelInvalidError",
     "EnergyCurve", "LateralSpectrum", "PillarProfile",

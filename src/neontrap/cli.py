@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
-                         external_potential, perpendicular_potential)
-from .growth import (DEFAULT_NEON, diffusion_length, gibbs_thomson_coefficient,
-                     gibbs_thomson_shift, gravity_potential_difference)
+from .dielectric import (Dielectric, DielectricStack, Superconductor, external_potential,
+                         perpendicular_potential)
+from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
+                     gravity_potential_difference)
 from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
                       curve_range, default_rho_max, fit_harmonic_field_model,
                       harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
@@ -37,11 +37,12 @@ from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicu
 from .tables import ResultTable
 
 
-def _stack(cfg: RunConfig, thickness: float) -> DielectricStack:
+def _stack(cfg: RunConfig, thickness: float, e_ex: float) -> DielectricStack:
     sub = Superconductor() if cfg.substrate_type == "superconductor" \
         else Dielectric(cfg.eps_b)
     return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon,
-                           barrier_height=cfg.barrier_height, cutoff_zc=cfg.cutoff_zc)
+                           barrier_height=cfg.barrier_height, cutoff_zc=cfg.cutoff_zc,
+                           e_ex=e_ex)
 
 
 def _fmt_axis(value: float) -> str:
@@ -59,10 +60,10 @@ def _write_effective_config(cfg: RunConfig):
         fh.write(cfg.effective_text())
 
 
-def _single_field(cfg: RunConfig, command: str) -> FieldSpec:
+def _single_field(cfg: RunConfig, command: str) -> float:
     if len(cfg.E_ex) != 1:
         raise ConfigError(f"{command} needs exactly one E_ex")
-    return FieldSpec(cfg.E_ex[0])
+    return cfg.E_ex[0]
 
 
 def _curve_range(cfg: RunConfig) -> tuple[float, float]:
@@ -83,15 +84,15 @@ def cmd_potential_z(cfg: RunConfig):
     """Perpendicular potential profile V(z); one file per layer thickness.
 
     z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential."""
-    field = _single_field(cfg, "potential-z")
-    if field.e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
+    e_ex = _single_field(cfg, "potential-z")
+    if e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
         raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
-                          f"got {field.e_ex:g} V/m")
+                          f"got {e_ex:g} V/m")
     for L in cfg.L:
-        stack = _stack(cfg, L)
+        stack = _stack(cfg, L, e_ex)
         z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
         v_perp = perpendicular_potential(stack, z)
-        v_ex = external_potential(stack, field, z)
+        v_ex = external_potential(stack, z)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata={"L_nm": _fmt_axis(L)})
@@ -104,10 +105,9 @@ def cmd_ground_sweep(cfg: RunConfig):
     table = ResultTable(columns=[("L", "nm"), ("E_ex", "V/m"), ("W_G", "meV"),
                                  ("h_e", "nm"), ("gap", "meV"), ("bound", "")])
     for L, e_ex in sorted((L, e) for L in cfg.L for e in cfg.E_ex):
-        stack = _stack(cfg, L)
         sol = None
-        if not (stack.is_bulk and e_ex != 0.0):
-            sol = solve_perpendicular(stack, FieldSpec(e_ex), n_states=2, z_max=cfg.z_max)
+        if not (math.isinf(L) and e_ex != 0.0):  # bulk neon at a field: a flagged row
+            sol = solve_perpendicular(_stack(cfg, L, e_ex), n_states=2, z_max=cfg.z_max)
         if sol is not None and sol.is_bound():
             table.add_row(L, e_ex, float(sol.energies[0]), mean_height(sol),
                           perpendicular_gap(sol), True)
@@ -118,9 +118,9 @@ def cmd_ground_sweep(cfg: RunConfig):
 
 def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
-    field = _single_field(cfg, "lateral")
+    e_ex = _single_field(cfg, "lateral")
     l_range = _curve_range(cfg)
-    curve = build_energy_curve(_stack(cfg, cfg.L0), field, l_range, cfg.n_knots,
+    curve = build_energy_curve(_stack(cfg, cfg.L0, e_ex), l_range, cfg.n_knots,
                                z_max=cfg.z_max)
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
@@ -161,7 +161,6 @@ def cmd_field_sweep(cfg: RunConfig):
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
     l_range = _curve_range(cfg)
-    stack = _stack(cfg, cfg.L0)
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
@@ -170,7 +169,7 @@ def cmd_field_sweep(cfg: RunConfig):
     curves, e_fit, du_fit = [], [], []
     for e_ex in sorted(cfg.E_ex):
         try:
-            curve = build_energy_curve(stack, FieldSpec(e_ex), l_range, cfg.n_knots,
+            curve = build_energy_curve(_stack(cfg, cfg.L0, e_ex), l_range, cfg.n_knots,
                                        z_max=cfg.z_max)
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=cfg.rho_max, warm=warm)
@@ -201,17 +200,14 @@ def cmd_field_sweep(cfg: RunConfig):
 
 def cmd_growth(cfg: RunConfig):
     """Gibbs-Thomson, diffusion-length and gravity estimates."""
-    mat = DEFAULT_NEON
     table = ResultTable(columns=[("quantity", ""), ("value", ""), ("unit", "")])
-    table.add_row("gibbs_thomson_coefficient",
-                  gibbs_thomson_coefficient(mat), "K nm")
+    table.add_row("gibbs_thomson_coefficient", gibbs_thomson_coefficient(), "K nm")
     for r_c in cfg.r_c:
-        table.add_row(f"gibbs_thomson_shift_rc_{r_c:g}nm",
-                      gibbs_thomson_shift(mat, r_c), "K")
+        table.add_row(f"gibbs_thomson_shift_rc_{r_c:g}nm", gibbs_thomson_shift(r_c), "K")
     table.add_row(f"diffusion_length_t_{cfg.diffusion_time:g}s",
-                  diffusion_length(mat, cfg.diffusion_time), "nm")
+                  diffusion_length(cfg.diffusion_time), "nm")
     table.add_row(f"gravity_potential_dh_{cfg.delta_h:g}nm",
-                  gravity_potential_difference(mat, cfg.delta_h), "meV")
+                  gravity_potential_difference(cfg.delta_h), "meV")
     yield "", table
 
 
@@ -335,10 +331,6 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(cfg.out_path) or "."
         if args.command != "verify" and not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir} does not exist")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "verify":
             cmd_verify(cfg, args.stored, args.rtol)
         else:

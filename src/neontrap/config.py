@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON
+from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
 from .tables import emit_quantity, parse_quantity
 
 
@@ -49,7 +49,7 @@ class RunConfig:
     cutoff_zc: float = _key("constants", "float", CUTOFF_ZC, "nm")
     # accepted and echoed for old configs; the perpendicular mesh is fixed
     n_points: int = _key("grid", "int", 8192)
-    z_max: float = _key("grid", "float", 40.0, "nm")
+    z_max: float = _key("grid", "float", Z_MAX, "nm")
     z_samples: int = _key("grid", "int", 400)
     rho_max: float | None = _key("grid", "float_or_auto", None, "nm")
     # accepted and echoed for old configs; the radial mesh is built from R, b and rho_max

@@ -30,3 +30,7 @@ IMAGE_PREFACTOR = 719.982  # e^2 / (8 pi eps0), meV*nm
 EPS_NEON = 1.244  # relative permittivity of solid neon
 BARRIER_HEIGHT = 0.7 * MEV_PER_EV  # Pauli repulsion by the neon shell electrons, meV
 CUTOFF_ZC = 0.23  # height below which the image potential keeps its value there, nm
+
+# Outer hard wall of the perpendicular solve, nm: far enough above the surface
+# that every bound state's tail density there is negligible
+Z_MAX = 40.0

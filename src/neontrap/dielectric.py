@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,9 @@ class DielectricStack:
     thickness_L = math.inf denotes bulk neon; thickness_L = 0 is allowed
     only as the mirror-charge limit check.  The stack carries the neon surface
     too: the Pauli barrier_height (meV) for z < 0 and the image cutoff_zc (nm),
-    both positive and finite.
+    both positive and finite.  e_ex is the uniform external field in V/m,
+    finite, positive pointing away from the substrate; bulk neon has no
+    grounded substrate to fix the field's gauge, so it takes only e_ex = 0.
     """
 
     substrate: Substrate
@@ -56,6 +58,7 @@ class DielectricStack:
     eps_neon: float = EPS_NEON
     barrier_height: float = BARRIER_HEIGHT
     cutoff_zc: float = CUTOFF_ZC
+    e_ex: float = 0.0
 
     def __post_init__(self):
         if not 1.0 < self.eps_neon < math.inf:
@@ -65,26 +68,14 @@ class DielectricStack:
         for name in ("barrier_height", "cutoff_zc"):  # a surface that repels, above z = 0
             if not 0.0 < (value := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.e_ex):
+            raise ValueError(f"e_ex must be finite, got {self.e_ex}")
+        if self.is_bulk and self.e_ex != 0.0:
+            raise ValueError("bulk stack (L = inf) supports only zero external field")
 
     @property
     def is_bulk(self) -> bool:
         return math.isinf(self.thickness_L)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Uniform external field E_ex in V/m, positive pointing away from the substrate."""
-
-    e_ex: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.e_ex):
-            raise ValueError(f"e_ex must be finite, got {self.e_ex}")
-
-    @property
-    def slope_mev_per_nm(self) -> float:
-        """Field expressed as potential-energy slope e*E_ex in meV/nm."""
-        return self.e_ex * V_PER_M_TO_MEV_PER_NM
 
 
 def _lambda_mu(stack: DielectricStack) -> tuple[float, float]:
@@ -164,21 +155,18 @@ def perpendicular_potential(stack: DielectricStack, z):
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def external_potential(stack: DielectricStack, field: FieldSpec, z):
-    """Potential of the uniform external field, zero at the grounded substrate (z = -L).
+def external_potential(stack: DielectricStack, z):
+    """Potential of the stack's field e_ex, zero at the grounded substrate (z = -L).
 
     Piecewise linear: slope e E_ex / eps_Ne inside the neon (-L < z < 0) and
     e E_ex above (z > 0); continuous at the surface.  Returns meV.  A bulk
-    stack has no grounded substrate to fix the gauge, so it takes only
-    E_ex = 0 and gives zero.
+    stack, whose field is zero, gives zero.
     """
     L = stack.thickness_L
-    if stack.is_bulk and field.e_ex != 0.0:
-        raise ValueError("bulk stack (L = inf) supports only zero external field")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < -L):
         raise ValueError("z < -L lies inside the substrate")
-    s, eps = field.slope_mev_per_nm, stack.eps_neon
+    s, eps = stack.e_ex * V_PER_M_TO_MEV_PER_NM, stack.eps_neon
     out = np.zeros_like(z_arr) if stack.is_bulk else np.where(
         z_arr < 0.0, s * (z_arr + L) / eps, s * (L / eps + z_arr))
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
@@ -195,21 +183,21 @@ def _field_free_potential(stack: DielectricStack, z: np.ndarray) -> np.ndarray:
     return np.where(z < 0.0, stack.barrier_height, image)
 
 
-def total_perpendicular_potential(stack: DielectricStack, field: FieldSpec, z):
+def total_perpendicular_potential(stack: DielectricStack, z):
     """Potential entering the perpendicular Schroedinger equation, in meV.
 
     _field_free_potential (barrier for z < 0, image series at max(z, cutoff_zc)
-    for z >= 0) plus external_potential, which rejects bulk at nonzero field.
+    for z >= 0) plus external_potential of the stack's field.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    v_ex = external_potential(stack, field, z_arr)
+    v_ex = external_potential(stack, z_arr)
     out = _field_free_potential(stack, z_arr) + v_ex
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 # A field sweep re-solves the same energy-curve nodes at every field, and a
 # ground sweep each thickness at every field; memoize the field-free part
-# per (stack, grid).
+# per (field-free stack, grid).
 @functools.lru_cache(maxsize=4096)
 def _cached_field_free_potential(stack: DielectricStack, grid) -> np.ndarray:
     if grid.breakpoints[1] != 0.0:
@@ -221,8 +209,7 @@ def _cached_field_free_potential(stack: DielectricStack, grid) -> np.ndarray:
     return static
 
 
-def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec,
-                                   grid) -> np.ndarray:
+def cached_perpendicular_potential(stack: DielectricStack, grid) -> np.ndarray:
     """total_perpendicular_potential at grid.nodes, each element seen from inside (meV).
 
     grid is a perpendicular.SpectralMesh whose first element ends on the surface
@@ -230,7 +217,8 @@ def cached_perpendicular_potential(stack: DielectricStack, field: FieldSpec,
     The rule of _field_free_potential gives every node its value, except that
     the whole first element, the neon, takes the barrier: the surface node is
     the barrier there and V(z_c) above.  The field-free part is memoized per
-    (stack, grid), so cached values always match the stack's surface and grid.nodes.
+    (stack at e_ex = 0, grid), so every field of one layer shares it and cached
+    values always match the stack's surface and grid.nodes.
     """
-    v_ex = external_potential(stack, field, grid.nodes)
-    return _cached_field_free_potential(stack, grid) + v_ex
+    v_ex = external_potential(stack, grid.nodes)
+    return _cached_field_free_potential(replace(stack, e_ex=0.0), grid) + v_ex

@@ -17,8 +17,8 @@ import numpy as np
 from numpy.polynomial import Chebyshev, polyutils
 from numpy.polynomial.chebyshev import chebvander
 
-from .constants import HBAR2_OVER_2ME
-from .dielectric import DielectricStack, FieldSpec
+from .constants import HBAR2_OVER_2ME, Z_MAX
+from .dielectric import DielectricStack
 from .perpendicular import (NumericalFailure, WarmStart, build_hamiltonian,
                             ground_state_energy, solve_lowest, spectral_mesh)
 
@@ -125,14 +125,14 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
     return L0 - delta_L - 0.5, L0 + 0.5
 
 
-def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
-                       l_range: tuple[float, float], n_knots: int = 60, *,
-                       z_max: float = 40.0) -> EnergyCurve:
+def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, float],
+                       n_knots: int = 60, *, z_max: float = Z_MAX) -> EnergyCurve:
     """Interpolate W^G at nested Chebyshev-Lobatto nodes in log L over l_range.
 
     The next level's new nodes are held out; while their worst error exceeds
     NODE_TOL_MEV and n_knots allows, they join the nodes (9, 17, 33, ...).
-    Each solve runs on its own solver_mesh(stack, z_max) and starts from the
+    Each solve takes stack_template, its field included, at the node's
+    thickness, runs on its own solver_mesh(stack, z_max) and starts from the
     previous solve's ground state (perpendicular.WarmStart).
     """
     lo, hi = l_range
@@ -147,7 +147,7 @@ def build_energy_curve(stack_template: DielectricStack, field: FieldSpec,
         # l ascends, so an unbound field fails on its first (thinnest) solve;
         # each solve starts from the ground state of the solve before it
         stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
-        return np.array([ground_state_energy(s, field, z_max=z_max, warm=warm)
+        return np.array([ground_state_energy(s, z_max=z_max, warm=warm)
                          for s in stacks])
 
     n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)

@@ -26,13 +26,13 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .constants import HBAR2_OVER_2ME
-from .dielectric import DielectricStack, FieldSpec, cached_perpendicular_potential
+from .constants import HBAR2_OVER_2ME, Z_MAX
+from .dielectric import DielectricStack, cached_perpendicular_potential
 
 
 class NumericalFailure(RuntimeError):
@@ -51,7 +51,7 @@ def _load_lapack():
     """scipy's f2py LAPACK extension, loaded without importing scipy.linalg.
 
     Importing scipy.linalg costs most of the package's import time; the
-    solver needs only dsyevr, dstevd, dgbsv and dpbtrf, which the
+    solver needs only dsyevr, dsyevr_lwork, dstevd, dgbsv and dpbtrf, which the
     extension module scipy/linalg/_flapack holds.  That name is private to
     scipy: if the file is not there, scipy.linalg.lapack, which exposes the
     same functions, is imported instead.  The extension is loaded under
@@ -160,15 +160,15 @@ class SpectralMesh:
     breakpoints: tuple
     degree: int = DEGREE
     radial: bool = False
-    nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    index: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    points: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    mass: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    stiffness: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    axis: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
-    band: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    outside: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
+    stiffness: np.ndarray = field(init=False, repr=False, compare=False)
+    axis: np.ndarray | None = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
+    outside: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
@@ -221,15 +221,15 @@ def spectral_mesh(breakpoints: tuple, radial: bool = False,
     return SpectralMesh(breakpoints, degree, radial)
 
 
-def solver_mesh(stack: DielectricStack, z_max: float = 40.0) -> SpectralMesh:
+def solver_mesh(stack: DielectricStack, z_max: float = Z_MAX) -> SpectralMesh:
     """Mesh of the perpendicular solve: hard walls at max(-L, -2 nm) and z_max.
 
     The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
-    on the substrate for a layer thinner than 2 nm; 40 nm leaves negligible
-    tail density for all bound configurations.  Breakpoints: the wall, the
-    surface z = 0, the stack's cutoff_zc, then OUTER_ELEMENTS up to z_max,
-    every element of PERPENDICULAR_DEGREE; spectral_mesh builds it once per
-    (wall, cutoff_zc, z_max).
+    on the substrate for a layer thinner than 2 nm; the default Z_MAX = 40 nm
+    leaves negligible tail density for all bound configurations.  Breakpoints:
+    the wall, the surface z = 0, the stack's cutoff_zc, then OUTER_ELEMENTS up
+    to z_max, every element of PERPENDICULAR_DEGREE; spectral_mesh builds it
+    once per (wall, cutoff_zc, z_max).
     """
     z_c = stack.cutoff_zc
     if not z_c < z_max:
@@ -272,7 +272,7 @@ class BoundStateSolution:
     energies: np.ndarray
     wavefunctions: np.ndarray  # shape (n_states, grid.n_points)
     grid: SpectralMesh
-    converged: list = dc_field(default_factory=list)
+    converged: list = field(default_factory=list)
 
     def tail_density(self) -> float:
         """Peak ground-state density within TAIL_FRACTION of the span from the outer wall.
@@ -380,22 +380,22 @@ class WarmStart:
     """One-slot holder that chains neighbouring ground-state solves.
 
     solve_perpendicular starts from the solution held in `state` and leaves
-    its own there for the next solve; the caller owns the holder.
+    its own there for the next solve; so does radial_spectrum, which takes one
+    holder per angular momentum alpha.  The caller owns the holders.
     """
 
     state: BoundStateSolution | None = None
 
 
-def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
-                        n_states: int = 1, z_max: float = 40.0,
+def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: float = Z_MAX,
                         warm: WarmStart | None = None) -> BoundStateSolution:
-    """Solve the perpendicular problem for the given stack and external field on solver_mesh.
+    """Solve the perpendicular problem for the stack, its field included, on solver_mesh.
 
     With a warm holder, the solve starts from warm.state and leaves its
     solution there.
     """
     grid = solver_mesh(stack, z_max)
-    v = cached_perpendicular_potential(stack, field, grid)
+    v = cached_perpendicular_potential(stack, grid)
     sol = solve_lowest(build_hamiltonian(v, grid), grid, n_states,
                        start=warm.state if warm is not None else None)
     if warm is not None:
@@ -403,19 +403,18 @@ def solve_perpendicular(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0
     return sol
 
 
-def ground_state_energy(stack: DielectricStack, field: FieldSpec = FieldSpec(0.0), *,
-                        z_max: float = 40.0,
+def ground_state_energy(stack: DielectricStack, *, z_max: float = Z_MAX,
                         warm: WarmStart | None = None) -> float:
     """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping.
 
     warm, if given, chains this solve to the previous one (solve_perpendicular).
     """
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max, warm=warm)
+    sol = solve_perpendicular(stack, n_states=1, z_max=z_max, warm=warm)
     if not sol.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "
             f"{sol.tail_density():.2e} 1/nm) for L={stack.thickness_L} nm, "
-            f"E_ex={field.e_ex} V/m")
+            f"E_ex={stack.e_ex} V/m")
     return float(sol.energies[0])
 
 

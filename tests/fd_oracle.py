@@ -9,21 +9,21 @@ extrapolation of two of these grids.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
-from neontrap import (DielectricStack, FieldSpec, UnboundStateError, external_potential,
+from neontrap import (DielectricStack, UnboundStateError, external_potential,
                       ground_state_energy, perpendicular_potential,
                       solve_perpendicular, total_perpendicular_potential)
-from neontrap.constants import HBAR2_OVER_2ME
+from neontrap.constants import HBAR2_OVER_2ME, Z_MAX
 
 C = HBAR2_OVER_2ME
 # Richardson pair of spacings (nm): cutoff_zc = 0.23 nm, 40 nm and any wall
 # depth that is a multiple of 5 pm are whole multiples of both, so nodes sit
 # on the walls, the surface step and the kink
 RICHARDSON_SPACINGS = (0.005, 0.000625)
-Z_MAX = 40.0  # nm, the solver's default outer wall
 
 
 def uniform_hamiltonian(v: np.ndarray, h: float):
@@ -31,7 +31,7 @@ def uniform_hamiltonian(v: np.ndarray, h: float):
     return 2.0 * C / h ** 2 + v, np.full(v.size - 1, -C / h ** 2)
 
 
-def stack_hamiltonian(stack, field, n_intervals: int):
+def stack_hamiltonian(stack, n_intervals: int):
     """FD Hamiltonian of the stack on n_intervals between max(-L, -2 nm) and Z_MAX.
 
     Returns (diag, offdiag, z) on the interior nodes z.  A node on the
@@ -41,26 +41,26 @@ def stack_hamiltonian(stack, field, n_intervals: int):
     z_lo = max(-stack.thickness_L, -2.0)
     z = np.linspace(z_lo, Z_MAX, n_intervals + 1)[1:-1]
     z[np.abs(z) < 1e-9] = 0.0
-    v = total_perpendicular_potential(stack, field, z)
+    v = total_perpendicular_potential(stack, z)
     v_zc = perpendicular_potential(stack, stack.cutoff_zc)
     v[z == 0.0] += 0.5 * (stack.barrier_height - v_zc)
     return (*uniform_hamiltonian(v, (Z_MAX - z_lo) / n_intervals), z)
 
 
-def fd_levels(stack, field, n_intervals: int, n_states: int) -> np.ndarray:
-    diag, off, _ = stack_hamiltonian(stack, field, n_intervals)
+def fd_levels(stack, n_intervals: int, n_states: int) -> np.ndarray:
+    diag, off, _ = stack_hamiltonian(stack, n_intervals)
     return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                          select_range=(0, n_states - 1))
 
 
 @functools.lru_cache(maxsize=None)
-def richardson_levels(stack, field, n_states: int) -> np.ndarray:
+def richardson_levels(stack, n_states: int) -> np.ndarray:
     """Lowest levels (meV) extrapolated from the RICHARDSON_SPACINGS pair, error O(h^4)."""
     span = Z_MAX - max(-stack.thickness_L, -2.0)
     counts = [round(span / h) for h in RICHARDSON_SPACINGS]
     if any(abs(n * h - span) > 1e-9 for n, h in zip(counts, RICHARDSON_SPACINGS)):
         raise ValueError(f"the wall depth of L = {stack.thickness_L} nm is off the grids")
-    coarse, fine = (fd_levels(stack, field, n, n_states) for n in counts)
+    coarse, fine = (fd_levels(stack, n, n_states) for n in counts)
     r2 = (RICHARDSON_SPACINGS[0] / RICHARDSON_SPACINGS[1]) ** 2
     return fine + (fine - coarse) / (r2 - 1.0)
 
@@ -93,17 +93,18 @@ def radial_richardson_level(potential, rho_max: float, alpha: int) -> float:
     return fine + (fine - coarse) / (r2 - 1.0)
 
 
-def hellmann_feynman_check(stack: DielectricStack, field: FieldSpec, delta: float, *,
-                           z_max: float = 40.0) -> float:
-    """Relative residual between dW/dE_ex (central difference) and <psi0| dV/dE |psi0>."""
-    sol = solve_perpendicular(stack, field, n_states=1, z_max=z_max)
+def hellmann_feynman_check(stack: DielectricStack, delta: float, *,
+                           z_max: float = Z_MAX) -> float:
+    """Relative residual between dW/dE_ex (central difference at the stack's field)
+    and <psi0| dV/dE |psi0>."""
+    sol = solve_perpendicular(stack, n_states=1, z_max=z_max)
     if not sol.is_bound():
         raise UnboundStateError("unbound at the central field point")
     g = sol.grid
     # dV_ex/dE_ex in meV per (V/m), by GLL quadrature
-    dv = external_potential(stack, FieldSpec(1.0), g.points)
+    dv = external_potential(replace(stack, e_ex=1.0), g.points)
     expect = float(np.sum(g.mass * dv * sol.wavefunctions[0] ** 2))
-    w_plus = ground_state_energy(stack, FieldSpec(field.e_ex + delta), z_max=z_max)
-    w_minus = ground_state_energy(stack, FieldSpec(field.e_ex - delta), z_max=z_max)
+    w_plus = ground_state_energy(replace(stack, e_ex=stack.e_ex + delta), z_max=z_max)
+    w_minus = ground_state_energy(replace(stack, e_ex=stack.e_ex - delta), z_max=z_max)
     fd = (w_plus - w_minus) / (2.0 * delta)
     return abs(fd - expect) / abs(expect)

@@ -14,8 +14,8 @@ import pytest
 from scipy.special import jn_zeros
 
 from fd_oracle import hellmann_feynman_check
-from neontrap import (DEFAULT_NEON, Dielectric, WarmStart,
-                      DielectricStack, FieldSpec, PillarProfile, Superconductor,
+from neontrap import (Dielectric, WarmStart,
+                      DielectricStack, PillarProfile, Superconductor,
                       SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
                       gibbs_thomson_shift, gravity_potential_difference,
@@ -50,8 +50,7 @@ def thin_layer_solution():
 
 @pytest.fixture(scope="module")
 def energy_curve_e0():
-    return build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
-                              (6.5, 10.5), n_knots=60)
+    return build_energy_curve(DielectricStack(SC, 10.0), (6.5, 10.5), n_knots=60)
 
 
 def test_criterion_01_bulk_binding():
@@ -79,8 +78,7 @@ def test_criterion_03_gap_and_height(thin_layer_solution):
         assert perpendicular_gap(thin_layer_solution) == pytest.approx(21.1, abs=1.0)
         h0 = mean_height(thin_layer_solution)
         assert h0 == pytest.approx(1.7, abs=0.2)
-        stack = DielectricStack(SC, 10.0)
-        heights = [mean_height(solve_perpendicular(stack, FieldSpec(e)))
+        heights = [mean_height(solve_perpendicular(DielectricStack(SC, 10.0, e_ex=e)))
                    for e in (-1e6, 0.0, 1e6)]
         assert (max(heights) - min(heights)) / h0 <= 0.20
 
@@ -141,7 +139,7 @@ def test_criterion_05_eigensolver_oracles():
         for n, e in enumerate(osc.energies):
             assert e == pytest.approx((n + 0.5) * hw, abs=1e-3)
 
-        res = hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(0.0), 1e4)
+        res = hellmann_feynman_check(DielectricStack(SC, 10.0), 1e4)
         assert res <= 1e-3
 
 
@@ -149,10 +147,10 @@ def test_criterion_06_growth_estimates():
     with criterion(6, "growth estimates"):
         t0 = time.perf_counter()
         assert gibbs_thomson_coefficient() == pytest.approx(9.12, rel=0.005)
-        assert gibbs_thomson_shift(DEFAULT_NEON, 10.0) == pytest.approx(-0.91, abs=0.01)
-        assert gibbs_thomson_shift(DEFAULT_NEON, -10.0) == pytest.approx(0.91, abs=0.01)
-        assert diffusion_length(DEFAULT_NEON, 10e-6) == pytest.approx(100.0, rel=1e-9)
-        assert gravity_potential_difference(DEFAULT_NEON, 25.0) \
+        assert gibbs_thomson_shift(10.0) == pytest.approx(-0.91, abs=0.01)
+        assert gibbs_thomson_shift(-10.0) == pytest.approx(0.91, abs=0.01)
+        assert diffusion_length(10e-6) == pytest.approx(100.0, rel=1e-9)
+        assert gravity_potential_difference(25.0) \
             == pytest.approx(5.1e-11, rel=0.05)
         assert time.perf_counter() - t0 < 0.1
 
@@ -179,7 +177,7 @@ def test_criterion_08_field_asymmetry():
         warm = [WarmStart(), WarmStart()]  # one per alpha, chained across fields
         bound = []  # only bound fields count, so an unbound one leaves a slope None
         for e_ex in (-1e6, 0.0, 1e6):
-            curve = build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(e_ex),
+            curve = build_energy_curve(DielectricStack(SC, 10.0, e_ex=e_ex),
                                        curve_range(10.0, 0.5), n_knots=30)
             spec = pillar_spectrum(curve, profile, warm=warm)
             if spec.bound:

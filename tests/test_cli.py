@@ -21,7 +21,7 @@ import neontrap.lateral
 import neontrap.perpendicular
 from neontrap.cli import main
 from neontrap.config import ConfigError, RunConfig, load_config
-from neontrap.dielectric import (Dielectric, DielectricStack, FieldSpec, Superconductor,
+from neontrap.dielectric import (Dielectric, DielectricStack, Superconductor,
                                  total_perpendicular_potential)
 from neontrap.tables import (FLOAT_FMT, ResultTable, emit_quantity, format_value,
                              parse_quantity)
@@ -397,8 +397,8 @@ class TestCliEndToEnd:
         want = []
         for L, e_ex in ((2.0, 0.0), (2.0, 1e6), (10.0, 0.0), (10.0, 1e6)):
             stack = DielectricStack(Superconductor(), L, eps_neon=1.3, barrier_height=650.0,
-                                    cutoff_zc=0.25)
-            sol = neontrap.perpendicular.solve_perpendicular(stack, FieldSpec(e_ex), n_states=2)
+                                    cutoff_zc=0.25, e_ex=e_ex)
+            sol = neontrap.perpendicular.solve_perpendicular(stack, n_states=2)
             want.append([FLOAT_FMT.format(v) for v in (
                 sol.energies[0], neontrap.perpendicular.mean_height(sol),
                 neontrap.perpendicular.perpendicular_gap(sol))])
@@ -441,8 +441,8 @@ class TestCliEndToEnd:
             assert len(z) == 50
             assert all(t == p + e for p, e, t in zip(v_perp, v_ex, v_total))
             assert all((e != 0.0) == (e_ex != 0.0) for e in v_ex)
-            stack = DielectricStack(substrate, float(table.metadata["L_nm"]))
-            want = total_perpendicular_potential(stack, FieldSpec(e_ex), np.array(z))
+            stack = DielectricStack(substrate, float(table.metadata["L_nm"]), e_ex=e_ex)
+            want = total_perpendicular_potential(stack, np.array(z))
             rows = [line.split(",") for line in Path(path).read_text().splitlines()
                     if not line.startswith("#")][1:]
             assert [row[3] for row in rows] == [FLOAT_FMT.format(v) for v in want]
@@ -927,17 +927,17 @@ def no_flapack(name, package=None):
     return find_spec(name, package)
 
 importlib.util.find_spec = no_flapack
-from neontrap import DielectricStack, FieldSpec, Superconductor, WarmStart, ground_state_energy
+from neontrap import DielectricStack, Superconductor, WarmStart, ground_state_energy
 from neontrap.perpendicular import lapack
 warm = WarmStart()
 print(lapack.__name__, "scipy.linalg" in sys.modules)
-print(*[ground_state_energy(DielectricStack(Superconductor(), L), FieldSpec(e), warm=warm).hex()
+print(*[ground_state_energy(DielectricStack(Superconductor(), L, e_ex=e), warm=warm).hex()
         for L, e in {LOADER_CASES!r}])
 """
     loaded, energies = _fresh_interpreter(code).splitlines()
     assert loaded == "scipy.linalg.lapack True"
     warm = neontrap.perpendicular.WarmStart()
     assert energies.split() == [
-        neontrap.perpendicular.ground_state_energy(DielectricStack(Superconductor(), L),
-                                                   FieldSpec(e), warm=warm).hex()
+        neontrap.perpendicular.ground_state_energy(DielectricStack(Superconductor(), L, e_ex=e),
+                                                   warm=warm).hex()
         for L, e in LOADER_CASES]

@@ -2,15 +2,16 @@
 potential (multiple-image series vs k-space quadrature), and the field potential."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neontrap import (Dielectric, DielectricStack, FieldSpec,
-                      Superconductor, external_potential, perpendicular_potential, reflection_coefficient,
-                      solver_mesh, total_perpendicular_potential)
+from neontrap import (Dielectric, DielectricStack, Superconductor, external_potential,
+                      perpendicular_potential, reflection_coefficient, solver_mesh,
+                      total_perpendicular_potential)
 import neontrap.dielectric
 from neontrap.constants import IMAGE_PREFACTOR
 from neontrap.dielectric import cached_perpendicular_potential
@@ -63,6 +64,20 @@ class TestStackConstruction:
         # below zero or NaN failed only later, in the mesh builder
         with pytest.raises(ValueError, match=name):
             DielectricStack(SC, 10.0, **{name: value})
+
+    @pytest.mark.parametrize("e_ex", [math.nan, math.inf, -math.inf])
+    def test_field_must_be_finite(self, e_ex):
+        with pytest.raises(ValueError, match="e_ex must be finite"):
+            DielectricStack(SC, 10.0, e_ex=e_ex)
+
+    @pytest.mark.parametrize("e_ex", [1e6, -1e6, 1e-300])
+    def test_bulk_rejects_nonzero_field(self, e_ex):
+        # bulk neon has no grounded substrate to fix the field's gauge
+        with pytest.raises(ValueError, match="bulk"):
+            DielectricStack(SC, math.inf, e_ex=e_ex)
+        with pytest.raises(ValueError, match="bulk"):
+            replace(DielectricStack(SC, math.inf), e_ex=e_ex)
+        assert DielectricStack(SC, math.inf, e_ex=-0.0).is_bulk
 
 
 class TestReflectionCoefficient:
@@ -202,53 +217,48 @@ class TestPerpendicularPotential:
 
 class TestExternalPotential:
     def test_grounded_at_substrate(self):
-        assert external_potential(DielectricStack(SC, 10.0), FieldSpec(3e6), -10.0) == 0.0
+        assert external_potential(DielectricStack(SC, 10.0, e_ex=3e6), -10.0) == 0.0
 
     def test_surface_value(self):
         # e * 1e6 V/m over 10 nm of neon
-        got = external_potential(DielectricStack(SC, 10.0), FieldSpec(1e6), 0.0)
+        got = external_potential(DielectricStack(SC, 10.0, e_ex=1e6), 0.0)
         assert got == pytest.approx(10.0 / 1.244, rel=1e-12)
         assert got == pytest.approx(8.039, abs=1e-3)
 
     def test_permittivity_comes_from_the_stack(self):
-        stack = DielectricStack(SC, 10.0, eps_neon=1.3)
-        got = external_potential(stack, FieldSpec(1e6), 0.0)
+        stack = DielectricStack(SC, 10.0, eps_neon=1.3, e_ex=1e6)
+        got = external_potential(stack, 0.0)
         assert got == pytest.approx(10.0 / 1.3, rel=1e-12)
 
     def test_continuous_at_surface(self):
-        below = external_potential(DielectricStack(SC, 10.0), FieldSpec(2e6), -1e-12)
-        above = external_potential(DielectricStack(SC, 10.0), FieldSpec(2e6), +1e-12)
+        below = external_potential(DielectricStack(SC, 10.0, e_ex=2e6), -1e-12)
+        above = external_potential(DielectricStack(SC, 10.0, e_ex=2e6), +1e-12)
         assert below == pytest.approx(above, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(e=st.floats(-5e6, 5e6, allow_subnormal=False), z=st.floats(-5.0, 30.0))
     def test_linear_in_field(self, e, z):
-        v1 = external_potential(DielectricStack(SC, 5.0), FieldSpec(e), z)
-        v2 = external_potential(DielectricStack(SC, 5.0), FieldSpec(2.0 * e), z)
+        v1 = external_potential(DielectricStack(SC, 5.0, e_ex=e), z)
+        v2 = external_potential(DielectricStack(SC, 5.0, e_ex=2.0 * e), z)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12, abs=1e-300)
 
     def test_inside_substrate_rejected(self):
         with pytest.raises(ValueError):
-            external_potential(DielectricStack(SC, 10.0), FieldSpec(1e6), -10.5)
+            external_potential(DielectricStack(SC, 10.0, e_ex=1e6), -10.5)
 
     def test_bulk_at_zero_field_is_zero(self):
         # bulk neon has no grounded substrate; at zero field there is no field term
-        got = external_potential(DielectricStack(SC, math.inf), FieldSpec(0.0), 3.0)
+        got = external_potential(DielectricStack(SC, math.inf), 3.0)
         assert isinstance(got, float) and got == 0.0
         z = np.array([-5.0, 0.0, 0.23, 40.0])
-        got = external_potential(DielectricStack(SC, math.inf), FieldSpec(0.0), z)
+        got = external_potential(DielectricStack(SC, math.inf), z)
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, np.zeros_like(z))
-
-    @pytest.mark.parametrize("z", [1.0, np.array([0.5, 5.0])])
-    def test_bulk_rejects_nonzero_field(self, z):
-        with pytest.raises(ValueError, match="bulk"):
-            external_potential(DielectricStack(SC, math.inf), FieldSpec(1e6), z)
 
     @pytest.mark.parametrize("L", [-1.0, math.nan])
     def test_invalid_thickness_rejected(self, L):
         with pytest.raises(ValueError, match="L must be"):
-            external_potential(DielectricStack(SC, L), FieldSpec(0.0), 1.0)
+            external_potential(DielectricStack(SC, L), 1.0)
 
 
 class TestTotalPotential:
@@ -257,16 +267,16 @@ class TestTotalPotential:
         # calibrated against the documented ground-state energies
         stack = DielectricStack(SC, 10.0)
         zc = stack.cutoff_zc
-        got = total_perpendicular_potential(stack, FieldSpec(0.0), zc / 2.0)
+        got = total_perpendicular_potential(stack, zc / 2.0)
         assert got == pytest.approx(perpendicular_potential(stack, zc), rel=1e-12)
 
     def test_surface_is_vacuum_side(self):
         # z = 0 takes the clamped image value; the barrier holds only below it
         stack = DielectricStack(SC, 10.0)
-        got = total_perpendicular_potential(stack, FieldSpec(0.0), 0.0)
+        got = total_perpendicular_potential(stack, 0.0)
         v_zc = perpendicular_potential(stack, stack.cutoff_zc)
         assert got == pytest.approx(v_zc, rel=1e-12)
-        below = total_perpendicular_potential(stack, FieldSpec(0.0), -1e-12)
+        below = total_perpendicular_potential(stack, -1e-12)
         assert below == pytest.approx(stack.barrier_height, rel=1e-12)
 
     @pytest.mark.parametrize("L, e_ex", [(10.0, 1e6), (1.0, -1e6), (math.inf, 0.0)])
@@ -274,28 +284,23 @@ class TestTotalPotential:
         # each element of the solver mesh sees the potential from inside:
         # the surface node z = 0 is the barrier on the element below and
         # V(z_c) on the element above; elsewhere it is the public potential
-        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+        stack = DielectricStack(SC, L, e_ex=e_ex)
         grid = solver_mesh(stack)
-        got = cached_perpendicular_potential(stack, field, grid)
+        got = cached_perpendicular_potential(stack, grid)
         assert got.shape == grid.nodes.shape
         z = grid.nodes
-        expected = total_perpendicular_potential(stack, field, z.ravel()).reshape(z.shape)
+        expected = total_perpendicular_potential(stack, z.ravel()).reshape(z.shape)
         expected[0, -1] += stack.barrier_height - perpendicular_potential(
             stack, stack.cutoff_zc)
         assert z[0, -1] == 0.0 == z[1, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-    def test_bulk_rejects_nonzero_field(self):
-        with pytest.raises(ValueError, match="bulk"):
-            total_perpendicular_potential(DielectricStack(SC, math.inf), FieldSpec(1e6), 1.0)
 
     @pytest.mark.parametrize("breakpoints", [(0.0, 0.23, 40.0), (-2.0, -1.0, 0.0, 0.23, 40.0)])
     def test_mesh_must_end_its_first_element_on_the_surface(self, breakpoints):
         # the first element's row is set to the barrier, so it must be the
         # whole of the neon side of z = 0
         with pytest.raises(ValueError, match="z = 0"):
-            cached_perpendicular_potential(DielectricStack(SC, 10.0), FieldSpec(0.0),
-                                           SpectralMesh(breakpoints))
+            cached_perpendicular_potential(DielectricStack(SC, 10.0), SpectralMesh(breakpoints))
 
     def test_memo_miss_sums_the_series_once_and_a_hit_never(self, monkeypatch):
         # the benchmark tracer counts a cached call without a nested
@@ -311,19 +316,23 @@ class TestTotalPotential:
         neontrap.dielectric._cached_field_free_potential.cache_clear()
         stack = DielectricStack(Dielectric(12.0), 7.0)
         grid = solver_mesh(stack)
-        miss = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        miss = cached_perpendicular_potential(stack, grid)
         assert len(calls) == 1
-        hit = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        hit = cached_perpendicular_potential(stack, grid)
         assert len(calls) == 1
         np.testing.assert_array_equal(hit, miss)
-        cached_perpendicular_potential(stack, FieldSpec(1e6), grid)
-        assert len(calls) == 1
+        # every field of the same layer hits the field-free entry
+        for e_ex in (1e6, -2e6):
+            field_stack = replace(stack, e_ex=e_ex)
+            hit = cached_perpendicular_potential(field_stack, grid)
+            assert len(calls) == 1
+            np.testing.assert_array_equal(hit, miss + external_potential(field_stack, grid.nodes))
 
     def test_stack_carries_the_barrier_and_cutoff(self):
         stack = DielectricStack(SC, 10.0, barrier_height=650.0, cutoff_zc=0.25)
         grid = solver_mesh(stack)
         assert grid.breakpoints[2] == 0.25
-        got = cached_perpendicular_potential(stack, FieldSpec(0.0), grid)
+        got = cached_perpendicular_potential(stack, grid)
         np.testing.assert_array_equal(got[0], 650.0)  # the neon element
         assert got[1, 0] == perpendicular_potential(stack, 0.25)
 
@@ -333,34 +342,31 @@ class TestTotalPotential:
         # memo entries apart
         base, other = DielectricStack(SC, 10.0), DielectricStack(SC, 10.0, **surface)
         grid = solver_mesh(base)
-        first = cached_perpendicular_potential(base, FieldSpec(0.0), grid)
-        got = cached_perpendicular_potential(other, FieldSpec(0.0), grid)
+        first = cached_perpendicular_potential(base, grid)
+        got = cached_perpendicular_potential(other, grid)
         neontrap.dielectric._cached_field_free_potential.cache_clear()
-        np.testing.assert_array_equal(
-            got, cached_perpendicular_potential(other, FieldSpec(0.0), grid))
-        np.testing.assert_array_equal(
-            first, cached_perpendicular_potential(base, FieldSpec(0.0), grid))
+        np.testing.assert_array_equal(got, cached_perpendicular_potential(other, grid))
+        np.testing.assert_array_equal(first, cached_perpendicular_potential(base, grid))
         assert not np.array_equal(first, got)
 
     def test_inside_neon_is_barrier(self):
         stack = DielectricStack(SC, 10.0)
-        got = total_perpendicular_potential(stack, FieldSpec(0.0), -1.0)
+        got = total_perpendicular_potential(stack, -1.0)
         assert got == pytest.approx(stack.barrier_height, rel=1e-12)
 
     def test_zero_field_reduces_to_image_potential(self):
         stack = DielectricStack(SC, 10.0)
-        got = total_perpendicular_potential(stack, FieldSpec(0.0), 5.0)
+        got = total_perpendicular_potential(stack, 5.0)
         assert got == pytest.approx(perpendicular_potential(stack, 5.0), rel=1e-12)
 
     def test_bulk_value(self):
         stack = DielectricStack(SC, math.inf)
-        got = total_perpendicular_potential(stack, FieldSpec(0.0), 1.0)
+        got = total_perpendicular_potential(stack, 1.0)
         assert got == pytest.approx(-39.14, abs=0.01)
 
     def test_field_term_added_above_cutoff(self):
-        stack = DielectricStack(SC, 10.0)
-        f = FieldSpec(1e6)
-        got = total_perpendicular_potential(stack, f, 5.0)
+        stack = DielectricStack(SC, 10.0, e_ex=1e6)
+        got = total_perpendicular_potential(stack, 5.0)
         expected = perpendicular_potential(stack, 5.0) \
-            + external_potential(stack, f, 5.0)
+            + external_potential(stack, 5.0)
         assert got == pytest.approx(expected, rel=1e-12)

@@ -13,7 +13,7 @@ from scipy.special import jn_zeros
 import neontrap.lateral
 import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack,
-                      EnergyCurve, FieldSpec, ModelInvalidError, PillarProfile,
+                      EnergyCurve, ModelInvalidError, PillarProfile,
                       QuadraticProfile,
                       Superconductor, build_energy_curve,
                       fit_harmonic_field_model, ground_state_energy,
@@ -32,16 +32,14 @@ L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0
 
 @pytest.fixture(scope="module")
 def curve():
-    return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                              (6.5, 10.5), n_knots=30)
+    return build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=30)
 
 
 @pytest.fixture(scope="module")
 def wide_curve():
     # W^G(L) has a kink at L = 2 nm, where the lower wall switches from -L to
     # -2 nm, so the node doubling runs into the n_knots cap
-    return build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                              (1.0, 200.0), n_knots=60)
+    return build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0), n_knots=60)
 
 
 class TestThicknessProfiles:
@@ -112,8 +110,7 @@ class TestEnergyCurve:
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            build_energy_curve(DielectricStack(SC, 10.0), FieldSpec(0.0),
-                               (0.5, 10.0), n_knots=20)
+            build_energy_curve(DielectricStack(SC, 10.0), (0.5, 10.0), n_knots=20)
 
 
 def _held_out(curve):
@@ -143,8 +140,7 @@ class TestChebyshevCurve:
             solved.append(stack.thickness_L)
             return solve(stack, *args, **kwargs)
         monkeypatch.setattr(neontrap.lateral, "ground_state_energy", spy)
-        c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (1.0, 200.0), n_knots=60)
+        c = build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0), n_knots=60)
         # 9 nodes, then held-out levels of 8, 16 and 32 points, each once
         levels = np.split(np.array(solved), [9, 17, 33])
         assert [lv.size for lv in levels] == [9, 8, 16, 32]
@@ -164,8 +160,7 @@ class TestChebyshevCurve:
     def test_thin_layer_range_across_the_wall_kink(self):
         # [1.9, 3.5] nm straddles L = 2 nm, where the lower wall switches from
         # -L to -2 nm; the curve across that kink still validates to 1e-7 meV
-        c = build_energy_curve(DielectricStack(SC, 3.0), FieldSpec(0.0), (1.9, 3.5),
-                               n_knots=60)
+        c = build_energy_curve(DielectricStack(SC, 3.0), (1.9, 3.5), n_knots=60)
         assert c.validation_error <= 1e-7
 
     def test_fresh_solves_agree(self, curve):
@@ -176,8 +171,7 @@ class TestChebyshevCurve:
     def test_budget_exceeded_raises(self, monkeypatch):
         monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
         with pytest.raises(CurveValidationError, match="held-out error"):
-            build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (9.0, 10.5), n_knots=20)
+            build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5), n_knots=20)
 
 
 class TestLtaPotential:
@@ -357,8 +351,7 @@ class TestPillarTrap:
 
     def test_trap_depth_with_deep_etch(self):
         # Delta L = 3 nm gives a trap of order 10 meV
-        c = build_energy_curve(DielectricStack(SC, L0), FieldSpec(0.0),
-                               (6.5, 10.5), n_knots=30)
+        c = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=30)
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
         depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
@@ -417,9 +410,8 @@ class TestFieldCoupling:
         dl = 3.0
         e_ex = 1e6
         def depth(e):
-            f = FieldSpec(e)
-            return (ground_state_energy(DielectricStack(SC, L0), f)
-                    - ground_state_energy(DielectricStack(SC, L0 - dl), f))
+            return (ground_state_energy(DielectricStack(SC, L0, e_ex=e))
+                    - ground_state_energy(DielectricStack(SC, L0 - dl, e_ex=e)))
         shift = depth(e_ex) - depth(0.0)
         expected = 1e-6 * e_ex * dl / 1.244
         assert shift == pytest.approx(expected, rel=0.2)

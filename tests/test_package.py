@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -24,11 +25,19 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_no_function_takes_a_loose_layer_parameter():
-    # the neon layer reaches every function on its DielectricStack
-    loose = {"L", "eps_neon", "barrier_height", "cutoff_zc"}
+    # the neon layer, its field included, reaches every function on its
+    # DielectricStack, and the growth data are module constants: checked on
+    # every public function of every module, exported or not
+    loose = {"L", "eps_neon", "barrier_height", "cutoff_zc", "field", "material"}
+    modules = [importlib.import_module(f"neontrap.{p.stem}")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    functions = {f"{m.__name__}.{name}": obj for m in modules
+                 for name, obj in vars(m).items()
+                 if not name.startswith("_") and inspect.isfunction(obj)
+                 and obj.__module__ == m.__name__}
+    assert "neontrap.dielectric.cached_perpendicular_potential" in functions
     taken = {name: sorted(loose & set(inspect.signature(obj).parameters))
-             for name in neontrap.__all__
-             if inspect.isfunction(obj := getattr(neontrap, name))}
+             for name, obj in functions.items()}
     assert {name: params for name, params in taken.items() if params} == {}
 
 

@@ -11,9 +11,8 @@ import scipy.linalg
 import neontrap.lateral
 import neontrap.perpendicular as perpendicular
 from fd_oracle import fd_levels, hellmann_feynman_check, richardson_levels
-from neontrap import (BoundStateSolution, DielectricStack, FieldSpec,
-                      SpectralMesh, Superconductor, UnboundStateError, WarmStart,
-                      build_hamiltonian,
+from neontrap import (BoundStateSolution, DielectricStack, SpectralMesh, Superconductor,
+                      UnboundStateError, WarmStart, build_hamiltonian,
                       ground_state_energy, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
@@ -185,7 +184,7 @@ class TestSolverContracts:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_matrix_rejected(self, bad):
-        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0))
         h[5, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             solve_lowest(h, grid, 1)
@@ -227,7 +226,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("L, e_ex", [(1.0, 0.0), (1.0, 1e6), (10.0, 0.0), (10.0, 1e6),
                                          (math.inf, 0.0)])
     def test_perpendicular(self, L, e_ex, n_states):
-        h, grid = _hamiltonian(DielectricStack(SC, L), FieldSpec(e_ex))
+        h, grid = _hamiltonian(DielectricStack(SC, L, e_ex=e_ex))
         self._check(h, grid, n_states)
 
     @pytest.mark.parametrize("n_states", [1, 2, 10])
@@ -273,12 +272,12 @@ class TestNeonConfigurations:
 
     def test_grid_convergence(self):
         # degree 24 on the same breakpoints moves W^G by eigensolver rounding only
-        stack, field = DielectricStack(SC, 10.0), FieldSpec(1e6)
+        stack = DielectricStack(SC, 10.0, e_ex=1e6)
         mesh = solver_mesh(stack)
         fine = SpectralMesh(mesh.breakpoints, 24)
-        v = cached_perpendicular_potential(stack, field, fine)
+        v = cached_perpendicular_potential(stack, fine)
         w_fine = solve_lowest(build_hamiltonian(v, fine), fine, 2).energies
-        w = solve_perpendicular(stack, field, n_states=2).energies
+        w = solve_perpendicular(stack, n_states=2).energies
         np.testing.assert_allclose(w, w_fine, rtol=0.0, atol=5e-8)
 
     def test_barrier_penetration_length(self):
@@ -291,15 +290,14 @@ class TestNeonConfigurations:
         assert 0.08 <= 1.0 / slope <= 0.13
 
     def test_mean_height_robust_under_field(self):
-        stack = DielectricStack(SC, 10.0)
-        heights = [mean_height(solve_perpendicular(stack, FieldSpec(e)))
+        heights = [mean_height(solve_perpendicular(DielectricStack(SC, 10.0, e_ex=e)))
                    for e in (-1e6, 0.0, 1e6)]
         spread = (max(heights) - min(heights)) / heights[1]
         assert spread <= 0.20
 
     def test_strong_negative_field_flagged_unbound(self):
         with pytest.raises(UnboundStateError):
-            ground_state_energy(DielectricStack(SC, 10.0), FieldSpec(-5e6))
+            ground_state_energy(DielectricStack(SC, 10.0, e_ex=-5e6))
 
     def test_ground_state_between_minimum_and_zero(self):
         stack = DielectricStack(SC, 10.0)
@@ -324,38 +322,38 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("substrate, L, e_ex, n_states", ORACLE_CASES,
                              ids=[_case_id(c) for c in ORACLE_CASES])
     def test_levels_match_richardson(self, substrate, L, e_ex, n_states):
-        stack, field = DielectricStack(substrate, L), FieldSpec(e_ex)
-        sol = solve_perpendicular(stack, field, n_states=n_states)
+        stack = DielectricStack(substrate, L, e_ex=e_ex)
+        sol = solve_perpendicular(stack, n_states=n_states)
         assert all(sol.converged)
-        oracle = richardson_levels(stack, field, max(n_states, 2))[:n_states]
+        oracle = richardson_levels(stack, max(n_states, 2))[:n_states]
         np.testing.assert_allclose(sol.energies, oracle, rtol=0.0, atol=1e-5)
 
     def test_finite_differences_converge_at_second_order(self):
         # the oracle itself: halving h cuts its error 4x against the spectral level
-        stack, field = DielectricStack(SC, 10.0), FieldSpec(0.0)
-        w = solve_perpendicular(stack, field).energies[0]
-        err = [fd_levels(stack, field, n, 1)[0] - w for n in (4200, 8400)]
+        stack = DielectricStack(SC, 10.0)
+        w = solve_perpendicular(stack).energies[0]
+        err = [fd_levels(stack, n, 1)[0] - w for n in (4200, 8400)]
         assert 3.9 <= err[0] / err[1] <= 4.1
 
 
 class TestHellmannFeynman:
     def test_residual_small(self):
-        res = hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(0.0), 1e4)
+        res = hellmann_feynman_check(DielectricStack(SC, 10.0), 1e4)
         assert res <= 1e-3
 
     def test_residual_small_at_finite_field(self):
-        res = hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(5e5), 1e4)
+        res = hellmann_feynman_check(DielectricStack(SC, 10.0, e_ex=5e5), 1e4)
         assert res <= 1e-3
 
     def test_residual_small_when_wall_meets_substrate(self):
         # at L = 1 nm the lower wall is the substrate, z = -L
         stack = DielectricStack(SC, 1.0)
         assert solver_mesh(stack).points[0] == -1.0
-        assert hellmann_feynman_check(stack, FieldSpec(0.0), 1e4) <= 1e-3
+        assert hellmann_feynman_check(stack, 1e4) <= 1e-3
 
     def test_unbound_endpoint_flagged(self):
         with pytest.raises(UnboundStateError):
-            hellmann_feynman_check(DielectricStack(SC, 10.0), FieldSpec(-4.9e6), 2e5)
+            hellmann_feynman_check(DielectricStack(SC, 10.0, e_ex=-4.9e6), 2e5)
 
 
 # the bulk stack takes no external field
@@ -392,10 +390,10 @@ class TestSolverMesh:
     def test_degree_converged_against_degree_24(self, substrate, L, e_ex):
         # measured over 1-200 nm and inf, |E_ex| <= 2e6 V/m, three substrates:
         # |dE| <= 5.5e-9 meV, |dh_e| <= 1.7e-11 nm, every node check passed
-        stack, field = DielectricStack(substrate, L), FieldSpec(e_ex)
-        sol = solve_perpendicular(stack, field, n_states=2)
+        stack = DielectricStack(substrate, L, e_ex=e_ex)
+        sol = solve_perpendicular(stack, n_states=2)
         fine = spectral_mesh(sol.grid.breakpoints, degree=24)
-        v = cached_perpendicular_potential(stack, field, fine)
+        v = cached_perpendicular_potential(stack, fine)
         ref = solve_lowest(build_hamiltonian(v, fine), fine, 2)
         assert sol.converged == [True, True]
         np.testing.assert_allclose(sol.energies, ref.energies, rtol=0.0, atol=2e-8)
@@ -456,7 +454,7 @@ class TestSolverPotential:
         # the solver's Hamiltonian holds the public potential at every node;
         # the surface node z = 0 weighs the barrier below and V(z_c) above
         # with the masses of their own elements
-        stack, field = DielectricStack(SC, L), FieldSpec(e_ex)
+        stack = DielectricStack(SC, L, e_ex=e_ex)
         grid = solver_mesh(stack)
         seen = {}
 
@@ -465,10 +463,10 @@ class TestSolverPotential:
             return solve_lowest(hamiltonian, grid, n_states, start)
 
         monkeypatch.setattr(perpendicular, "solve_lowest", capture)
-        solve_perpendicular(stack, field)
+        solve_perpendicular(stack)
         assert seen["grid"] is grid and seen["h"].shape == (90, 90)
         z = grid.points[1:-1]
-        expected = total_perpendicular_potential(stack, field, z)
+        expected = total_perpendicular_potential(stack, z)
         below, above = grid.weights[0, -1], grid.weights[1, 0]
         step = stack.barrier_height - perpendicular_potential(
             stack, stack.cutoff_zc)
@@ -490,9 +488,9 @@ def _overlap(a, b):
     return float(np.sum(a.grid.mass * a.wavefunctions[0] * b.wavefunctions[0]))
 
 
-def _hamiltonian(stack, field):
+def _hamiltonian(stack):
     grid = solver_mesh(stack)
-    return build_hamiltonian(cached_perpendicular_potential(stack, field, grid), grid), grid
+    return build_hamiltonian(cached_perpendicular_potential(stack, grid), grid), grid
 
 
 def _spy_lapack(monkeypatch):
@@ -524,16 +522,16 @@ class TestWarmStart:
                              ids=[_case_id((s, f"{r[0]}-{r[1]}", e, 1))
                                   for s, r, e in WARM_CASES])
     def test_chain_matches_dense(self, monkeypatch, substrate, l_range, e_ex):
-        field, warm = FieldSpec(e_ex), WarmStart()
+        warm = WarmStart()
         calls = _spy_lapack(monkeypatch)
         previous, cold = None, 0
         for L in _chain(l_range):
-            stack = DielectricStack(substrate, L)
+            stack = DielectricStack(substrate, L, e_ex=e_ex)
             first = len(calls)
-            sol = solve_perpendicular(stack, field, warm=warm)
+            sol = solve_perpendicular(stack, warm=warm)
             solve_calls = calls[first:]
             assert warm.state is sol
-            h, grid = _hamiltonian(stack, field)
+            h, grid = _hamiltonian(stack)
             dense = solve_lowest(h, grid, 1)
             if grid != previous:
                 # no start on this mesh: the dense solve itself
@@ -556,7 +554,7 @@ class TestWarmStart:
 
     def test_excited_start_is_rejected(self, monkeypatch):
         stack = DielectricStack(SC, 10.0)
-        h, grid = _hamiltonian(stack, FieldSpec(0.0))
+        h, grid = _hamiltonian(stack)
         both = solve_lowest(h, grid, 2)
         excited = BoundStateSolution(both.energies[1:], both.wavefunctions[1:], grid, [True])
         calls = _spy_lapack(monkeypatch)
@@ -570,7 +568,7 @@ class TestWarmStart:
 
     def test_failed_certificate_falls_back_to_dense(self, monkeypatch):
         start = solve_perpendicular(DielectricStack(SC, 9.8))
-        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0))
         dense = solve_lowest(h, grid, 1)
         _fail_lapack(monkeypatch, "dpbtrf")
         sol = solve_lowest(h, grid, 1, start=start)
@@ -579,7 +577,7 @@ class TestWarmStart:
 
     def test_two_states_never_take_the_banded_path(self, monkeypatch):
         start = solve_perpendicular(DielectricStack(SC, 9.8))
-        h, grid = _hamiltonian(DielectricStack(SC, 10.0), FieldSpec(0.0))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.0))
         dense = solve_lowest(h, grid, 2)
         calls = _spy_lapack(monkeypatch)
         sol = solve_lowest(h, grid, 2, start=start)
