@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .dielectric import (Dielectric, DielectricStack, Superconductor, external_potential,
-                         perpendicular_potential)
+from .dielectric import external_potential, perpendicular_potential
 from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
 from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
@@ -35,14 +34,6 @@ from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_
 from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicular_gap,
                             solve_perpendicular)
 from .tables import ResultTable
-
-
-def _stack(cfg: RunConfig, thickness: float, e_ex: float) -> DielectricStack:
-    sub = Superconductor() if cfg.substrate_type == "superconductor" \
-        else Dielectric(cfg.eps_b)
-    return DielectricStack(sub, thickness, eps_neon=cfg.eps_neon,
-                           barrier_height=cfg.barrier_height, cutoff_zc=cfg.cutoff_zc,
-                           e_ex=e_ex)
 
 
 def _fmt_axis(value: float) -> str:
@@ -83,21 +74,18 @@ def _curve_metadata(validation_error: float, nodes: int) -> dict:
 def cmd_potential_z(cfg: RunConfig):
     """Perpendicular potential profile V(z); one file per layer thickness.
 
-    z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential."""
+    z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential.
+    Every stack is built, so checked, before the first table."""
     e_ex = _single_field(cfg, "potential-z")
-    if e_ex != 0.0 and any(math.isinf(L) for L in cfg.L):
-        raise ConfigError("potential-z: bulk neon (L = inf) needs E_ex = 0 V/m, "
-                          f"got {e_ex:g} V/m")
-    for L in cfg.L:
-        stack = _stack(cfg, L, e_ex)
-        z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
+    z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
+    for stack in [cfg.stack(L, e_ex) for L in cfg.L]:
         v_perp = perpendicular_potential(stack, z)
         v_ex = external_potential(stack, z)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
-                            metadata={"L_nm": _fmt_axis(L)})
+                            metadata={"L_nm": _fmt_axis(stack.thickness_L)})
         table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
-        yield f"_L{_fmt_axis(L)}", table
+        yield f"_L{_fmt_axis(stack.thickness_L)}", table
 
 
 def cmd_ground_sweep(cfg: RunConfig):
@@ -107,7 +95,7 @@ def cmd_ground_sweep(cfg: RunConfig):
     for L, e_ex in sorted((L, e) for L in cfg.L for e in cfg.E_ex):
         sol = None
         if not (math.isinf(L) and e_ex != 0.0):  # bulk neon at a field: a flagged row
-            sol = solve_perpendicular(_stack(cfg, L, e_ex), n_states=2, z_max=cfg.z_max)
+            sol = solve_perpendicular(cfg.stack(L, e_ex), n_states=2, z_max=cfg.z_max)
         if sol is not None and sol.is_bound():
             table.add_row(L, e_ex, float(sol.energies[0]), mean_height(sol),
                           perpendicular_gap(sol), True)
@@ -120,7 +108,7 @@ def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     e_ex = _single_field(cfg, "lateral")
     l_range = _curve_range(cfg)
-    curve = build_energy_curve(_stack(cfg, cfg.L0, e_ex), l_range, cfg.n_knots,
+    curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
                                z_max=cfg.z_max)
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
@@ -169,7 +157,7 @@ def cmd_field_sweep(cfg: RunConfig):
     curves, e_fit, du_fit = [], [], []
     for e_ex in sorted(cfg.E_ex):
         try:
-            curve = build_energy_curve(_stack(cfg, cfg.L0, e_ex), l_range, cfg.n_knots,
+            curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
                                        z_max=cfg.z_max)
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=cfg.rho_max, warm=warm)

@@ -13,11 +13,21 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
+from .dielectric import Dielectric, DielectricStack, Superconductor
+from .lateral import PillarProfile
 from .tables import emit_quantity, parse_quantity
 
 
 class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
+
+
+def _checked(build, *args, **kwargs):
+    """Call build(*args, **kwargs); a ValueError from its rules becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _key(section: str, kind, default, unit: str | None = None, key: str | None = None):
@@ -72,6 +82,13 @@ class RunConfig:
 
     def __post_init__(self):
         _validate(self)
+
+    def stack(self, thickness: float, e_ex: float = 0.0) -> DielectricStack:
+        """The configured stack at thickness (nm) and e_ex (V/m), checked by its constructors."""
+        sub = Superconductor() if self.substrate_type == "superconductor" \
+            else _checked(Dielectric, self.eps_b)
+        return _checked(DielectricStack, sub, thickness, eps_neon=self.eps_neon,
+                        barrier_height=self.barrier_height, cutoff_zc=self.cutoff_zc, e_ex=e_ex)
 
     def effective_text(self) -> str:
         """Canonical resolved-config echo in field order; also the hash input."""
@@ -164,25 +181,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.substrate_type == "dielectric" and cfg.eps_b < 1.0:
-        raise ConfigError("eps_b must be >= 1")
-    if cfg.eps_neon <= 1.0:
-        raise ConfigError("eps_neon must exceed 1")
-    if cfg.barrier_height <= 0.0:
-        # the neon surface must repel the electron, or it settles inside the layer
-        raise ConfigError("barrier_height must be a positive energy")
-    if cfg.cutoff_zc <= 0.0:
-        raise ConfigError("cutoff_zc must be a positive length")
+    # the constructors state the layer and pillar rules; L > 0 is stricter (see DielectricStack)
+    cfg.stack(cfg.L0)
+    for dL in cfg.delta_L:
+        for R in cfg.R:
+            _checked(PillarProfile, cfg.L0, dL, R, cfg.b)
     if cfg.z_max <= cfg.cutoff_zc:
         raise ConfigError("z_max must exceed the cutoff distance")
     if cfg.z_samples < 1:
         raise ConfigError("z_samples must be >= 1")
     if any(l <= 0.0 for l in cfg.L):
         raise ConfigError("layer thicknesses must be positive (or inf for bulk)")
-    if not (0.0 < min(cfg.delta_L) and max(cfg.delta_L) < cfg.L0):
-        raise ConfigError("need 0 < delta_L < L0")
-    if any(r <= 0.0 for r in cfg.R) or cfg.b <= 0.0:
-        raise ConfigError("R and b must be positive")
     if cfg.rho_max is not None and cfg.rho_max <= 0.0:
         raise ConfigError("rho_max must be a positive length (or auto)")
     if cfg.n_knots < 20:

@@ -35,7 +35,7 @@ class Dielectric:
 
     def __post_init__(self):
         if not self.eps_b >= 1.0:
-            raise ValueError(f"substrate permittivity must be >= 1, got {self.eps_b}")
+            raise ValueError(f"eps_b must be >= 1, got {self.eps_b}")
 
 
 Substrate = Superconductor | Dielectric
@@ -46,11 +46,13 @@ class DielectricStack:
     """Vacuum above, neon layer of thickness_L (nm), substrate below.
 
     thickness_L = math.inf denotes bulk neon; thickness_L = 0 is allowed
-    only as the mirror-charge limit check.  The stack carries the neon surface
-    too: the Pauli barrier_height (meV) for z < 0 and the image cutoff_zc (nm),
-    both positive and finite.  e_ex is the uniform external field in V/m,
-    finite, positive pointing away from the substrate; bulk neon has no
-    grounded substrate to fix the field's gauge, so it takes only e_ex = 0.
+    only as the mirror-charge limit check (the CLI takes only L > 0: the
+    solver mesh needs a layer between its wall at -L and the surface).  The
+    stack carries the neon surface too: the Pauli barrier_height (meV) for
+    z < 0 and the image cutoff_zc (nm), both positive and finite.  e_ex is
+    the uniform external field in V/m, finite, positive pointing away from
+    the substrate; bulk neon has no grounded substrate to fix the field's
+    gauge, so it takes only e_ex = 0.
     """
 
     substrate: Substrate
@@ -67,11 +69,11 @@ class DielectricStack:
             raise ValueError(f"thickness_L must be >= 0 or inf, got {self.thickness_L}")
         for name in ("barrier_height", "cutoff_zc"):  # a surface that repels, above z = 0
             if not 0.0 < (value := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{name} must be a positive, finite value, got {value}")
         if not math.isfinite(self.e_ex):
             raise ValueError(f"e_ex must be finite, got {self.e_ex}")
         if self.is_bulk and self.e_ex != 0.0:
-            raise ValueError("bulk stack (L = inf) supports only zero external field")
+            raise ValueError(f"bulk neon (L = inf) needs E_ex = 0 V/m, got {self.e_ex:g} V/m")
 
     @property
     def is_bulk(self) -> bool:

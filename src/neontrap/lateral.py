@@ -46,9 +46,9 @@ class PillarProfile:
 
     def __post_init__(self):
         if not 0.0 < self.delta_L < self.L0:
-            raise ValueError("need 0 < delta_L < L0")
+            raise ValueError(f"need 0 < delta_L < L0, got {self.delta_L:g} and {self.L0:g} nm")
         if self.R <= 0.0 or self.b <= 0.0:
-            raise ValueError("R and b must be positive")
+            raise ValueError(f"R and b must be positive, got R = {self.R:g} nm, b = {self.b:g} nm")
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,18 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert "threads must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_stack_is_the_configured_layer(self):
+        cfg = RunConfig(substrate_type="dielectric", eps_b=4.5, eps_neon=1.3,
+                        barrier_height=600.0, cutoff_zc=0.2)
+        assert cfg.stack(7.0, 1e6) == DielectricStack(
+            Dielectric(4.5), 7.0, eps_neon=1.3, barrier_height=600.0, cutoff_zc=0.2, e_ex=1e6)
+        assert RunConfig().stack(math.inf) == DielectricStack(Superconductor(), math.inf)
+        # a rule the stack refuses is a config error with the stack's message
+        with pytest.raises(ConfigError, match=r"bulk neon \(L = inf\) needs E_ex = 0 V/m"):
+            cfg.stack(math.inf, 1e6)
+        with pytest.raises(ConfigError, match="eps_neon must exceed 1"):
+            dataclasses.replace(cfg, eps_neon=0.5)
+
 
 class TestCliEndToEnd:
     def test_growth_runs(self, tmp_path):
@@ -448,11 +460,13 @@ class TestCliEndToEnd:
             assert [row[3] for row in rows] == [FLOAT_FMT.format(v) for v in want]
 
     def test_potential_z_bulk_at_nonzero_field_exits_2(self, tmp_path, capsys):
+        # the stack states the rule; every stack is built before the first table
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL = 5 nm, inf\nE_ex = 1e6 V/m\n")
         out = tmp_path / "pot.csv"
         assert main(["potential-z", "--config", cfg, "--out", str(out)]) == 2
-        assert "L = inf" in capsys.readouterr().err
-        assert not (tmp_path / "pot_L5.csv").exists()
+        err = capsys.readouterr().err
+        assert "bulk neon (L = inf)" in err and "1e+06 V/m" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
     @pytest.mark.parametrize("command", ["potential-z", "lateral"])
     def test_single_field_commands_reject_extra_fields(self, tmp_path, capsys, command):
@@ -768,8 +782,16 @@ n_knots = 20
          "barrier_height must be a positive"),
         ("ground-sweep", "[constants]\nbarrier_height = 0 meV\n",
          "barrier_height must be a positive"),
+        ("ground-sweep", "[constants]\neps_neon = 1\n", "eps_neon must exceed 1"),
+        ("ground-sweep", "[substrate]\ntype = dielectric\neps_b = 0.5\n",
+         "eps_b must be >= 1, got 0.5"),
+        ("lateral", "[sweep]\nL0 = 10 nm\ndelta_L = 10 nm\n",
+         "need 0 < delta_L < L0, got 10 and 10 nm"),
+        ("lateral", "[sweep]\nR = 110 nm, 0 nm\n", "R and b must be positive, got R = 0 nm"),
+        ("field-sweep", "[sweep]\nb = 0 nm\n", "R and b must be positive, got R = 110 nm, b = 0 nm"),
     ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative",
-            "barrier_height_negative", "barrier_height_zero"])
+            "barrier_height_negative", "barrier_height_zero", "eps_neon_one", "eps_b_below_one",
+            "delta_L_at_L0", "R_zero", "b_zero"])
     def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
                                                     message):
         cfg = write_config(tmp_path, body)
