@@ -31,8 +31,7 @@ from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_
                       curve_range, default_rho_max, fit_harmonic_field_model,
                       harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
                       thickness_at)
-from .perpendicular import (NumericalFailure, WarmStart, mean_height, perpendicular_gap,
-                            solve_perpendicular)
+from .perpendicular import NumericalFailure, mean_height, perpendicular_gap, solve_perpendicular
 from .tables import ResultTable
 
 
@@ -115,8 +114,8 @@ def cmd_lateral(cfg: RunConfig):
                  ("U_alpha", "ueV"), ("delta_U", "ueV"), ("rho_e", "nm"),
                  ("rho_e_line", "nm"), ("bound", "")],
         metadata=_curve_metadata(curve.validation_error, curve.l_knots.size))
-    # each (R, alpha) chains its radial solves across delta_L; a new R is a new mesh
-    warm = [WarmStart() for _ in range(cfg.alpha_max + 1)]
+    # each spectrum starts from the one before it; a new R is a new mesh, so solves dense
+    spec = None
     for R in sorted(cfg.R):
         for dL in sorted(cfg.delta_L):
             profile = PillarProfile(cfg.L0, dL, R, cfg.b)
@@ -131,9 +130,9 @@ def cmd_lateral(cfg: RunConfig):
             yield f"_R{R:g}_dL{dL:g}", prof_table
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=rho_max, warm=warm)
+                                   rho_max=rho_max, start=spec)
             for alpha in range(cfg.alpha_max + 1):
-                spectrum.add_row(R, dL, alpha, spec.u_alpha_uev(alpha),
+                spectrum.add_row(R, dL, alpha, 1.0e3 * spec.u_alpha[alpha],
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
                                  spec.bound)
     yield "_spectrum", spectrum
@@ -142,8 +141,8 @@ def cmd_lateral(cfg: RunConfig):
 def cmd_field_sweep(cfg: RunConfig):
     """Delta U and rho_e versus external field for one pillar geometry.
 
-    One energy curve and pillar spectrum per field, ascending, the radial solves
-    chained across fields by warm.  A field that fails numerically keeps a
+    One energy curve and pillar spectrum per field, ascending, each spectrum
+    started from the last one solved.  A field that fails numerically keeps a
     flagged NaN row and adds no curve; the bound fields feed the slopes and fit.
     """
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
@@ -153,14 +152,13 @@ def cmd_field_sweep(cfg: RunConfig):
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")])
-    warm = [WarmStart() for _ in range(cfg.alpha_max + 1)]
-    curves, e_fit, du_fit = [], [], []
+    spec, curves, e_fit, du_fit = None, [], [], []
     for e_ex in sorted(cfg.E_ex):
         try:
             curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
                                        z_max=cfg.z_max)
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
-                                   rho_max=cfg.rho_max, warm=warm)
+                                   rho_max=cfg.rho_max, start=spec)
         except NumericalFailure:
             table.add_row(e_ex, math.nan, math.nan, math.nan, False)
             continue

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
 from .dielectric import Dielectric, DielectricStack, Superconductor
+from .growth import diffusion_length, gibbs_thomson_shift, gravity_potential_difference
 from .lateral import PillarProfile
 from .tables import emit_quantity, parse_quantity
 
@@ -181,7 +182,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    # the constructors state the layer and pillar rules; L > 0 is stricter (see DielectricStack)
+    for (section, key), f in _FIELDS.items():
+        if f.metadata["kind"] == "float_list" and not getattr(cfg, f.name):
+            raise ConfigError(f"[{section}] {key} needs at least one value")
+    # constructors and growth estimates state their rules; L > 0 is stricter (see DielectricStack)
     cfg.stack(cfg.L0)
     for dL in cfg.delta_L:
         for R in cfg.R:
@@ -198,9 +202,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError("n_knots must be >= 20")
     if cfg.alpha_max < 1:
         raise ConfigError("alpha_max must be >= 1")
-    if any(r == 0.0 for r in cfg.r_c):
-        raise ConfigError("curvature radii must be nonzero")
-    if cfg.diffusion_time <= 0.0 or cfg.delta_h < 0.0:
-        raise ConfigError("diffusion_time must be positive, delta_h non-negative")
+    for r_c in cfg.r_c:
+        _checked(gibbs_thomson_shift, r_c)
+    _checked(diffusion_length, cfg.diffusion_time)
+    _checked(gravity_potential_difference, cfg.delta_h)
     if cfg.threads < 0:
         raise ConfigError("threads must be >= 0")

@@ -34,14 +34,14 @@ def gibbs_thomson_shift(r_c: float) -> float:
     (valley) raises it.
     """
     if r_c == 0.0:
-        raise ValueError("curvature radius must be nonzero")
+        raise ValueError(f"curvature radius r_c must be nonzero, got {r_c:g} nm")
     return -gibbs_thomson_coefficient() / r_c
 
 
 def diffusion_length(t: float) -> float:
     """Diffusion length sqrt(D t) in nm after time t (seconds)."""
     if t < 0.0:
-        raise ValueError("time must be non-negative")
+        raise ValueError(f"diffusion time must be non-negative, got {t:g} s")
     d_nm2_per_s = DIFFUSION_COEFFICIENT * NM2_PER_S_PER_MM2_PER_S
     return math.sqrt(d_nm2_per_s * t)
 
@@ -49,7 +49,7 @@ def diffusion_length(t: float) -> float:
 def gravity_potential_difference(delta_h: float) -> float:
     """Gravitational energy m_Ne g delta_h in meV for a height step delta_h (nm)."""
     if delta_h < 0.0:
-        raise ValueError("height difference must be non-negative")
+        raise ValueError(f"height difference delta_h must be non-negative, got {delta_h:g} nm")
     mass_kg = ATOMIC_MASS * KG_PER_U
     energy_j = mass_kg * G_EARTH_M_PER_S2 * delta_h / NM_PER_M
     return energy_j / J_PER_EV * MEV_PER_EV

@@ -11,7 +11,7 @@ eigenvalue per alpha yields the qubit spectrum U_alpha, Delta U = U1 - U0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Chebyshev, polyutils
@@ -19,7 +19,7 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .constants import HBAR2_OVER_2ME, Z_MAX
 from .dielectric import DielectricStack
-from .perpendicular import (NumericalFailure, WarmStart, build_hamiltonian,
+from .perpendicular import (BoundStateSolution, NumericalFailure, WarmStart, build_hamiltonian,
                             ground_state_energy, solve_lowest, spectral_mesh)
 
 
@@ -190,13 +190,15 @@ class LateralSpectrum:
 
     u_alpha maps alpha -> energy in meV.  rho_e is the mean radius of the
     first excited (alpha=1) state with the cylindrical measure rho drho;
-    rho_e_line uses the plain drho measure for comparison.
+    rho_e_line uses the plain drho measure for comparison.  states[alpha] is
+    the radial solution R_alpha, which starts the next spectrum's solves.
     """
 
     u_alpha: dict
     rho_e: float
     rho_e_line: float
     bound: bool
+    states: list[BoundStateSolution] = field(repr=False)
 
     @property
     def delta_u_mev(self) -> float:
@@ -206,13 +208,10 @@ class LateralSpectrum:
     def delta_u_uev(self) -> float:
         return 1.0e3 * self.delta_u_mev
 
-    def u_alpha_uev(self, alpha: int) -> float:
-        return 1.0e3 * self.u_alpha[alpha]
-
 
 def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
                     n_points: int = 16384,
-                    warm: list[WarmStart] | None = None) -> LateralSpectrum:
+                    start: LateralSpectrum | None = None) -> LateralSpectrum:
     """Lowest eigenvalue per alpha in {0..alpha_max} of the radial equation.
 
     potential is a callable rho[nm] -> V_par[meV].  The weak form
@@ -227,9 +226,9 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     potential, by contrast, takes each element's value from inside); the
     pillar potentials are smooth, so this holds only for stepped test
     potentials.  n_points sizes nothing; it stays because the benchmark's tracer
-    (perfbench/tracing.py) reads it.  warm, if given, holds one WarmStart per
-    alpha: each solve starts from warm[alpha].state, which solve_lowest takes
-    only on the same mesh, and leaves its own solution there.
+    (perfbench/tracing.py) reads it.  start, a previous spectrum, seeds each
+    alpha's solve with its state for that alpha; solve_lowest takes it only
+    on the same mesh, and an alpha the start lacks solves dense.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
@@ -241,16 +240,14 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
         raise ValueError("non-finite lateral potential sample")
     centrifugal = np.divide(c, rho * rho, out=np.zeros_like(rho), where=rho > 0.0)
 
-    if warm is not None and len(warm) != alpha_max + 1:
-        raise ValueError("warm must hold one WarmStart per alpha")
+    starts = start.states if start is not None else []
     states = []
     for alpha in range(alpha_max + 1):
         h = build_hamiltonian(v + alpha * alpha * centrifugal, mesh)
         if alpha == 0:  # static condensation of the axis node
             h -= c * np.outer(mesh.axis, mesh.axis)
-        states.append(solve_lowest(h, mesh, 1, start=warm[alpha].state if warm else None))
-        if warm:
-            warm[alpha].state = states[-1]
+        states.append(solve_lowest(h, mesh, 1,
+                                   start=starts[alpha] if alpha < len(starts) else None))
     u_alpha = {alpha: float(sol.energies[0]) for alpha, sol in enumerate(states)}
 
     # R_1 on the nodes off the axis, normalized by the integral of rho R_1^2
@@ -262,7 +259,7 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     # its density rho R_0^2 does not lean on the outer wall
     bound = u_alpha[0] < float(v[-1, -1]) and states[0].is_bound()
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
-                           bound=bound)
+                           bound=bound, states=states)
 
 
 def default_rho_max(R: float) -> float:
@@ -290,18 +287,17 @@ def pillar_breakpoints(R: float, b: float, rho_max: float) -> tuple:
 
 def pillar_spectrum(curve: EnergyCurve, profile: PillarProfile, *,
                     alpha_max: int = 1, rho_max: float | None = None,
-                    warm: list[WarmStart] | None = None) -> LateralSpectrum:
+                    start: LateralSpectrum | None = None) -> LateralSpectrum:
     """Radial spectrum of the trap formed by a pillar profile, on pillar_breakpoints.
 
-    warm, one WarmStart per alpha, chains its solves to the previous
-    spectrum's (radial_spectrum).
+    start, a previous spectrum, chains its solves to that one's (radial_spectrum).
     """
     if rho_max is None:
         rho_max = default_rho_max(profile.R)
     pot = lambda r: lta_potential(curve, profile, r)
     return radial_spectrum(pot, alpha_max,
                            breakpoints=pillar_breakpoints(profile.R, profile.b, rho_max),
-                           warm=warm)
+                           start=start)
 
 
 def harmonic_field_model(hbar_omega0_uev: float, beta1: float, e_ex: float) -> float:

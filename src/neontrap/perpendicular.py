@@ -377,39 +377,38 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
 
 @dataclass
 class WarmStart:
-    """One-slot holder that chains neighbouring ground-state solves.
+    """One-slot holder that chains neighbouring ground_state_energy solves.
 
-    solve_perpendicular starts from the solution held in `state` and leaves
-    its own there for the next solve; so does radial_spectrum, which takes one
-    holder per angular momentum alpha.  The caller owns the holders.
+    ground_state_energy returns a bare float, so it starts from the solution
+    held in `state` and leaves its own there for the next solve.  The caller
+    owns the holder.  solve_perpendicular and radial_spectrum take the
+    previous result itself as their start.
     """
 
     state: BoundStateSolution | None = None
 
 
 def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: float = Z_MAX,
-                        warm: WarmStart | None = None) -> BoundStateSolution:
+                        start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Solve the perpendicular problem for the stack, its field included, on solver_mesh.
 
-    With a warm holder, the solve starts from warm.state and leaves its
-    solution there.
+    start, a previous solution, seeds the ground state as in solve_lowest.
     """
     grid = solver_mesh(stack, z_max)
     v = cached_perpendicular_potential(stack, grid)
-    sol = solve_lowest(build_hamiltonian(v, grid), grid, n_states,
-                       start=warm.state if warm is not None else None)
-    if warm is not None:
-        warm.state = sol
-    return sol
+    return solve_lowest(build_hamiltonian(v, grid), grid, n_states, start=start)
 
 
 def ground_state_energy(stack: DielectricStack, *, z_max: float = Z_MAX,
                         warm: WarmStart | None = None) -> float:
     """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping.
 
-    warm, if given, chains this solve to the previous one (solve_perpendicular).
+    warm, if given, starts this solve from warm.state and leaves its solution there.
     """
-    sol = solve_perpendicular(stack, n_states=1, z_max=z_max, warm=warm)
+    sol = solve_perpendicular(stack, z_max=z_max,
+                              start=warm.state if warm is not None else None)
+    if warm is not None:
+        warm.state = sol
     if not sol.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "

@@ -351,6 +351,14 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert "threads must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name, key", [("L", r"\[sweep\] L"), ("E_ex", r"\[sweep\] E_ex"),
+                                           ("delta_L", r"\[sweep\] delta_L"),
+                                           ("R", r"\[sweep\] R"), ("r_c", r"\[growth\] r_c")])
+    def test_empty_list_is_config_error(self, name, key):
+        # a config file cannot give an empty list, but Python can
+        with pytest.raises(ConfigError, match=key + " needs at least one value"):
+            RunConfig(**{name: []})
+
     def test_stack_is_the_configured_layer(self):
         cfg = RunConfig(substrate_type="dielectric", eps_b=4.5, eps_neon=1.3,
                         barrier_height=600.0, cutoff_zc=0.2)
@@ -365,6 +373,14 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
 
 
 class TestCliEndToEnd:
+    def test_growth_at_zero_diffusion_time_writes_zero_length(self, tmp_path):
+        cfg = write_config(tmp_path, "[growth]\ndiffusion_time = 0 s\n")
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--config", cfg, "--out", str(out)]) == 0
+        table = ResultTable.from_csv(out.read_text())
+        values = dict(zip(table.column("quantity"), table.column("value")))
+        assert values["diffusion_length_t_0s"] == 0.0
+
     def test_growth_runs(self, tmp_path):
         out = tmp_path / "growth.csv"
         assert main(["growth", "--out", str(out)]) == 0
@@ -789,9 +805,16 @@ n_knots = 20
          "need 0 < delta_L < L0, got 10 and 10 nm"),
         ("lateral", "[sweep]\nR = 110 nm, 0 nm\n", "R and b must be positive, got R = 0 nm"),
         ("field-sweep", "[sweep]\nb = 0 nm\n", "R and b must be positive, got R = 110 nm, b = 0 nm"),
+        ("growth", "[growth]\nr_c = 10 nm, 0 nm\n",
+         "curvature radius r_c must be nonzero, got 0 nm"),
+        ("growth", "[growth]\ndiffusion_time = -1e-06 s\n",
+         "diffusion time must be non-negative, got -1e-06 s"),
+        ("growth", "[growth]\ndelta_h = -1 nm\n",
+         "height difference delta_h must be non-negative, got -1 nm"),
     ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative",
             "barrier_height_negative", "barrier_height_zero", "eps_neon_one", "eps_b_below_one",
-            "delta_L_at_L0", "R_zero", "b_zero"])
+            "delta_L_at_L0", "R_zero", "b_zero", "r_c_zero", "diffusion_time_negative",
+            "delta_h_negative"])
     def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
                                                     message):
         cfg = write_config(tmp_path, body)

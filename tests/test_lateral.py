@@ -373,15 +373,15 @@ def _spy_dense(monkeypatch):
 class TestRadialWarmStart:
     @pytest.mark.parametrize("dL", [0.5, 1.0])
     def test_chained_spectrum_is_refined_and_matches_dense(self, monkeypatch, curve, dL):
-        warm = [neontrap.perpendicular.WarmStart() for _ in range(3)]
-        pillar_spectrum(curve, PillarProfile(L0, 0.25, R_PILLAR, B), alpha_max=2, warm=warm)
+        previous = pillar_spectrum(curve, PillarProfile(L0, 0.25, R_PILLAR, B), alpha_max=2)
         p = PillarProfile(L0, dL, R_PILLAR, B)
         dense = pillar_spectrum(curve, p, alpha_max=2)
         calls = _spy_dense(monkeypatch)
-        chained = pillar_spectrum(curve, p, alpha_max=2, warm=warm)
+        chained = pillar_spectrum(curve, p, alpha_max=2, start=previous)
         # every alpha starts from the previous spectrum's state on the same mesh
         assert calls == []
-        assert all(w.state.grid.radial for w in warm)
+        assert len(chained.states) == 3 and all(s.grid.radial for s in chained.states)
+        assert "states" not in repr(chained)
         # measured 3.2e-12 meV and 1.1e-9 relative at worst over R = 50-200 nm,
         # dL = 0.25-1 nm and E_ex = -1e6..2e6 V/m
         for alpha in range(3):
@@ -392,16 +392,21 @@ class TestRadialWarmStart:
         assert chained.bound == dense.bound
 
     def test_new_radius_solves_dense(self, monkeypatch, curve):
-        warm = [neontrap.perpendicular.WarmStart() for _ in range(2)]
-        pillar_spectrum(curve, PillarProfile(L0, DL, R_PILLAR, B), warm=warm)
+        previous = pillar_spectrum(curve, PillarProfile(L0, DL, R_PILLAR, B))
         calls = _spy_dense(monkeypatch)
-        pillar_spectrum(curve, PillarProfile(L0, DL, 60.0, B), warm=warm)
+        pillar_spectrum(curve, PillarProfile(L0, DL, 60.0, B), start=previous)
         assert len(calls) == 2
 
-    def test_one_start_per_alpha(self, curve):
-        with pytest.raises(ValueError, match="one WarmStart per alpha"):
-            pillar_spectrum(curve, PillarProfile(L0, DL, R_PILLAR, B),
-                            warm=[neontrap.perpendicular.WarmStart()])
+    def test_alpha_the_start_lacks_solves_dense(self, monkeypatch, curve):
+        previous = pillar_spectrum(curve, PillarProfile(L0, 0.25, R_PILLAR, B))
+        p = PillarProfile(L0, DL, R_PILLAR, B)
+        dense = pillar_spectrum(curve, p, alpha_max=2)
+        calls = _spy_dense(monkeypatch)
+        chained = pillar_spectrum(curve, p, alpha_max=2, start=previous)
+        # alphas 0 and 1 refine from the start; alpha 2 has none and is the dense level
+        assert len(calls) == 1
+        assert chained.u_alpha[2] == dense.u_alpha[2]
+        assert np.array_equal(chained.states[2].wavefunctions, dense.states[2].wavefunctions)
 
 
 class TestFieldCoupling:

@@ -522,15 +522,13 @@ class TestWarmStart:
                              ids=[_case_id((s, f"{r[0]}-{r[1]}", e, 1))
                                   for s, r, e in WARM_CASES])
     def test_chain_matches_dense(self, monkeypatch, substrate, l_range, e_ex):
-        warm = WarmStart()
         calls = _spy_lapack(monkeypatch)
-        previous, cold = None, 0
+        sol, previous, cold = None, None, 0
         for L in _chain(l_range):
             stack = DielectricStack(substrate, L, e_ex=e_ex)
             first = len(calls)
-            sol = solve_perpendicular(stack, warm=warm)
+            sol = solve_perpendicular(stack, start=sol)
             solve_calls = calls[first:]
-            assert warm.state is sol
             h, grid = _hamiltonian(stack)
             dense = solve_lowest(h, grid, 1)
             if grid != previous:
@@ -551,6 +549,18 @@ class TestWarmStart:
         # below 2 nm the wall sits at -L: 1.9, 1.945 and 1.911 nm each get their
         # own mesh, and 2.078 and 2.0 nm return to the -2 nm wall
         assert cold == (1 if l_range[0] >= 2.0 else 5)
+
+    def test_holder_chains_ground_state_energy(self, monkeypatch):
+        # ground_state_energy returns a float, so its chain runs through the holder
+        warm = WarmStart()
+        first = ground_state_energy(DielectricStack(SC, 9.8), warm=warm)
+        assert warm.state.energies[0] == first
+        held = warm.state
+        calls = _spy_lapack(monkeypatch)
+        energy = ground_state_energy(DielectricStack(SC, 10.0), warm=warm)
+        assert "dsyevr" not in [name for name, _ in calls]
+        sol = solve_perpendicular(DielectricStack(SC, 10.0), start=held)
+        assert warm.state is not held and warm.state.energies[0] == energy == sol.energies[0]
 
     def test_excited_start_is_rejected(self, monkeypatch):
         stack = DielectricStack(SC, 10.0)
