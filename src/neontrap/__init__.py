@@ -3,12 +3,12 @@
 Library layout:
     dielectric    - stack reflection coefficient, image and field potentials
     perpendicular - 1D spectral-element bound states, W^G, h_e, excitation gap
-    lateral       - thickness profiles, LTA trap, radial qubit spectrum
+    lateral       - pillar thickness profile, LTA trap, radial qubit spectrum
     growth        - Gibbs-Thomson / diffusion / gravity estimates
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .dielectric import (Dielectric, DielectricStack, Superconductor,
                          external_potential, perpendicular_potential,
@@ -16,7 +16,7 @@ from .dielectric import (Dielectric, DielectricStack, Superconductor,
 from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
 from .lateral import (CurveValidationError, EnergyCurve, LateralSpectrum,
-                      ModelInvalidError, PillarProfile, QuadraticProfile,
+                      ModelInvalidError, PillarProfile,
                       build_energy_curve, fit_harmonic_field_model,
                       harmonic_field_model, lta_potential, near_zero_slopes,
                       pillar_spectrum, radial_spectrum, thickness_at)
@@ -34,7 +34,7 @@ __all__ = [
     "gravity_potential_difference",
     "CurveValidationError", "EigensolverError", "ModelInvalidError",
     "EnergyCurve", "LateralSpectrum", "PillarProfile",
-    "QuadraticProfile", "build_energy_curve",
+    "build_energy_curve",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",
     "near_zero_slopes", "pillar_spectrum", "radial_spectrum", "thickness_at",
     "BoundStateSolution", "SpectralMesh", "UnboundStateError", "WarmStart",

@@ -303,15 +303,15 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"),
                    help="output format (overrides [output] format)")
     p.add_argument("--threads", type=int,
-                   help="accepted for compatibility and ignored: every run is serial")
+                   help="ignored, since every run is serial; kept because "
+                        "perfbench/make_reference.py passes it")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        overrides = {"out_path": args.out or None, "out_format": args.format,
-                     "threads": args.threads}
+        overrides = {"out_path": args.out or None, "out_format": args.format}
         cfg = dataclasses.replace(
             cfg, **{name: v for name, v in overrides.items() if v is not None})
         out_dir = os.path.dirname(cfg.out_path) or "."

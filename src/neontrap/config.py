@@ -58,13 +58,9 @@ class RunConfig:
     eps_neon: float = _key("constants", "float", EPS_NEON)
     barrier_height: float = _key("constants", "float", BARRIER_HEIGHT, "meV")
     cutoff_zc: float = _key("constants", "float", CUTOFF_ZC, "nm")
-    # accepted and echoed for old configs; the perpendicular mesh is fixed
-    n_points: int = _key("grid", "int", 8192)
     z_max: float = _key("grid", "float", Z_MAX, "nm")
     z_samples: int = _key("grid", "int", 400)
     rho_max: float | None = _key("grid", "float_or_auto", None, "nm")
-    # accepted and echoed for old configs; the radial mesh is built from R, b and rho_max
-    n_points_radial: int = _key("grid", "int", 16384)
     L: list = _key("sweep", "float_list", [10.0], "nm")
     E_ex: list = _key("sweep", "float_list", [0.0], "V/m")
     L0: float = _key("sweep", "float", 10.0, "nm")
@@ -78,8 +74,6 @@ class RunConfig:
     delta_h: float = _key("growth", "float", 25.0, "nm")
     out_path: str = _key("output", "str", "out.csv", key="path")
     out_format: str = _key("output", ("csv", "json"), "csv", key="format")
-    # accepted and echoed for old configs; every run is serial
-    threads: int = _key("parallel", "int", 0)
 
     def __post_init__(self):
         _validate(self)
@@ -103,19 +97,23 @@ class RunConfig:
         return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
     def config_hash(self) -> str:
-        # neither the output destination nor [parallel] affects the numbers,
-        # so the hash covers only the physics-relevant sections
+        # the output destination does not affect the numbers, so the hash
+        # covers only the physics-relevant sections before [output]
         text = self.effective_text().split("[output]")[0]
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # (section, key) -> RunConfig field, in field order
 _FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
+# keys that once sized a mesh or a thread pool and now change no number; old
+# configs, the committed benchmark configs among them, still carry them, so
+# each must parse as an integer and is then dropped: neither echoed nor hashed
+_RETIRED = {("grid", "n_points"), ("grid", "n_points_radial"), ("parallel", "threads")}
 
 
 def _parse_value(section: str, key: str, raw: str):
-    meta = _FIELDS[section, key].metadata
-    kind, unit = meta["kind"], meta["unit"]
+    f = _FIELDS.get((section, key))  # None for a retired key, which is an integer
+    kind, unit = (f.metadata["kind"], f.metadata["unit"]) if f else ("int", None)
 
     def number(text: str) -> float:
         value = parse_quantity(text, unit)
@@ -170,14 +168,17 @@ def load_config(path: str) -> RunConfig:
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]: every key belongs to a named section")
     values = {}
-    sections = {section for section, _ in _FIELDS}
+    sections = {section for section, _ in (*_FIELDS, *_RETIRED)}
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in _FIELDS:
+            if (section, key) in _FIELDS:
+                values[_FIELDS[section, key].name] = _parse_value(section, key, raw)
+            elif (section, key) in _RETIRED:
+                _parse_value(section, key, raw)  # checked, then dropped
+            else:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[_FIELDS[section, key].name] = _parse_value(section, key, raw)
     return RunConfig(**values)
 
 
@@ -206,5 +207,3 @@ def _validate(cfg: RunConfig):
         _checked(gibbs_thomson_shift, r_c)
     _checked(diffusion_length, cfg.diffusion_time)
     _checked(gravity_potential_difference, cfg.delta_h)
-    if cfg.threads < 0:
-        raise ConfigError("threads must be >= 0")

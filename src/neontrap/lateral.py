@@ -51,31 +51,13 @@ class PillarProfile:
             raise ValueError(f"R and b must be positive, got R = {self.R:g} nm, b = {self.b:g} nm")
 
 
-@dataclass(frozen=True)
-class QuadraticProfile:
-    """Smooth parabolic thickening, L(rho) = L0 (1 + beta0 rho^2)."""
-
-    L0: float
-    beta0: float
-
-    def __post_init__(self):
-        if self.beta0 <= 0.0:
-            raise ValueError("beta0 must be positive")
-
-
-ThicknessProfile = PillarProfile | QuadraticProfile
-
-
-def thickness_at(profile: ThicknessProfile, rho):
+def thickness_at(profile: PillarProfile, rho):
     """Local layer thickness L(rho) in nm; rho >= 0, scalar or array."""
     r = np.asarray(rho, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("rho must be non-negative")
-    if isinstance(profile, PillarProfile):
-        x = r - profile.R
-        out = profile.L0 - 0.5 * profile.delta_L * (1.0 - x / np.hypot(x, profile.b))
-    else:
-        out = profile.L0 * (1.0 + profile.beta0 * r * r)
+    x = r - profile.R
+    out = profile.L0 - 0.5 * profile.delta_L * (1.0 - x / np.hypot(x, profile.b))
     return float(out) if np.isscalar(rho) else out
 
 
@@ -172,7 +154,7 @@ def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, fl
     return EnergyCurve(poly, l_knots, w_knots, validation_error)
 
 
-def lta_potential(curve: EnergyCurve, profile: ThicknessProfile, rho):
+def lta_potential(curve: EnergyCurve, profile: PillarProfile, rho):
     """Lateral potential V_par(rho) = W^G(L(rho)) - W^G(L0) in meV.
 
     The local-thickness approximation holds while the thickness varies
@@ -255,9 +237,11 @@ def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,
     rho_e = float(np.sum(m * r * r1 ** 2))
     rho_e_line = float(1.0 / np.sum(m / r * r1 ** 2))
 
-    # bound if the ground state sits below the far-field potential rim and
-    # its density rho R_0^2 does not lean on the outer wall
-    bound = u_alpha[0] < float(v[-1, -1]) and states[0].is_bound()
+    # bound if both levels that Delta U and rho_e read, alpha = 0 and 1, sit
+    # below the far-field potential rim and their densities rho R^2 do not
+    # lean on the outer wall; above the rim a level is a state of the box
+    rim = float(v[-1, -1])
+    bound = all(u_alpha[a] < rim and states[a].is_bound() for a in (0, 1))
     return LateralSpectrum(u_alpha=u_alpha, rho_e=rho_e, rho_e_line=rho_e_line,
                            bound=bound, states=states)
 

@@ -13,13 +13,14 @@ import inspect
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import neontrap.perpendicular
-from neontrap.cli import main
-from neontrap.config import load_config
+from neontrap.cli import build_parser, main
+from neontrap.config import _RETIRED, load_config
 from neontrap.tables import ResultTable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,7 +68,56 @@ def test_hook_arguments_found():
 
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("configs/*.ini")), ids=lambda p: p.name)
 def test_benchmark_config_loads(path):
-    load_config(str(path))
+    # the committed configs may carry the retired keys; none reaches the echo
+    echo = load_config(str(path)).effective_text()
+    keys = {line.split(" = ")[0] for line in echo.splitlines()}
+    assert not keys & {key for _, key in _RETIRED} and "[parallel]" not in echo
+
+
+class _Captured(Exception):
+    """Raised in place of running a benchmark sample, once its argv is captured."""
+
+
+def _sample_argvs(monkeypatch, tmp_path, module_name, start):
+    """Subcommand -> the CLI argv that perfbench/<module_name>.py builds for it.
+
+    start(module, workload) begins one workload's sampling; a capture stands
+    in for perfbench's run_cli, so no sample runs.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    module = importlib.import_module(module_name)
+    argvs = {}
+
+    def capture(command, cwd, traced, timeout):
+        argvs[command[0]] = command
+        raise _Captured
+
+    monkeypatch.setattr(run, "run_cli", capture)
+    monkeypatch.setattr(run, "WORK_DIR", tmp_path / "work")
+    for w in run.workloads.WORKLOADS.values():
+        with pytest.raises(_Captured):
+            start(module, w)
+    return argvs
+
+
+def test_benchmark_argv_parses(monkeypatch, tmp_path):
+    argvs = _sample_argvs(monkeypatch, tmp_path, "run",
+                          lambda run, w: run.measure(w, 0, 0.0, False))
+    assert len(argvs) == 3
+    for command, argv in argvs.items():
+        assert build_parser().parse_args(argv).command == command
+
+
+def test_reference_argv_parses_with_threads(monkeypatch, tmp_path):
+    # perfbench/make_reference.py passes --threads 2: that is why the CLI
+    # still takes the flag, which changes nothing
+    argvs = _sample_argvs(monkeypatch, tmp_path, "make_reference", lambda ref, w:
+                          ref.reference_rows(w, Path(tempfile.mkdtemp(dir=tmp_path))))
+    assert len(argvs) == 3
+    for command, argv in argvs.items():
+        args = build_parser().parse_args(argv)
+        assert args.command == command and args.threads == 2
 
 
 # the traced layers that time eigensolves: every LAPACK call of an

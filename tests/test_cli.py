@@ -245,7 +245,7 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         cfg = load_config(path)
         assert cfg.L == [5.0, 10.0, math.inf]
         assert cfg.E_ex == [-1e6, 0.0, 1e6]
-        assert cfg.n_points == 4096
+        assert cfg.z_max == 40.0 and cfg.z_samples == 50
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[plumbing]\nvalve = 3\n")
@@ -272,12 +272,31 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         with pytest.raises(ConfigError, match="delta_L"):
             load_config(path)
 
-    def test_hash_ignores_output_and_threads(self):
-        a = RunConfig(threads=1, out_path="a.csv")
-        b = RunConfig(threads=8, out_path="b.json", out_format="json")
-        c = RunConfig(L=[12.0])
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+    def test_retired_keys_parse_and_are_dropped(self, tmp_path, capsys):
+        # [grid] n_points, [grid] n_points_radial and [parallel] threads change
+        # no number: old configs carrying them load, and they are neither
+        # echoed nor hashed, as the output destination is not hashed
+        body = "[sweep]\nL = 12 nm\n"
+        plain = load_config(write_config(tmp_path, body, "plain.ini"))
+        retired = load_config(write_config(
+            tmp_path, body + "[grid]\nn_points = 100\nn_points_radial = 7\n"
+            "[parallel]\nthreads = -1\n[output]\npath = b.json\nformat = json\n",
+            "retired.ini"))
+        assert dataclasses.replace(retired, out_path="out.csv", out_format="csv") == plain
+        assert retired.effective_text() == plain.effective_text().replace(
+            "out.csv\nformat = csv", "b.json\nformat = json")
+        assert retired.config_hash() == plain.config_hash() != RunConfig().config_hash()
+        # nothing reads --threads either, so a negative count runs
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["growth", "--threads", "-1", "--out", str(out / "g.csv")]) == 0
+        # a retired key must still be an integer
+        for bad in ("[grid]\nn_points = many\n", "[parallel]\nthreads = x\n"):
+            path = write_config(tmp_path, bad, "bad.ini")
+            assert main(["growth", "--config", path, "--out", str(tmp_path / "g.csv")]) == 2
+            assert "expected an integer" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.ini", "out", "plain.ini", "retired.ini"]
 
     @pytest.mark.parametrize("body", [
         "",
@@ -315,10 +334,10 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert [f.name for f in neontrap.config._FIELDS.values()] == [f.name for f in fields]
 
     @pytest.mark.parametrize("config, digest", [
-        (None, "67e0d90012a8e63b"),
-        ("ground_sweep.ini", "f8ebf064c6361ad8"),
-        ("lateral_scan.ini", "39aec5e4d1c41d11"),
-        ("field_sweep.ini", "f68019e4d3ed381d"),
+        (None, "8b6ca0eb9c789ce5"),
+        ("ground_sweep.ini", "dec85f9fe13ab009"),
+        ("lateral_scan.ini", "cf6acc1e68564d59"),
+        ("field_sweep.ini", "050f96428591fd7b"),
     ], ids=["default", "ground_sweep", "lateral_scan", "field_sweep"])
     def test_config_hash_pinned(self, config, digest):
         cfg = RunConfig() if config is None else load_config(str(BENCH_CONFIGS / config))
@@ -343,13 +362,6 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
             load_config(path)
         assert main(["ground-sweep", "--config", path, "--out", str(tmp_path / "g.csv")]) == 2
         assert "[DEFAULT]" in capsys.readouterr().err
-
-    def test_negative_threads_is_config_error(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="threads must be >= 0"):
-            dataclasses.replace(RunConfig(), threads=-1)
-        assert main(["growth", "--threads", "-1", "--out", str(tmp_path / "g.csv")]) == 2
-        assert "threads must be >= 0" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, key", [("L", r"\[sweep\] L"), ("E_ex", r"\[sweep\] E_ex"),
                                            ("delta_L", r"\[sweep\] delta_L"),

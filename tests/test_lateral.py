@@ -14,14 +14,13 @@ import neontrap.lateral
 import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack,
                       EnergyCurve, ModelInvalidError, PillarProfile,
-                      QuadraticProfile,
                       Superconductor, build_energy_curve,
                       fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, near_zero_slopes,
                       pillar_spectrum, radial_spectrum, thickness_at)
 from fd_oracle import radial_richardson_level
 from neontrap.constants import HBAR2_OVER_2ME
-from neontrap.lateral import NODE_TOL_MEV, default_rho_max, pillar_breakpoints
+from neontrap.lateral import NODE_TOL_MEV, curve_range, default_rho_max, pillar_breakpoints
 from neontrap.perpendicular import EigensolverError, spectral_mesh
 
 C = HBAR2_OVER_2ME
@@ -65,16 +64,9 @@ class TestThicknessProfiles:
         L = thickness_at(p, np.linspace(0.0, 500.0, 2000))
         assert np.all(np.diff(L) >= 0.0)
 
-    def test_quadratic_profile(self):
-        q = QuadraticProfile(10.0, 1e-5)
-        assert thickness_at(q, 0.0) == 10.0
-        assert thickness_at(q, 100.0) == pytest.approx(11.0, rel=1e-12)
-
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError):
             PillarProfile(10.0, 12.0, 110.0, 2.0)
-        with pytest.raises(ValueError):
-            QuadraticProfile(10.0, -1e-5)
         p = PillarProfile(10.0, 3.0, 110.0, 2.0)
         with pytest.raises(ValueError):
             thickness_at(p, -1.0)
@@ -280,14 +272,17 @@ class TestRadialOracles:
         assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(base, rel=0.0,
                                                                       abs=1e-10)
 
-    @pytest.mark.parametrize("R", [50.0, 110.0, 200.0])
-    def test_farther_wall_leaves_splitting(self, curve, R):
-        # doubling rho_max adds far-field elements where the states have decayed
-        p = PillarProfile(L0, DL, R, B)
+    @pytest.mark.parametrize("R, dL", [(50.0, DL), (110.0, DL), (200.0, DL), (50.0, 0.25)])
+    def test_farther_wall_leaves_splitting(self, curve, R, dL):
+        # doubling rho_max adds far-field elements where the states have
+        # decayed: a bound row's Delta U and rho_e do not depend on the box
+        # (1e-10 meV is under 1e-8 of each Delta U; measured 7e-11 relative or less)
+        p = PillarProfile(L0, dL, R, B)
         near = pillar_spectrum(curve, p)
         far = pillar_spectrum(curve, p, rho_max=2.0 * default_rho_max(R))
         assert near.bound and far.bound
         assert far.delta_u_mev == pytest.approx(near.delta_u_mev, rel=0.0, abs=1e-10)
+        assert far.rho_e == pytest.approx(near.rho_e, rel=1e-8)
 
     def test_alpha_zero_required(self):
         with pytest.raises(ValueError):
@@ -355,6 +350,35 @@ class TestPillarTrap:
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
         depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
+
+
+class TestBoundVerdict:
+    # Delta U and rho_e read alpha = 1, and a level above the far-field rim is a
+    # state of the radial box that follows rho_max, so alpha = 0 and alpha = 1
+    # must each sit below the rim with a density off the outer wall
+
+    @staticmethod
+    def _pillar(L0_, dL, R, box):
+        c = build_energy_curve(DielectricStack(SC, L0_), curve_range(L0_, dL))
+        p = PillarProfile(L0_, dL, R, B)
+        rho_max = box * default_rho_max(R)
+        return pillar_spectrum(c, p, rho_max=rho_max), lta_potential(c, p, rho_max)
+
+    @pytest.mark.parametrize("L0_, dL, R, box", [(20.0, 0.258, 20.0, 1), (10.0, 0.05, 30.0, 1),
+                                                 (20.0, 0.1, 20.0, 2)])
+    def test_alpha_one_above_the_rim_is_flagged(self, L0_, dL, R, box):
+        # measured U_1 = +11.3, +9.7 and +2.9 ueV over the far field; doubling the
+        # box moved Delta U of the first row from 44.78 to 36.36 ueV
+        spec, rim = self._pillar(L0_, dL, R, box)
+        assert spec.u_alpha[0] < rim and spec.states[0].is_bound()  # alpha = 0 alone passes
+        assert spec.u_alpha[1] > rim and not spec.states[1].is_bound()
+        assert not spec.bound
+
+    @pytest.mark.parametrize("box", [1, 2])
+    def test_shallow_bound_pair_stays_bound(self, box):
+        # measured U_1 = -35.5 ueV, Delta U = 339.33 ueV in both boxes
+        spec, rim = self._pillar(10.0, 0.258, 20.0, box)
+        assert spec.bound and spec.u_alpha[1] < rim
 
 
 def _spy_dense(monkeypatch):
