@@ -12,7 +12,7 @@ SC = Superconductor()
 L0, B = 10.0, 2.0
 
 curve = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=60)
-print(f"energy curve over L in [6.5, 10.5] nm: {curve.l_knots.size} Chebyshev nodes, "
+print(f"energy curve over L in [6.5, 10.5] nm: {curve.l_knots.size} Hermite nodes, "
       f"held-out error {curve.validation_error:.2e} meV")
 
 deep = PillarProfile(L0, 3.0, 110.0, B)

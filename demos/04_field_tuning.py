@@ -15,14 +15,15 @@ from neontrap.perpendicular import NumericalFailure
 SC = Superconductor()
 profile = PillarProfile(10.0, 0.5, 110.0, 2.0)
 fields = (-2e6, -1e6, 0.0, 1e6, 2e6)
-spec = None  # each field's spectrum starts from the last one solved
+curve = spec = None  # each field's curve and spectrum start from the last ones built
 
 print(f"{'E_ex [V/m]':>12} {'dU [ueV]':>10} {'rho_e [nm]':>11} bound")
 e_fit, du_fit = [], []
 for e_ex in fields:
     try:
         curve = build_energy_curve(DielectricStack(SC, 10.0, e_ex=e_ex),
-                                   curve_range(profile.L0, profile.delta_L), n_knots=30)
+                                   curve_range(profile.L0, profile.delta_L), n_knots=30,
+                                   start=curve)
         spec = pillar_spectrum(curve, profile, start=spec)
     except NumericalFailure:  # -2e6 V/m leaves the thinnest layers without a bound state
         print(f"{e_ex:12.2e} {math.nan:10.2f} {math.nan:11.1f} no")

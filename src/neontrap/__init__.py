@@ -8,7 +8,7 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .dielectric import (Dielectric, DielectricStack, Superconductor,
                          external_potential, perpendicular_potential,
@@ -21,8 +21,8 @@ from .lateral import (CurveValidationError, EnergyCurve, LateralSpectrum,
                       harmonic_field_model, lta_potential, near_zero_slopes,
                       pillar_spectrum, radial_spectrum, thickness_at)
 from .perpendicular import (BoundStateSolution, EigensolverError, SpectralMesh,
-                            UnboundStateError, WarmStart,
-                            build_hamiltonian, ground_state_energy, mean_height,
+                            UnboundStateError, build_hamiltonian, energy_derivative,
+                            ground_state_energy, mean_height,
                             perpendicular_gap, solve_lowest, solve_perpendicular,
                             solver_mesh)
 
@@ -37,8 +37,8 @@ __all__ = [
     "build_energy_curve",
     "fit_harmonic_field_model", "harmonic_field_model", "lta_potential",
     "near_zero_slopes", "pillar_spectrum", "radial_spectrum", "thickness_at",
-    "BoundStateSolution", "SpectralMesh", "UnboundStateError", "WarmStart",
-    "build_hamiltonian",
+    "BoundStateSolution", "SpectralMesh", "UnboundStateError",
+    "build_hamiltonian", "energy_derivative",
     "ground_state_energy",
     "mean_height", "perpendicular_gap", "solve_lowest", "solve_perpendicular",
     "solver_mesh",

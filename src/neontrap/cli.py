@@ -141,9 +141,10 @@ def cmd_lateral(cfg: RunConfig):
 def cmd_field_sweep(cfg: RunConfig):
     """Delta U and rho_e versus external field for one pillar geometry.
 
-    One energy curve and pillar spectrum per field, ascending, each spectrum
-    started from the last one solved.  A field that fails numerically keeps a
-    flagged NaN row and adds no curve; the bound fields feed the slopes and fit.
+    One energy curve and pillar spectrum per field, ascending, each curve and
+    spectrum started from the last one built.  A field that fails numerically
+    keeps a flagged NaN row and adds no curve; the bound fields feed the slopes
+    and fit.
     """
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
@@ -152,11 +153,11 @@ def cmd_field_sweep(cfg: RunConfig):
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
                                  ("bound", "")])
-    spec, curves, e_fit, du_fit = None, [], [], []
+    curve, spec, curves, e_fit, du_fit = None, None, [], [], []
     for e_ex in sorted(cfg.E_ex):
         try:
             curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
-                                       z_max=cfg.z_max)
+                                       z_max=cfg.z_max, start=curve)
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=cfg.rho_max, start=spec)
         except NumericalFailure:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,6 +130,18 @@ def _series_terms(lam: float, mu: float) -> int:
     return math.ceil(math.log(1e-17) / math.log(ratio))
 
 
+def _image_series(stack: DielectricStack) -> tuple[float, np.ndarray, np.ndarray]:
+    """lam, and the weights c_n and orders n (columns) of the substrate images n >= 1.
+
+    c_n = mu (1 - lam^2) (-lam mu)^(n-1), with the term count of _series_terms.
+    """
+    lam, mu = _lambda_mu(stack)
+    n_terms = _series_terms(lam, mu)
+    weights = np.full((n_terms, 1), -lam * mu)
+    weights[0] = mu * (1.0 - lam * lam)
+    return lam, np.cumprod(weights, axis=0), np.arange(1.0, n_terms + 1.0)[:, None]
+
+
 def perpendicular_potential(stack: DielectricStack, z):
     """Image potential V_perp(L, z) in meV for z > 0 (nm); scalar or array.
 
@@ -143,14 +155,9 @@ def perpendicular_potential(stack: DielectricStack, z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr <= 0.0):
         raise ValueError("perpendicular_potential requires z > 0 (divergent integrand)")
-    lam, mu = _lambda_mu(stack)
-    n_terms = _series_terms(lam, mu)
-    weights = np.full((n_terms, 1), -lam * mu)
-    weights[0] = mu * (1.0 - lam * lam)
-    n = np.arange(1.0, n_terms + 1.0)[:, None]
+    lam, c, n = _image_series(stack)
     z_row = z_arr.reshape(1, -1)
-    terms = np.vstack([lam / (2.0 * z_row),
-                       np.cumprod(weights, axis=0) / (2.0 * (z_row + n * stack.thickness_L))])
+    terms = np.vstack([lam / (2.0 * z_row), c / (2.0 * (z_row + n * stack.thickness_L))])
     # cumsum adds the terms in order, leading image first, so every z gets
     # the same sum whatever the shape of z (a pairwise .sum would not)
     out = IMAGE_PREFACTOR * np.cumsum(terms, axis=0)[-1].reshape(z_arr.shape)
@@ -197,18 +204,33 @@ def total_perpendicular_potential(stack: DielectricStack, z):
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
+def _field_free_key(stack: DielectricStack) -> tuple:
+    """Every field of the stack but e_ex, in DielectricStack's order: a memo key
+    whose lookup runs none of the stack's checks."""
+    return (stack.substrate, stack.thickness_L, stack.eps_neon, stack.barrier_height,
+            stack.cutoff_zc)
+
+
 # A field sweep re-solves the same energy-curve nodes at every field, and a
-# ground sweep each thickness at every field; memoize the field-free part
-# per (field-free stack, grid).
+# ground sweep each thickness at every field; memoize the field-free part of
+# the potential and of its thickness derivative per (field-free stack, grid).
 @functools.lru_cache(maxsize=4096)
-def _cached_field_free_potential(stack: DielectricStack, grid) -> np.ndarray:
+def _cached_field_free(key: tuple, grid, derivative: bool) -> np.ndarray:
     if grid.breakpoints[1] != 0.0:
         raise ValueError("the perpendicular mesh's first element must end on the "
                          f"surface z = 0, got breakpoints {grid.breakpoints}")
-    static = _field_free_potential(stack, grid.nodes)
-    static[0] = stack.barrier_height  # the neon side of the surface node
-    static.setflags(write=False)
-    return static
+    stack = DielectricStack(*key)
+    if derivative:  # d/dL of each image term at max(z, cutoff_zc); the neon gives 0
+        lam, c, n = _image_series(stack)
+        z = np.maximum(grid.nodes, stack.cutoff_zc).reshape(1, -1)
+        out = IMAGE_PREFACTOR * np.sum(-n * c / (2.0 * (z + n * stack.thickness_L) ** 2),
+                                       axis=0).reshape(grid.nodes.shape)
+        out[0] = 0.0
+    else:
+        out = _field_free_potential(stack, grid.nodes)
+        out[0] = stack.barrier_height  # the neon side of the surface node
+    out.setflags(write=False)
+    return out
 
 
 def cached_perpendicular_potential(stack: DielectricStack, grid) -> np.ndarray:
@@ -219,8 +241,21 @@ def cached_perpendicular_potential(stack: DielectricStack, grid) -> np.ndarray:
     The rule of _field_free_potential gives every node its value, except that
     the whole first element, the neon, takes the barrier: the surface node is
     the barrier there and V(z_c) above.  The field-free part is memoized per
-    (stack at e_ex = 0, grid), so every field of one layer shares it and cached
+    (stack but e_ex, grid), so every field of one layer shares it and cached
     values always match the stack's surface and grid.nodes.
     """
     v_ex = external_potential(stack, grid.nodes)
-    return _cached_field_free_potential(replace(stack, e_ex=0.0), grid) + v_ex
+    return _cached_field_free(_field_free_key(stack), grid, False) + v_ex
+
+
+def potential_derivative(stack: DielectricStack, grid) -> np.ndarray:
+    """dV/dL at grid.nodes and fixed z, each element seen from inside (meV/nm).
+
+    The thickness derivative of cached_perpendicular_potential, on the same
+    grids and by the same rule: image term n contributes -n c_n / (2 (z + nL)^2)
+    at max(z, cutoff_zc) (c_n of _image_series, times the prefactor), the
+    first element, the neon, contributes 0, and the field adds e E_ex / eps_Ne
+    everywhere.  The field-free part is memoized under the potential's key.
+    """
+    return (_cached_field_free(_field_free_key(stack), grid, True)
+            + stack.e_ex * V_PER_M_TO_MEV_PER_NM / stack.eps_neon)

@@ -2,7 +2,8 @@
 
 The thickness profile L(rho) maps, through the local-thickness
 approximation, onto a lateral potential V_par(rho) = W^G(L(rho)) - W^G(L0)
-built from a Chebyshev interpolant of W^G in log L.  The radial Schroedinger
+built from a Hermite interpolant of W^G in log L, through the values and
+Hellmann-Feynman slopes dW^G/dL at its nodes.  The radial Schroedinger
 equation for each angular momentum alpha is solved on a GLL spectral-element
 mesh with the measure rho drho (perpendicular.SpectralMesh), and the lowest
 eigenvalue per alpha yields the qubit spectrum U_alpha, Delta U = U1 - U0.
@@ -15,12 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Chebyshev, polyutils
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .constants import HBAR2_OVER_2ME, Z_MAX
 from .dielectric import DielectricStack
-from .perpendicular import (BoundStateSolution, NumericalFailure, WarmStart, build_hamiltonian,
-                            ground_state_energy, solve_lowest, spectral_mesh)
+from .perpendicular import (BoundStateSolution, NumericalFailure, build_hamiltonian,
+                            energy_derivative, require_bound, solve_lowest, solve_perpendicular,
+                            spectral_mesh)
 
 
 class CurveValidationError(NumericalFailure):
@@ -62,20 +64,25 @@ def thickness_at(profile: PillarProfile, rho):
 
 
 class EnergyCurve:
-    """Chebyshev interpolant of W^G(L) in log L at fixed substrate and field.
+    """Hermite interpolant of W^G(L) in log L at fixed substrate and field.
 
-    The nodes are solved directly; build_energy_curve validates the
+    The nodes l_knots are solved directly, for the values w_knots (meV) and
+    the slopes dw_knots = dW^G/dL (meV/nm); build_energy_curve validates the
     interpolant against fresh solves at held-out points (budget 0.01 meV).
+    first_state, the ground state at the first node, starts the next curve.
     """
 
     VALIDATION_BUDGET_MEV = 0.01
 
     def __init__(self, poly: Chebyshev, l_knots: np.ndarray, w_knots: np.ndarray,
-                 validation_error: float):
+                 dw_knots: np.ndarray, validation_error: float,
+                 first_state: BoundStateSolution):
         self.l_knots = l_knots
         self.w_knots = w_knots
+        self.dw_knots = dw_knots
         self.validation_error = validation_error
-        self._poly = poly  # _log_chebyshev(l_knots, w_knots), fitted by build_energy_curve
+        self.first_state = first_state
+        self._poly = poly  # _log_hermite(l_knots, w_knots, dw_knots), fitted by build_energy_curve
 
     @property
     def l_range(self) -> tuple[float, float]:
@@ -90,12 +97,21 @@ class EnergyCurve:
         return float(out) if np.isscalar(L) else out
 
 
-def _log_chebyshev(l_nodes: np.ndarray, w_nodes: np.ndarray) -> Chebyshev:
-    """Polynomial in log L through every (L, W) node: a square solve, exact to rounding."""
+def _log_hermite(l_nodes: np.ndarray, w_nodes: np.ndarray, dw_nodes: np.ndarray) -> Chebyshev:
+    """Polynomial in log L of degree 2m + 1 through the m + 1 nodes' values W and slopes dW/dL.
+
+    A square confluent solve, exact to rounding: the value rows are the
+    Chebyshev Vandermonde matrix, the slope rows its derivative, and
+    dW/du = L dW/dL dx/du on the domain u in [-1, 1] of x = log L.
+    """
     x = np.log(l_nodes)
     domain = (x[0], x[-1])
     u = polyutils.mapdomain(x, domain, (-1.0, 1.0))
-    return Chebyshev(np.linalg.solve(chebvander(u, x.size - 1), w_nodes), domain=domain)
+    degree = 2 * x.size - 1
+    slope_rows = chebvander(u, degree - 1) @ chebder(np.eye(degree + 1))
+    rhs = np.concatenate([w_nodes, dw_nodes * l_nodes * 0.5 * (x[-1] - x[0])])
+    return Chebyshev(np.linalg.solve(np.vstack([chebvander(u, degree), slope_rows]), rhs),
+                     domain=domain)
 
 
 CURVE_L_LIMITS = (1.0, 200.0)  # nm; thickness span an energy curve may cover
@@ -108,14 +124,18 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
 
 
 def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, float],
-                       n_knots: int = 60, *, z_max: float = Z_MAX) -> EnergyCurve:
-    """Interpolate W^G at nested Chebyshev-Lobatto nodes in log L over l_range.
+                       n_knots: int = 60, *, z_max: float = Z_MAX,
+                       start: EnergyCurve | None = None) -> EnergyCurve:
+    """Interpolate W^G and dW^G/dL at nested Chebyshev-Lobatto nodes in log L over l_range.
 
     The next level's new nodes are held out; while their worst error exceeds
-    NODE_TOL_MEV and n_knots allows, they join the nodes (9, 17, 33, ...).
+    NODE_TOL_MEV and n_knots allows, they join the nodes (5, 9, 17, 33, ...).
     Each solve takes stack_template, its field included, at the node's
-    thickness, runs on its own solver_mesh(stack, z_max) and starts from the
-    previous solve's ground state (perpendicular.WarmStart).
+    thickness, runs on its own solver_mesh(stack, z_max), starts from the
+    previous solve's ground state and raises UnboundStateError if that state
+    escapes (perpendicular.require_bound); its slope is
+    perpendicular.energy_derivative.  start, a previous curve, seeds the
+    first solve with its first_state.
     """
     lo, hi = l_range
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
@@ -123,35 +143,41 @@ def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, fl
     if n_knots < 20:
         raise ValueError("need at least 20 knots")
     mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    warm = WarmStart()
+    # chain[-1] starts the next solve; chain[1] is the first node's state
+    chain = [start.first_state if start is not None else None]
 
-    def solve_at(l: np.ndarray) -> np.ndarray:
+    def solve_at(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # l ascends, so an unbound field fails on its first (thinnest) solve;
         # each solve starts from the ground state of the solve before it
-        stacks = [replace(stack_template, thickness_L=float(L)) for L in l]
-        return np.array([ground_state_energy(s, z_max=z_max, warm=warm)
-                         for s in stacks])
+        w, dw = np.empty(l.size), np.empty(l.size)
+        for i, L in enumerate(l):
+            stack = replace(stack_template, thickness_L=float(L))
+            chain.append(require_bound(
+                solve_perpendicular(stack, z_max=z_max, start=chain[-1]), stack))
+            w[i], dw[i] = chain[-1].energies[0], energy_derivative(stack, chain[-1])
+        return w, dw
 
-    n = 8  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
+    n = 4  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
     l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
     l_knots[0], l_knots[-1] = lo, hi
-    w_knots = solve_at(l_knots)
+    w_knots, dw_knots = solve_at(l_knots)
     while True:
         # level 2n adds u = -cos(pi (2k + 1) / 2n) between the current nodes
         l_held = np.exp(mid + half * -np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
-        w_held = solve_at(l_held)
-        poly = _log_chebyshev(l_knots, w_knots)
+        w_held, dw_held = solve_at(l_held)
+        poly = _log_hermite(l_knots, w_knots, dw_knots)
         validation_error = float(np.max(np.abs(poly(np.log(l_held)) - w_held)))
         if validation_error <= NODE_TOL_MEV or 2 * n + 1 > n_knots:
             break
         l_knots = np.insert(l_knots, slice(1, n + 1), l_held)
         w_knots = np.insert(w_knots, slice(1, n + 1), w_held)
+        dw_knots = np.insert(dw_knots, slice(1, n + 1), dw_held)
         n *= 2
     if validation_error > EnergyCurve.VALIDATION_BUDGET_MEV:
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
             f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(poly, l_knots, w_knots, validation_error)
+    return EnergyCurve(poly, l_knots, w_knots, dw_knots, validation_error, chain[1])
 
 
 def lta_potential(curve: EnergyCurve, profile: PillarProfile, rho):

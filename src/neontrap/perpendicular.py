@@ -32,7 +32,8 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .constants import HBAR2_OVER_2ME, Z_MAX
-from .dielectric import DielectricStack, cached_perpendicular_potential
+from .dielectric import (DielectricStack, cached_perpendicular_potential, external_potential,
+                         potential_derivative)
 
 
 class NumericalFailure(RuntimeError):
@@ -85,6 +86,7 @@ def _check_info(routine: str, info: int) -> None:
 TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
 
+WALL_DEPTH = 2.0  # nm; the lower wall of the perpendicular solve sits at max(-L, -WALL_DEPTH)
 DEGREE = 16  # default polynomial degree of a SpectralMesh, the radial mesh's
 # polynomial degree of the perpendicular solver mesh: two states stay within
 # 5.5e-9 meV of degree 24 on the same breakpoints, while at degree 12 spurious
@@ -222,11 +224,11 @@ def spectral_mesh(breakpoints: tuple, radial: bool = False,
 
 
 def solver_mesh(stack: DielectricStack, z_max: float = Z_MAX) -> SpectralMesh:
-    """Mesh of the perpendicular solve: hard walls at max(-L, -2 nm) and z_max.
+    """Mesh of the perpendicular solve: hard walls at max(-L, -WALL_DEPTH) and z_max.
 
     The lower wall leaves room for the ~0.1 nm barrier penetration, and sits
-    on the substrate for a layer thinner than 2 nm; the default Z_MAX = 40 nm
-    leaves negligible tail density for all bound configurations.  Breakpoints:
+    on the substrate for a layer thinner than WALL_DEPTH; the default
+    Z_MAX = 40 nm leaves negligible tail density for all bound configurations.  Breakpoints:
     the wall, the surface z = 0, the stack's cutoff_zc, then OUTER_ELEMENTS up
     to z_max, every element of PERPENDICULAR_DEGREE; spectral_mesh builds it
     once per (wall, cutoff_zc, z_max).
@@ -235,7 +237,7 @@ def solver_mesh(stack: DielectricStack, z_max: float = Z_MAX) -> SpectralMesh:
     if not z_c < z_max:
         raise ValueError("z_max must exceed the cutoff distance")
     outer = [z_c + (z_max - z_c) * c / sum(OUTER_ELEMENTS) for c in _OUTER_CUMSUM[:-1]]
-    return spectral_mesh((max(-stack.thickness_L, -2.0), 0.0, z_c, *outer, z_max),
+    return spectral_mesh((max(-stack.thickness_L, -WALL_DEPTH), 0.0, z_c, *outer, z_max),
                          degree=PERPENDICULAR_DEGREE)
 
 
@@ -375,19 +377,6 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                               converged=converged)
 
 
-@dataclass
-class WarmStart:
-    """One-slot holder that chains neighbouring ground_state_energy solves.
-
-    ground_state_energy returns a bare float, so it starts from the solution
-    held in `state` and leaves its own there for the next solve.  The caller
-    owns the holder.  solve_perpendicular and radial_spectrum take the
-    previous result itself as their start.
-    """
-
-    state: BoundStateSolution | None = None
-
-
 def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: float = Z_MAX,
                         start: BoundStateSolution | None = None) -> BoundStateSolution:
     """Solve the perpendicular problem for the stack, its field included, on solver_mesh.
@@ -399,22 +388,48 @@ def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: flo
     return solve_lowest(build_hamiltonian(v, grid), grid, n_states, start=start)
 
 
-def ground_state_energy(stack: DielectricStack, *, z_max: float = Z_MAX,
-                        warm: WarmStart | None = None) -> float:
-    """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping.
-
-    warm, if given, starts this solve from warm.state and leaves its solution there.
-    """
-    sol = solve_perpendicular(stack, z_max=z_max,
-                              start=warm.state if warm is not None else None)
-    if warm is not None:
-        warm.state = sol
-    if not sol.is_bound():
+def require_bound(solution: BoundStateSolution, stack: DielectricStack) -> BoundStateSolution:
+    """solution, the stack's perpendicular solve; raises UnboundStateError if escaping."""
+    if not solution.is_bound():
         raise UnboundStateError(
             f"ground state leaks to the outer wall (tail density "
-            f"{sol.tail_density():.2e} 1/nm) for L={stack.thickness_L} nm, "
+            f"{solution.tail_density():.2e} 1/nm) for L={stack.thickness_L} nm, "
             f"E_ex={stack.e_ex} V/m")
-    return float(sol.energies[0])
+    return solution
+
+
+def ground_state_energy(stack: DielectricStack, *, z_max: float = Z_MAX) -> float:
+    """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping."""
+    return float(require_bound(solve_perpendicular(stack, z_max=z_max), stack).energies[0])
+
+
+def energy_derivative(stack: DielectricStack, solution: BoundStateSolution) -> float:
+    """dW^G/dL (meV/nm) of solution, the stack's perpendicular solve (solve_perpendicular).
+
+    The Hellmann-Feynman quadrature sum weights * dV/dL * psi^2, with dV/dL
+    from dielectric.potential_derivative; at or above WALL_DEPTH the mesh
+    does not move with L, so this is the exact derivative of the discrete
+    eigenvalue.  Below it the wall sits at -L and the first element, of
+    length L, stretches with L: its stiffness scales as 1/L, its mass as L and
+    the field inside it, zero at the wall, as L.  That adds
+    (1/L) (-(hbar^2/2m_e) int psi'^2 + int (V - E) psi^2) over the element,
+    and makes the field's slope there V_ex / L, not e E_ex / eps_Ne: the
+    discrete form of Hadamard's wall term.
+    """
+    g, L = solution.grid, stack.thickness_L
+    if g.breakpoints[0] != max(-L, -WALL_DEPTH):
+        raise ValueError(f"solution's mesh, wall at {g.breakpoints[0]} nm, is not the "
+                         f"solver mesh of L = {L} nm")
+    psi = solution.wavefunctions[0][g.index]
+    dv = potential_derivative(stack, g)
+    wall = 0.0
+    if L < WALL_DEPTH:
+        _, w, d = _gll(g.degree)
+        dv[0] = external_potential(stack, g.nodes[0]) / L
+        v = cached_perpendicular_potential(stack, g)[0]
+        kinetic = HBAR2_OVER_2ME * np.sum(w * (d @ psi[0]) ** 2) / (0.5 * L)
+        wall = (np.sum(g.weights[0] * (v - solution.energies[0]) * psi[0] ** 2) - kinetic) / L
+    return float(np.sum(g.weights * dv * psi ** 2) + wall)
 
 
 def mean_height(solution: BoundStateSolution) -> float:

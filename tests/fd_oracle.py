@@ -1,7 +1,8 @@
 """Independent oracles for the perpendicular and radial solvers: second-order
 finite differences (perpendicular) and cylindrical finite volumes (radial) on
-uniform grids, solved by LAPACK bisection, and a central difference of W^G in
-the field against its Hellmann-Feynman expectation.
+uniform grids, solved by LAPACK bisection, a central difference of W^G in
+the field against its Hellmann-Feynman expectation, and the value-only
+Chebyshev energy curve that the Hermite curve of build_energy_curve replaced.
 
 They share only the potential's pieces with production, not the
 discretization: each spectral-element solve must agree with the Richardson
@@ -9,15 +10,19 @@ extrapolation of two of these grids.
 """
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import Chebyshev, polyutils
+from numpy.polynomial.chebyshev import chebvander
 
 from neontrap import (DielectricStack, UnboundStateError, external_potential,
                       ground_state_energy, perpendicular_potential,
                       solve_perpendicular, total_perpendicular_potential)
 from neontrap.constants import HBAR2_OVER_2ME, Z_MAX
+from neontrap.lateral import NODE_TOL_MEV
 
 C = HBAR2_OVER_2ME
 # Richardson pair of spacings (nm): cutoff_zc = 0.23 nm, 40 nm and any wall
@@ -108,3 +113,40 @@ def hellmann_feynman_check(stack: DielectricStack, delta: float, *,
     w_minus = ground_state_energy(replace(stack, e_ex=stack.e_ex - delta), z_max=z_max)
     fd = (w_plus - w_minus) / (2.0 * delta)
     return abs(fd - expect) / abs(expect)
+
+
+def value_only_curve(stack_template, l_range, n_knots: int = 60):
+    """W^G(L) interpolated in log L through values alone: (curve, l_knots, validation_error).
+
+    Nested Chebyshev-Lobatto nodes in log L (9, 17, 33, ...), each level's new
+    nodes held out until they agree within NODE_TOL_MEV or n_knots stops the
+    doubling, as build_energy_curve does with slopes; every W^G is a dense
+    ground_state_energy solve, and curve takes L in nm.
+    """
+    lo, hi = l_range
+    mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+
+    def solve_at(l):
+        return np.array([ground_state_energy(replace(stack_template, thickness_L=float(L)))
+                         for L in l])
+
+    def fit(l_nodes, w_nodes):
+        x = np.log(l_nodes)
+        u = polyutils.mapdomain(x, (x[0], x[-1]), (-1.0, 1.0))
+        return Chebyshev(np.linalg.solve(chebvander(u, x.size - 1), w_nodes),
+                         domain=(x[0], x[-1]))
+
+    n = 8
+    l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
+    l_knots[0], l_knots[-1] = lo, hi
+    w_knots = solve_at(l_knots)
+    while True:
+        l_held = np.exp(mid + half * -np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        w_held = solve_at(l_held)
+        poly = fit(l_knots, w_knots)
+        error = float(np.max(np.abs(poly(np.log(l_held)) - w_held)))
+        if error <= NODE_TOL_MEV or 2 * n + 1 > n_knots:
+            return (lambda L: poly(np.log(L))), l_knots, error
+        l_knots = np.insert(l_knots, slice(1, n + 1), l_held)
+        w_knots = np.insert(w_knots, slice(1, n + 1), w_held)
+        n *= 2

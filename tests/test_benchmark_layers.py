@@ -199,14 +199,16 @@ def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, comman
         assert {n for name, n, _ in calls if name in BANDED} == {90, 127}
 
 
-@pytest.mark.parametrize("command, workload, n_curves, n_solves",
-                         [("lateral", "lateral_scan", 1, 17),
-                          ("field-sweep", "field_sweep", 5, 69)])
+@pytest.mark.parametrize("command, workload, n_curves, n_solves, n_dense",
+                         [("lateral", "lateral_scan", 1, 9, 1),
+                          ("field-sweep", "field_sweep", 5, 37, 2)])
 def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, workload,
-                                          n_curves, n_solves):
-    # each curve's first node is solved dense and every later node is refined
-    # from its neighbour and certified: a certificate that always failed would
-    # keep every output right and lose the warm start's gain
+                                          n_curves, n_solves, n_dense):
+    # every node is refined from its neighbour and certified, and a curve's
+    # first node from the last good curve's: a certificate that always failed
+    # would keep every output right and lose the warm start's gain.  Only a
+    # curve without a start solves its first node dense: field-sweep's -2e6 V/m,
+    # unbound at its first node, and -1e6 V/m after it
     curves, solving = [], [False]
 
     def enclose_curve(fn):
@@ -232,14 +234,17 @@ def test_one_dense_solve_per_energy_curve(monkeypatch, tmp_path, command, worklo
             curves[-1][-1].append((name, result[-1]))  # each routine returns info last
 
     _patch_everywhere(monkeypatch, "neontrap.lateral", "build_energy_curve", enclose_curve)
-    _patch_everywhere(monkeypatch, "neontrap.perpendicular", "ground_state_energy",
+    _patch_everywhere(monkeypatch, "neontrap.perpendicular", "solve_perpendicular",
                       enclose_solve)
     _spy_eigen_lapack(monkeypatch, record)
     config = PERFBENCH / "configs" / f"{workload}.ini"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert len(curves) == n_curves and sum(map(len, curves)) == n_solves
-    for first, *rest in curves:
-        assert first == [("dsyevr", 0)]
+    for i, (first, *rest) in enumerate(curves):
+        if i < n_dense:
+            assert first == [("dsyevr", 0)]
+        else:
+            rest.insert(0, first)
         for solve in rest:
             names = [name for name, _ in solve]
             assert "dsyevr" not in names and "dgbsv" in names

@@ -984,17 +984,19 @@ def no_flapack(name, package=None):
     return find_spec(name, package)
 
 importlib.util.find_spec = no_flapack
-from neontrap import DielectricStack, Superconductor, WarmStart, ground_state_energy
+from neontrap import DielectricStack, Superconductor, solve_perpendicular
 from neontrap.perpendicular import lapack
-warm = WarmStart()
 print(lapack.__name__, "scipy.linalg" in sys.modules)
-print(*[ground_state_energy(DielectricStack(Superconductor(), L, e_ex=e), warm=warm).hex()
-        for L, e in {LOADER_CASES!r}])
+sol = None
+for L, e in {LOADER_CASES!r}:
+    sol = solve_perpendicular(DielectricStack(Superconductor(), L, e_ex=e), start=sol)
+    print(sol.energies[0].hex())
 """
-    loaded, energies = _fresh_interpreter(code).splitlines()
+    loaded, *energies = _fresh_interpreter(code).splitlines()
     assert loaded == "scipy.linalg.lapack True"
-    warm = neontrap.perpendicular.WarmStart()
-    assert energies.split() == [
-        neontrap.perpendicular.ground_state_energy(DielectricStack(Superconductor(), L, e_ex=e),
-                                                   warm=warm).hex()
-        for L, e in LOADER_CASES]
+    sol, expected = None, []
+    for L, e in LOADER_CASES:
+        sol = neontrap.perpendicular.solve_perpendicular(
+            DielectricStack(Superconductor(), L, e_ex=e), start=sol)
+        expected.append(sol.energies[0].hex())
+    assert energies == expected

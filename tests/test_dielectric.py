@@ -14,7 +14,7 @@ from neontrap import (Dielectric, DielectricStack, Superconductor, external_pote
                       total_perpendicular_potential)
 import neontrap.dielectric
 from neontrap.constants import IMAGE_PREFACTOR
-from neontrap.dielectric import cached_perpendicular_potential
+from neontrap.dielectric import cached_perpendicular_potential, potential_derivative
 from neontrap.perpendicular import SpectralMesh
 
 SC = Superconductor()
@@ -313,7 +313,7 @@ class TestTotalPotential:
             return series(*args, **kwargs)
 
         monkeypatch.setattr(neontrap.dielectric, "perpendicular_potential", spy)
-        neontrap.dielectric._cached_field_free_potential.cache_clear()
+        neontrap.dielectric._cached_field_free.cache_clear()
         stack = DielectricStack(Dielectric(12.0), 7.0)
         grid = solver_mesh(stack)
         miss = cached_perpendicular_potential(stack, grid)
@@ -327,6 +327,20 @@ class TestTotalPotential:
             hit = cached_perpendicular_potential(field_stack, grid)
             assert len(calls) == 1
             np.testing.assert_array_equal(hit, miss + external_potential(field_stack, grid.nodes))
+
+    def test_memo_hit_builds_no_stack(self, monkeypatch):
+        # the key is read off the stack: a hit runs none of its checks
+        stack = DielectricStack(SC, 7.5, e_ex=1e6)
+        grid = solver_mesh(stack)
+        cached_perpendicular_potential(stack, grid)
+        potential_derivative(stack, grid)
+        built = []
+        check = DielectricStack.__post_init__
+        monkeypatch.setattr(DielectricStack, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        cached_perpendicular_potential(stack, grid)
+        potential_derivative(stack, grid)
+        assert built == []
 
     def test_stack_carries_the_barrier_and_cutoff(self):
         stack = DielectricStack(SC, 10.0, barrier_height=650.0, cutoff_zc=0.25)
@@ -344,7 +358,7 @@ class TestTotalPotential:
         grid = solver_mesh(base)
         first = cached_perpendicular_potential(base, grid)
         got = cached_perpendicular_potential(other, grid)
-        neontrap.dielectric._cached_field_free_potential.cache_clear()
+        neontrap.dielectric._cached_field_free.cache_clear()
         np.testing.assert_array_equal(got, cached_perpendicular_potential(other, grid))
         np.testing.assert_array_equal(first, cached_perpendicular_potential(base, grid))
         assert not np.array_equal(first, got)
@@ -370,3 +384,39 @@ class TestTotalPotential:
         expected = perpendicular_potential(stack, 5.0) \
             + external_potential(stack, 5.0)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+DERIVATIVE_CASES = [(substrate, L, e_ex) for substrate in (SC, Dielectric(12.0))
+                    for L in (1.2, 2.5, 10.0) for e_ex in (-1e6, 0.0, 1e6)]
+
+
+class TestPotentialDerivative:
+    @pytest.mark.parametrize("substrate, L, e_ex", DERIVATIVE_CASES)
+    def test_matches_central_difference(self, substrate, L, e_ex):
+        # on one mesh, wall at -1 nm, so every node keeps its z as L moves
+        grid = solver_mesh(DielectricStack(substrate, 1.0))
+        h = 1e-4
+        v = [cached_perpendicular_potential(DielectricStack(substrate, L + d, e_ex=e_ex), grid)
+             for d in (h, -h)]
+        got = potential_derivative(DielectricStack(substrate, L, e_ex=e_ex), grid)
+        assert got.shape == grid.nodes.shape
+        np.testing.assert_allclose(got, (v[0] - v[1]) / (2.0 * h), rtol=1e-6, atol=1e-9)
+
+    def test_neon_takes_only_the_field(self):
+        # the surface node is the field's slope below z = 0 and the clamped
+        # image's above it
+        stack = DielectricStack(SC, 10.0, e_ex=1e6)
+        grid = solver_mesh(stack)
+        got = potential_derivative(stack, grid)
+        field = 1e6 * 1e-6 / stack.eps_neon
+        np.testing.assert_array_equal(got[0], field)
+        image = potential_derivative(DielectricStack(SC, 10.0), grid)[1, -1]
+        assert grid.nodes[1, -1] == stack.cutoff_zc and got[1, 0] == got[1, -1] == image + field
+
+    def test_fields_share_the_field_free_entry(self):
+        stack = DielectricStack(Dielectric(12.0), 6.0)
+        grid = solver_mesh(stack)
+        base = potential_derivative(stack, grid)
+        for e_ex in (1e6, -2e6):
+            np.testing.assert_array_equal(potential_derivative(replace(stack, e_ex=e_ex), grid),
+                                          base + e_ex * 1e-6 / stack.eps_neon)

@@ -1,5 +1,5 @@
-"""Lateral trap: thickness profiles, the W^G(L) Chebyshev curve, the
-local-thickness potential, and the radial spectrum against 2D-oscillator /
+"""Lateral trap: thickness profiles, the W^G(L) Hermite curve against the
+value-only curve, the local-thickness potential, and the radial spectrum against 2D-oscillator /
 disk oracles and the finite-volume oracle."""
 
 import functools
@@ -7,18 +7,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import BarycentricInterpolator
+from scipy.interpolate import KroghInterpolator
 from scipy.special import jn_zeros
 
 import neontrap.lateral
 import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack,
                       EnergyCurve, ModelInvalidError, PillarProfile,
-                      Superconductor, build_energy_curve,
-                      fit_harmonic_field_model, ground_state_energy,
+                      Superconductor, UnboundStateError, build_energy_curve,
+                      energy_derivative, fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, near_zero_slopes,
-                      pillar_spectrum, radial_spectrum, thickness_at)
-from fd_oracle import radial_richardson_level
+                      pillar_spectrum, radial_spectrum, solve_perpendicular, thickness_at)
+from fd_oracle import radial_richardson_level, value_only_curve
 from neontrap.constants import HBAR2_OVER_2ME
 from neontrap.lateral import NODE_TOL_MEV, curve_range, default_rho_max, pillar_breakpoints
 from neontrap.perpendicular import EigensolverError, spectral_mesh
@@ -74,8 +74,18 @@ class TestThicknessProfiles:
 
 class TestEnergyCurve:
     def test_exact_at_knots(self, curve):
-        for L, w in zip(curve.l_knots[::7], curve.w_knots[::7]):
+        for L, w in zip(curve.l_knots, curve.w_knots):
             assert curve(float(L)) == pytest.approx(float(w), abs=1e-10)
+
+    def test_knots_hold_their_solves(self, curve):
+        # each node keeps the value and Hellmann-Feynman slope of its own solve
+        for L, w, dw in zip(curve.l_knots, curve.w_knots, curve.dw_knots):
+            stack = DielectricStack(SC, float(L))
+            sol = solve_perpendicular(stack)
+            assert w == pytest.approx(sol.energies[0], rel=0.0, abs=1e-9)
+            assert dw == pytest.approx(energy_derivative(stack, sol), rel=1e-7)
+        assert curve.first_state.grid.points[0] == -2.0
+        assert curve.first_state.energies[0] == curve.w_knots[0]
 
     def test_validation_budget_met(self, curve):
         assert curve.validation_error <= 0.01
@@ -113,39 +123,55 @@ def _held_out(curve):
     return np.exp(0.5 * math.log(hi * lo) + 0.5 * math.log(hi / lo) * u)
 
 
-class TestChebyshevCurve:
-    """Barycentric Lagrange interpolation in log L is the oracle for the curve."""
+class TestHermiteCurve:
+    """Krogh's Hermite interpolation in log L is the oracle for the interpolant,
+    and the value-only Chebyshev curve of fd_oracle for the node count."""
 
-    @pytest.mark.parametrize("which", ["curve", "wide_curve"])
-    def test_equals_barycentric_oracle(self, request, which):
-        c = request.getfixturevalue(which)
-        lo, hi = c.l_range
-        pts = np.concatenate([c.l_knots, _held_out(c), [lo, hi]])
-        oracle = BarycentricInterpolator(np.log(c.l_knots), c.w_knots)
-        assert np.max(np.abs(c(pts) - oracle(np.log(pts)))) <= 1e-12
-        assert abs(c(hi) - float(oracle(math.log(hi)))) <= 1e-12
+    def test_equals_krogh_oracle(self, curve):
+        # x = log L carries dW/dx = L dW/dL; a repeated abscissa takes the slope
+        lo, hi = curve.l_range
+        pts = np.concatenate([curve.l_knots, _held_out(curve), np.linspace(lo, hi, 50)])
+        oracle = KroghInterpolator(np.repeat(np.log(curve.l_knots), 2),
+                                   np.ravel([curve.w_knots, curve.l_knots * curve.dw_knots],
+                                            order="F"))
+        assert np.max(np.abs(curve(pts) - oracle(np.log(pts)))) <= 1e-11
+
+    def test_wide_curve_holds_its_node_values(self, wide_curve):
+        assert np.max(np.abs(wide_curve(wide_curve.l_knots) - wide_curve.w_knots)) <= 1e-10
+
+    @pytest.mark.parametrize("l_range, nodes", [((8.5, 10.5), 5), ((2.0, 3.5), 5),
+                                                ((2.5, 20.5), 9)])
+    def test_matches_value_only_curve_with_half_the_nodes(self, l_range, nodes):
+        # measured 3.6e-10, 4.8e-10 and 4.9e-10 meV; the value-only curve
+        # takes 9, 9 and 17 nodes
+        stack = DielectricStack(SC, L0)
+        c = build_energy_curve(stack, l_range)
+        oracle, oracle_knots, _ = value_only_curve(stack, l_range)
+        assert (c.l_knots.size, oracle_knots.size) == (nodes, 2 * nodes - 1)
+        ls = np.linspace(*l_range, 200)
+        assert np.max(np.abs(c(ls) - oracle(ls))) <= 1e-8
 
     def test_levels_reuse_nodes_and_solve_ascending(self, monkeypatch):
         solved = []
-        solve = neontrap.lateral.ground_state_energy
+        solve = neontrap.lateral.solve_perpendicular
         def spy(stack, *args, **kwargs):
             solved.append(stack.thickness_L)
             return solve(stack, *args, **kwargs)
-        monkeypatch.setattr(neontrap.lateral, "ground_state_energy", spy)
+        monkeypatch.setattr(neontrap.lateral, "solve_perpendicular", spy)
         c = build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0), n_knots=60)
-        # 9 nodes, then held-out levels of 8, 16 and 32 points, each once
-        levels = np.split(np.array(solved), [9, 17, 33])
-        assert [lv.size for lv in levels] == [9, 8, 16, 32]
+        # 5 nodes, then held-out levels of 4, 8, 16 and 32 points, each once
+        levels = np.split(np.array(solved), [5, 9, 17, 33])
+        assert [lv.size for lv in levels] == [5, 4, 8, 16, 32]
         assert solved[0] == 1.0 and all(np.all(np.diff(lv) > 0.0) for lv in levels)
-        assert np.array_equal(np.sort(np.concatenate(levels[:3])), c.l_knots)
-        assert np.array_equal(levels[3], _held_out(c))
+        assert np.array_equal(np.sort(np.concatenate(levels[:4])), c.l_knots)
+        assert np.array_equal(levels[4], _held_out(c))
 
-    def test_smooth_range_accepts_nine_nodes(self, curve):
-        assert curve.l_knots.size == 9
+    def test_smooth_range_accepts_five_nodes(self, curve):
+        assert curve.l_knots.size == 5
         assert curve.validation_error <= NODE_TOL_MEV
 
     def test_wide_range_stops_at_node_cap(self, wide_curve):
-        # 9 -> 17 -> 33 nodes; 65 would exceed n_knots = 60
+        # 5 -> 9 -> 17 -> 33 nodes; 65 would exceed n_knots = 60
         assert wide_curve.l_knots.size == 33
         assert NODE_TOL_MEV < wide_curve.validation_error <= EnergyCurve.VALIDATION_BUDGET_MEV
 
@@ -164,6 +190,36 @@ class TestChebyshevCurve:
         monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
         with pytest.raises(CurveValidationError, match="held-out error"):
             build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5), n_knots=20)
+
+    def test_unbound_field_fails_on_the_thinnest_node(self, monkeypatch):
+        solved = []
+        solve = neontrap.lateral.solve_perpendicular
+        def spy(stack, *args, **kwargs):
+            solved.append(stack.thickness_L)
+            return solve(stack, *args, **kwargs)
+        monkeypatch.setattr(neontrap.lateral, "solve_perpendicular", spy)
+        with pytest.raises(UnboundStateError, match=r"leaks to the outer wall .* L=9.0 nm"):
+            build_energy_curve(DielectricStack(SC, L0, e_ex=-2e6), (9.0, 10.5))
+        assert solved == [9.0]
+
+    def test_curve_started_from_another_field(self, monkeypatch):
+        # the first solve refines the start's first state and the certificate
+        # decides, so the curve equals one built cold
+        previous = build_energy_curve(DielectricStack(SC, L0, e_ex=-1e6), (9.0, 10.5))
+        cold = build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5))
+        dense = []
+        dsyevr = neontrap.perpendicular.lapack.dsyevr
+
+        def spy(*args, **kwargs):
+            dense.append(args[0].shape[0])
+            return dsyevr(*args, **kwargs)
+
+        monkeypatch.setattr(neontrap.perpendicular.lapack, "dsyevr", spy)
+        chained = build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5), start=previous)
+        assert dense == []
+        np.testing.assert_array_equal(chained.l_knots, cold.l_knots)
+        np.testing.assert_allclose(chained.w_knots, cold.w_knots, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(chained.dw_knots, cold.dw_knots, rtol=1e-7)
 
 
 class TestLtaPotential:
@@ -394,7 +450,7 @@ def _spy_dense(monkeypatch):
     return calls
 
 
-class TestRadialWarmStart:
+class TestRadialStart:
     @pytest.mark.parametrize("dL", [0.5, 1.0])
     def test_chained_spectrum_is_refined_and_matches_dense(self, monkeypatch, curve, dL):
         previous = pillar_spectrum(curve, PillarProfile(L0, 0.25, R_PILLAR, B), alpha_max=2)

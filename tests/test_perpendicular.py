@@ -1,6 +1,7 @@
 """1D spectral-element eigensolver against analytic oracles and the
 finite-difference oracle, the electron-on-neon observables W^G, h_e and the
-excitation gap."""
+excitation gap, and the Hellmann-Feynman slope dW^G/dL against central
+differences."""
 
 import math
 
@@ -12,14 +13,14 @@ import neontrap.lateral
 import neontrap.perpendicular as perpendicular
 from fd_oracle import fd_levels, hellmann_feynman_check, richardson_levels
 from neontrap import (BoundStateSolution, DielectricStack, SpectralMesh, Superconductor,
-                      UnboundStateError, WarmStart, build_hamiltonian,
+                      UnboundStateError, build_hamiltonian, energy_derivative,
                       ground_state_energy, mean_height,
                       perpendicular_gap, perpendicular_potential, solve_lowest,
                       solve_perpendicular, solver_mesh, total_perpendicular_potential)
 from neontrap.constants import CUTOFF_ZC, HBAR2_OVER_2ME
 from neontrap.dielectric import Dielectric, cached_perpendicular_potential
 from neontrap.lateral import pillar_breakpoints
-from neontrap.perpendicular import spectral_mesh
+from neontrap.perpendicular import require_bound, spectral_mesh
 
 C = HBAR2_OVER_2ME
 # 1D hydrogen oracle: V = -A/z with a hard wall at z = 0.
@@ -356,6 +357,38 @@ class TestHellmannFeynman:
             hellmann_feynman_check(DielectricStack(SC, 10.0, e_ex=-4.9e6), 2e5)
 
 
+SLOPE_CASES = [(substrate, L, e_ex) for substrate in (SC, Dielectric(12.0))
+               for L in (1.2, 1.9, 2.5, 10.0) for e_ex in (-1e6, 0.0, 1e6)]
+
+
+class TestEnergyDerivative:
+    """dW^G/dL from the ground state against a central difference of W^G (h = 1e-4 nm)."""
+
+    @pytest.mark.parametrize("substrate, L, e_ex", SLOPE_CASES,
+                             ids=[_case_id((s, L, e, 1)) for s, L, e in SLOPE_CASES])
+    def test_matches_central_difference(self, substrate, L, e_ex):
+        # measured 1.2e-7 relative below 2 nm, where the wall term enters, and
+        # 2.2e-6 at 10 nm, the central difference's own rounding
+        stack = DielectricStack(substrate, L, e_ex=e_ex)
+        slope = energy_derivative(stack, solve_perpendicular(stack))
+        h = 1e-4
+        w = [ground_state_energy(DielectricStack(substrate, L + d, e_ex=e_ex)) for d in (h, -h)]
+        assert slope == pytest.approx((w[0] - w[1]) / (2.0 * h), rel=5e-6)
+
+    def test_refined_state_gives_the_dense_slope(self):
+        stack = DielectricStack(SC, 10.0)
+        dense = solve_perpendicular(stack)
+        refined = solve_perpendicular(stack, start=solve_perpendicular(DielectricStack(SC, 9.8)))
+        assert energy_derivative(stack, refined) == pytest.approx(
+            energy_derivative(stack, dense), rel=1e-9)
+
+    @pytest.mark.parametrize("L, other", [(10.0, 1.5), (1.5, 1.6)])
+    def test_another_mesh_is_rejected(self, L, other):
+        sol = solve_perpendicular(DielectricStack(SC, other))
+        with pytest.raises(ValueError, match="not the solver mesh"):
+            energy_derivative(DielectricStack(SC, L), sol)
+
+
 # the bulk stack takes no external field
 DEGREE_CASES = [(substrate, L, e_ex) for substrate in (SC, Dielectric(12.0))
                 for L in (1.0, 1.5, 2.0, 10.0, 200.0, math.inf) for e_ex in (-1e6, 0.0, 1e6)
@@ -476,11 +509,11 @@ class TestSolverPotential:
 
 
 def _chain(l_range):
-    """Thicknesses in the order build_energy_curve solves them: 9 Lobatto nodes, 8 held out."""
+    """Thicknesses in the order build_energy_curve solves them: 5 Lobatto nodes, 4 held out."""
     lo, hi = l_range
     mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    nodes = np.exp(mid - half * np.cos(np.pi * np.arange(9) / 8))
-    held = np.exp(mid - half * np.cos(np.pi * np.arange(1, 16, 2) / 16))
+    nodes = np.exp(mid - half * np.cos(np.pi * np.arange(5) / 4))
+    held = np.exp(mid - half * np.cos(np.pi * np.arange(1, 8, 2) / 8))
     return [lo, *nodes[1:-1], hi, *held]
 
 
@@ -515,7 +548,7 @@ WARM_CASES = [(sub, l_range, e) for sub in (SC, Dielectric(12.0))
               for l_range in ((8.5, 10.5), (1.9, 3.5)) for e in (-1e6, 0.0, 1e6, 2e6)]
 
 
-class TestWarmStart:
+class TestStartedSolve:
     """The refined, certified ground state against the dense evr solve as oracle."""
 
     @pytest.mark.parametrize("substrate, l_range, e_ex", WARM_CASES,
@@ -546,21 +579,18 @@ class TestWarmStart:
             assert _overlap(sol, dense) >= 1.0 - 1e-12
             assert sol.converged == [True]
             previous = grid
-        # below 2 nm the wall sits at -L: 1.9, 1.945 and 1.911 nm each get their
-        # own mesh, and 2.078 and 2.0 nm return to the -2 nm wall
-        assert cold == (1 if l_range[0] >= 2.0 else 5)
+        # below 2 nm the wall sits at -L: 1.9 and 1.945 nm each get their own
+        # mesh, and 2.078 and 2.294 nm return to the -2 nm wall
+        assert cold == (1 if l_range[0] >= 2.0 else 4)
 
-    def test_holder_chains_ground_state_energy(self, monkeypatch):
-        # ground_state_energy returns a float, so its chain runs through the holder
-        warm = WarmStart()
-        first = ground_state_energy(DielectricStack(SC, 9.8), warm=warm)
-        assert warm.state.energies[0] == first
-        held = warm.state
-        calls = _spy_lapack(monkeypatch)
-        energy = ground_state_energy(DielectricStack(SC, 10.0), warm=warm)
-        assert "dsyevr" not in [name for name, _ in calls]
-        sol = solve_perpendicular(DielectricStack(SC, 10.0), start=held)
-        assert warm.state is not held and warm.state.energies[0] == energy == sol.energies[0]
+    def test_require_bound_passes_a_bound_solution_through(self):
+        stack = DielectricStack(SC, 10.0)
+        sol = solve_perpendicular(stack)
+        assert require_bound(sol, stack) is sol
+        assert ground_state_energy(stack) == sol.energies[0]
+        leaky = DielectricStack(SC, 10.0, e_ex=-5e6)
+        with pytest.raises(UnboundStateError, match=r"tail density .* L=10.0 nm, E_ex=-5000000.0"):
+            require_bound(solve_perpendicular(leaky), leaky)
 
     def test_excited_start_is_rejected(self, monkeypatch):
         stack = DielectricStack(SC, 10.0)
