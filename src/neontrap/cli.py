@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .dielectric import external_potential, perpendicular_potential
+from .dielectric import external_potential, perpendicular_potential, total_perpendicular_potential
 from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
 from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
@@ -73,7 +73,6 @@ def _curve_metadata(validation_error: float, nodes: int) -> dict:
 def cmd_potential_z(cfg: RunConfig):
     """Perpendicular potential profile V(z); one file per layer thickness.
 
-    z starts at cutoff_zc, so V_perp + V_ex is total_perpendicular_potential.
     Every stack is built, so checked, before the first table."""
     e_ex = _single_field(cfg, "potential-z")
     z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
@@ -83,7 +82,7 @@ def cmd_potential_z(cfg: RunConfig):
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
                             metadata={"L_nm": _fmt_axis(stack.thickness_L)})
-        table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
+        table.add_columns(z, v_perp, v_ex, total_perpendicular_potential(stack, z))
         yield f"_L{_fmt_axis(stack.thickness_L)}", table
 
 

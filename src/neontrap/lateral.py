@@ -63,6 +63,7 @@ def thickness_at(profile: PillarProfile, rho):
     return float(out) if np.isscalar(rho) else out
 
 
+@dataclass(frozen=True, eq=False)
 class EnergyCurve:
     """Hermite interpolant of W^G(L) in log L at fixed substrate and field.
 
@@ -72,17 +73,14 @@ class EnergyCurve:
     first_state, the ground state at the first node, starts the next curve.
     """
 
-    VALIDATION_BUDGET_MEV = 0.01
+    VALIDATION_BUDGET_MEV = 0.01  # unannotated: a class attribute, not a field
 
-    def __init__(self, poly: Chebyshev, l_knots: np.ndarray, w_knots: np.ndarray,
-                 dw_knots: np.ndarray, validation_error: float,
-                 first_state: BoundStateSolution):
-        self.l_knots = l_knots
-        self.w_knots = w_knots
-        self.dw_knots = dw_knots
-        self.validation_error = validation_error
-        self.first_state = first_state
-        self._poly = poly  # _log_hermite(l_knots, w_knots, dw_knots), fitted by build_energy_curve
+    l_knots: np.ndarray
+    w_knots: np.ndarray
+    dw_knots: np.ndarray
+    validation_error: float
+    first_state: BoundStateSolution = field(repr=False)
+    _poly: Chebyshev = field(repr=False)  # _log_hermite of the knots, fitted by build_energy_curve
 
     @property
     def l_range(self) -> tuple[float, float]:
@@ -177,7 +175,7 @@ def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, fl
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
             f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(poly, l_knots, w_knots, dw_knots, validation_error, chain[1])
+    return EnergyCurve(l_knots, w_knots, dw_knots, validation_error, chain[1], poly)
 
 
 def lta_potential(curve: EnergyCurve, profile: PillarProfile, rho):
@@ -209,12 +207,8 @@ class LateralSpectrum:
     states: list[BoundStateSolution] = field(repr=False)
 
     @property
-    def delta_u_mev(self) -> float:
-        return self.u_alpha[1] - self.u_alpha[0]
-
-    @property
     def delta_u_uev(self) -> float:
-        return 1.0e3 * self.delta_u_mev
+        return 1.0e3 * (self.u_alpha[1] - self.u_alpha[0])
 
 
 def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,

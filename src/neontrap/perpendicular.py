@@ -41,7 +41,7 @@ class NumericalFailure(RuntimeError):
 
 
 class UnboundStateError(NumericalFailure):
-    """The requested configuration does not hold a (quasi-)bound ground state."""
+    """A state the solve holds is not (quasi-)bound: it leaks to the outer wall."""
 
 
 class EigensolverError(NumericalFailure):
@@ -274,22 +274,26 @@ class BoundStateSolution:
     energies: np.ndarray
     wavefunctions: np.ndarray  # shape (n_states, grid.n_points)
     grid: SpectralMesh
-    converged: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> list[bool]:
+        """Per state, whether state k has k nodes (_count_nodes), counted when read."""
+        return (_count_nodes(self.wavefunctions) == np.arange(self.energies.size)).tolist()
 
     def tail_density(self) -> float:
-        """Peak ground-state density within TAIL_FRACTION of the span from the outer wall.
+        """Peak density of any held state within TAIL_FRACTION of the span from the outer wall.
 
         The density is psi^2 (1/nm), or rho psi^2 on a radial mesh (measure rho drho).
         """
-        z, psi = self.grid.points, self.wavefunctions[0]
+        z = self.grid.points
         near = z >= z[-1] - TAIL_FRACTION * (z[-1] - z[0])
-        density = psi[near] ** 2
+        density = self.wavefunctions[:, near] ** 2
         if self.grid.radial:
             density = z[near] * density
         return float(np.max(density))
 
     def is_bound(self) -> bool:
-        """True unless the ground state leaks to the outer wall (tail_density)."""
+        """True unless a held state leaks to the outer wall (tail_density)."""
         return self.tail_density() < TAIL_DENSITY_THRESHOLD
 
 
@@ -340,7 +344,7 @@ def _refine_ground_state(hamiltonian: np.ndarray, grid: SpectralMesh,
 
 def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
                  start: BoundStateSolution | None = None) -> BoundStateSolution:
-    """Lowest n_states eigenpairs of build_hamiltonian's matrix, node-count verified.
+    """Lowest n_states eigenpairs of build_hamiltonian's matrix.
 
     For one state and a start solved on the same grid, the ground state is
     refined from start's by _refine_ground_state; without a start, for more
@@ -372,9 +376,7 @@ def solve_lowest(hamiltonian: np.ndarray, grid: SpectralMesh, n_states: int,
     y = y * np.sign(y[np.argmax(np.abs(y), axis=0), np.arange(n_states)])
     psi = np.zeros((n_states, grid.n_points))
     psi[:, 1:-1] = y.T / sqrt_mass
-    converged = (_count_nodes(psi[:, 1:-1]) == np.arange(n_states)).tolist()
-    return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid,
-                              converged=converged)
+    return BoundStateSolution(energies=w, wavefunctions=psi, grid=grid)
 
 
 def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: float = Z_MAX,
@@ -389,10 +391,10 @@ def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: flo
 
 
 def require_bound(solution: BoundStateSolution, stack: DielectricStack) -> BoundStateSolution:
-    """solution, the stack's perpendicular solve; raises UnboundStateError if escaping."""
+    """solution, the stack's perpendicular solve; raises UnboundStateError if a state escapes."""
     if not solution.is_bound():
         raise UnboundStateError(
-            f"ground state leaks to the outer wall (tail density "
+            f"a held state leaks to the outer wall (peak tail density "
             f"{solution.tail_density():.2e} 1/nm) for L={stack.thickness_L} nm, "
             f"E_ex={stack.e_ex} V/m")
     return solution

@@ -1,9 +1,10 @@
 """The benchmark's span tracer names neontrap functions by string and its
 count hooks read their arguments by name, and its committed configs go
 through the strict config parser; a rename, a signature change or a schema
-change fails here rather than in a benchmark run.  Every eigensolve must
-also run inside a traced eigensolve layer, and every table be formatted
-inside the traced ResultTable.write, or its time would be charged to
+change fails here rather than in a benchmark run, and so does a result
+attribute a hook reads: each committed config runs once traced.  Every
+eigensolve must also run inside a traced eigensolve layer, and every table be
+formatted inside the traced ResultTable.write, or its time would be charged to
 whichever layer happens to enclose it."""
 
 import functools
@@ -27,11 +28,20 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def _layers():
+# (subcommand, benchmark workload) of each committed config
+WORKLOADS = [("ground-sweep", "ground_sweep"), ("lateral", "lateral_scan"),
+             ("field-sweep", "field_sweep")]
+
+
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _layers():
+    return _tracing().LAYERS
 
 
 def _resolve(module_name, attr):
@@ -72,6 +82,47 @@ def test_benchmark_config_loads(path):
     echo = load_config(str(path)).effective_text()
     keys = {line.split(" = ")[0] for line in echo.splitlines()}
     assert not keys & {key for _, key in _RETIRED} and "[parallel]" not in echo
+
+
+@pytest.mark.parametrize("command, workload", WORKLOADS)
+def test_traced_sample_run(monkeypatch, tmp_path, command, workload):
+    # the count hooks also read results (converged, is_bound()), which only a
+    # traced run exercises: one traced sample per config, in its own process
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    result = run.run_cli([command, "--config", str(config), "--out", str(tmp_path / "out.csv")],
+                         tmp_path, traced=True, timeout=300)
+    assert result["rc"] == 0, result.get("error")
+    tracing = _tracing()
+    metrics = tracing.summarize(result["spans"])
+    assert set(metrics) == set(tracing.METRICS) - {"trace.overhead_s"}
+    assert metrics["perpendicular.nodecheck_fail"] == 0
+    errors = [s for s in result["spans"] if s[tracing.ERROR] is not None]
+    if command != "field-sweep":
+        assert errors == []
+    else:
+        # the one unbound field, -2e6 V/m, fails its curve, the first built
+        curves = sorted((s for s in result["spans"]
+                         if s[tracing.NAME] == "lateral.build_energy_curve"),
+                        key=lambda s: s[tracing.START])
+        assert errors == curves[:1] and errors[0][tracing.ERROR] == "UnboundStateError"
+
+
+@pytest.mark.parametrize("command, workload", WORKLOADS)
+def test_untraced_run_counts_no_nodes(monkeypatch, tmp_path, command, workload):
+    # converged counts nodes when it is read, and only the tracer reads it
+    counted = []
+    count_nodes = neontrap.perpendicular._count_nodes
+
+    def spy(psi):
+        counted.append(psi.shape[0])
+        return count_nodes(psi)
+
+    monkeypatch.setattr(neontrap.perpendicular, "_count_nodes", spy)
+    config = PERFBENCH / "configs" / f"{workload}.ini"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert counted == []
 
 
 class _Captured(Exception):
@@ -153,9 +204,7 @@ def _spy_eigen_lapack(monkeypatch, record):
         monkeypatch.setattr(lapack, name, wrapper)
 
 
-@pytest.mark.parametrize("command, workload", [("ground-sweep", "ground_sweep"),
-                                               ("lateral", "lateral_scan"),
-                                               ("field-sweep", "field_sweep")])
+@pytest.mark.parametrize("command, workload", WORKLOADS)
 def test_every_eigensolve_is_inside_a_traced_layer(monkeypatch, tmp_path, command, workload):
     assert set(EIGENSOLVE_LAYERS) <= {(m, a) for m, a, *_ in _layers()}
     layers, calls = [], []

@@ -424,6 +424,27 @@ class TestCliEndToEnd:
         assert table.column("bound") == [0.0]
         assert math.isnan(table.rows[0][2])
 
+    def test_ground_sweep_bound_reads_both_states(self, tmp_path):
+        # a row prints the gap from state 1, so bound needs state 1 off the
+        # outer wall too.  At (200 nm, -1e5 V/m) only state 1 leaks, and the
+        # gap a state-0 verdict let through followed the box (11.786 meV at
+        # z_max = 40 nm, 9.410 meV at 80 nm); (50 nm, -3e5 V/m) was bound at
+        # 40 nm and flagged at 80 nm.  Every flag now holds in both boxes, and
+        # the 10 nm rows' gaps do not depend on the box
+        flags, gaps = [], []
+        for z_max in (40, 80):
+            cfg = write_config(tmp_path, f"[grid]\nz_max = {z_max} nm\n"
+                               "[sweep]\nL = 10 nm, 50 nm, 200 nm\nE_ex = -3e5 V/m, -1e5 V/m\n")
+            out = tmp_path / f"sweep{z_max}.csv"
+            assert main(["ground-sweep", "--config", cfg, "--out", str(out)]) == 0
+            table = ResultTable.from_csv(out.read_text())
+            flags.append(table.column("bound"))
+            gaps.append(np.array(table.column("gap")))
+        assert flags[0] == flags[1] == [1.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+        np.testing.assert_allclose(gaps[1][:2], gaps[0][:2], rtol=1e-7, atol=0.0)
+        flagged = np.array(flags[0]) == 0.0
+        assert np.all(np.isnan(gaps[0][flagged])) and np.all(np.isnan(gaps[1][flagged]))
+
     def test_ground_sweep_solves_on_the_constants_section(self, tmp_path):
         # every [constants] key off its default: each row is the solve on the
         # stack that carries them, as printed
@@ -462,8 +483,8 @@ class TestCliEndToEnd:
         ("[sweep]\nL = inf\nE_ex = 0 V/m\n", Superconductor(), 0.0, 1)],
         ids=["eps12_field", "bulk"])
     def test_potential_z_columns(self, tmp_path, monkeypatch, body, substrate, e_ex, n_files):
-        # V_total is V_perp + V_ex exactly, and prints as the public
-        # total_perpendicular_potential on the same z
+        # V_total prints as the public total_perpendicular_potential on the
+        # same z, which from cutoff_zc on is V_perp + V_ex exactly
         tables = {}
         write = ResultTable.write
 

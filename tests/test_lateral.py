@@ -250,7 +250,7 @@ class TestRadialOracles:
         spec = radial_spectrum(pot, alpha_max=3, breakpoints=_oscillator_breakpoints(ell))
         for alpha in range(4):
             assert spec.u_alpha[alpha] == pytest.approx((alpha + 1) * hw, rel=3e-3)
-        assert spec.delta_u_mev == pytest.approx(hw, rel=3e-3)
+        assert spec.u_alpha[1] - spec.u_alpha[0] == pytest.approx(hw, rel=3e-3)
 
     def test_oscillator_first_excited_mean_radius(self):
         hw = 0.026
@@ -292,8 +292,8 @@ class TestRadialOracles:
         oracle = (radial_richardson_level(pot, rho_max, 1)
                   - radial_richardson_level(pot, rho_max, 0))
         # 1e-6 ueV; measured 1.6e-7 and 8e-9 ueV
-        assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(oracle, rel=0.0,
-                                                                      abs=1e-9)
+        u = pillar_spectrum(curve, p).u_alpha
+        assert u[1] - u[0] == pytest.approx(oracle, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", range(3))
     @pytest.mark.parametrize("R, dL", [(R, dL) for R in (50.0, 110.0, 200.0)
@@ -322,11 +322,11 @@ class TestRadialOracles:
         # degree 24 on the same pillar_breakpoints moves Delta U by rounding:
         # measured 1.3e-8 ueV at worst
         p = PillarProfile(L0, dL, R, B)
-        base = pillar_spectrum(curve, p).delta_u_mev
+        u = pillar_spectrum(curve, p).u_alpha
         monkeypatch.setattr(neontrap.lateral, "spectral_mesh",
                             functools.partial(spectral_mesh, degree=24))
-        assert pillar_spectrum(curve, p).delta_u_mev == pytest.approx(base, rel=0.0,
-                                                                      abs=1e-10)
+        fine = pillar_spectrum(curve, p).u_alpha
+        assert fine[1] - fine[0] == pytest.approx(u[1] - u[0], rel=0.0, abs=1e-10)
 
     @pytest.mark.parametrize("R, dL", [(50.0, DL), (110.0, DL), (200.0, DL), (50.0, 0.25)])
     def test_farther_wall_leaves_splitting(self, curve, R, dL):
@@ -337,7 +337,8 @@ class TestRadialOracles:
         near = pillar_spectrum(curve, p)
         far = pillar_spectrum(curve, p, rho_max=2.0 * default_rho_max(R))
         assert near.bound and far.bound
-        assert far.delta_u_mev == pytest.approx(near.delta_u_mev, rel=0.0, abs=1e-10)
+        assert far.u_alpha[1] - far.u_alpha[0] == pytest.approx(
+            near.u_alpha[1] - near.u_alpha[0], rel=0.0, abs=1e-10)
         assert far.rho_e == pytest.approx(near.rho_e, rel=1e-8)
 
     def test_alpha_zero_required(self):

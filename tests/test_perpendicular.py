@@ -125,9 +125,35 @@ class TestSolverContracts:
         overlap = np.sum(sol.grid.mass * sol.wavefunctions[0] * sol.wavefunctions[1])
         assert abs(overlap) <= 1e-8
 
-    def test_node_counts(self):
-        sol = _solve(_oscillator, OSCILLATOR_MESH, 5)
-        assert all(sol.converged)
+    def test_tail_density_reads_every_held_state(self):
+        # an excited state at the wall flags the solution, as the ground state would
+        grid = spectral_mesh((0.0, 50.0, 100.0))
+        psi = np.zeros((2, grid.n_points))
+        psi[1, -2] = 1e-2
+        sol = BoundStateSolution(np.zeros(2), psi, grid)
+        assert sol.tail_density() == pytest.approx(1e-4, rel=1e-15) and not sol.is_bound()
+        stack = DielectricStack(SC, 10.0)
+        with pytest.raises(UnboundStateError, match=r"peak tail density 1.00e-04 1/nm"):
+            require_bound(sol, stack)
+        ground = BoundStateSolution(np.zeros(1), psi[:1], grid)
+        assert ground.tail_density() == 0.0 and ground.is_bound()
+
+    def test_node_counts(self, monkeypatch):
+        # solve_lowest counts no nodes; converged counts them when it is read
+        counted = []
+        count_nodes = perpendicular._count_nodes
+
+        def spy(psi):
+            counted.append(psi.shape[0])
+            return count_nodes(psi)
+
+        monkeypatch.setattr(perpendicular, "_count_nodes", spy)
+        for n in (5, 10):
+            sol = _solve(_oscillator, OSCILLATOR_MESH, n)
+            assert counted == []
+            assert sol.converged == [True] * n
+            assert counted == [n]
+            counted.clear()
 
     def test_node_count_of_every_row_at_once(self):
         def one_row(psi):  # sign changes, ignoring amplitudes 1e-10 below the peak
@@ -325,7 +351,7 @@ class TestFiniteDifferenceOracle:
     def test_levels_match_richardson(self, substrate, L, e_ex, n_states):
         stack = DielectricStack(substrate, L, e_ex=e_ex)
         sol = solve_perpendicular(stack, n_states=n_states)
-        assert all(sol.converged)
+        assert sol.converged == [True] * n_states
         oracle = richardson_levels(stack, max(n_states, 2))[:n_states]
         np.testing.assert_allclose(sol.energies, oracle, rtol=0.0, atol=1e-5)
 
@@ -596,7 +622,7 @@ class TestStartedSolve:
         stack = DielectricStack(SC, 10.0)
         h, grid = _hamiltonian(stack)
         both = solve_lowest(h, grid, 2)
-        excited = BoundStateSolution(both.energies[1:], both.wavefunctions[1:], grid, [True])
+        excited = BoundStateSolution(both.energies[1:], both.wavefunctions[1:], grid)
         calls = _spy_lapack(monkeypatch)
         sol = solve_lowest(h, grid, 1, start=excited)
         # the refinement stays on the excited state, and the certificate refuses it
