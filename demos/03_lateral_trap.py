@@ -11,7 +11,7 @@ from neontrap import (DielectricStack, PillarProfile, Superconductor,
 SC = Superconductor()
 L0, B = 10.0, 2.0
 
-curve = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=60)
+curve = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5))
 print(f"energy curve over L in [6.5, 10.5] nm: {curve.l_knots.size} Hermite nodes, "
       f"held-out error {curve.validation_error:.2e} meV")
 

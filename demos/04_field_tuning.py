@@ -22,8 +22,7 @@ e_fit, du_fit = [], []
 for e_ex in fields:
     try:
         curve = build_energy_curve(DielectricStack(SC, 10.0, e_ex=e_ex),
-                                   curve_range(profile.L0, profile.delta_L), n_knots=30,
-                                   start=curve)
+                                   curve_range(profile.L0, profile.delta_L), start=curve)
         spec = pillar_spectrum(curve, profile, start=spec)
     except NumericalFailure:  # -2e6 V/m leaves the thinnest layers without a bound state
         print(f"{e_ex:12.2e} {math.nan:10.2f} {math.nan:11.1f} no")

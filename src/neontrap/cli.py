@@ -106,8 +106,7 @@ def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     e_ex = _single_field(cfg, "lateral")
     l_range = _curve_range(cfg)
-    curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
-                               z_max=cfg.z_max)
+    curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, z_max=cfg.z_max)
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
                  ("U_alpha", "ueV"), ("delta_U", "ueV"), ("rho_e", "nm"),
@@ -155,8 +154,8 @@ def cmd_field_sweep(cfg: RunConfig):
     curve, spec, curves, e_fit, du_fit = None, None, [], [], []
     for e_ex in sorted(cfg.E_ex):
         try:
-            curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, cfg.n_knots,
-                                       z_max=cfg.z_max, start=curve)
+            curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, z_max=cfg.z_max,
+                                       start=curve)
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=cfg.rho_max, start=spec)
         except NumericalFailure:

@@ -16,6 +16,7 @@ from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
 from .dielectric import Dielectric, DielectricStack, Superconductor
 from .growth import diffusion_length, gibbs_thomson_shift, gravity_potential_difference
 from .lateral import PillarProfile
+from .perpendicular import solver_mesh
 from .tables import emit_quantity, parse_quantity
 
 
@@ -67,7 +68,6 @@ class RunConfig:
     delta_L: list = _key("sweep", "float_list", [0.5], "nm")
     R: list = _key("sweep", "float_list", [110.0], "nm")
     b: float = _key("sweep", "float", 2.0, "nm")
-    n_knots: int = _key("sweep", "int", 60)
     alpha_max: int = _key("sweep", "int", 1)
     r_c: list = _key("growth", "float_list", [10.0, -10.0], "nm")
     diffusion_time: float = _key("growth", "float", 10e-6, "s")
@@ -105,10 +105,11 @@ class RunConfig:
 
 # (section, key) -> RunConfig field, in field order
 _FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
-# keys that once sized a mesh or a thread pool and now change no number; old
-# configs, the committed benchmark configs among them, still carry them, so
-# each must parse as an integer and is then dropped: neither echoed nor hashed
-_RETIRED = {("grid", "n_points"), ("grid", "n_points_radial"), ("parallel", "threads")}
+# keys that once sized a mesh, a thread pool or the curve's node cap and now change no
+# number; old configs, the committed benchmark configs among them, still carry them,
+# so each must parse as an integer and is then dropped: neither echoed nor hashed
+_RETIRED = {("grid", "n_points"), ("grid", "n_points_radial"), ("parallel", "threads"),
+            ("sweep", "n_knots")}
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -186,21 +187,18 @@ def _validate(cfg: RunConfig):
     for (section, key), f in _FIELDS.items():
         if f.metadata["kind"] == "float_list" and not getattr(cfg, f.name):
             raise ConfigError(f"[{section}] {key} needs at least one value")
-    # constructors and growth estimates state their rules; L > 0 is stricter (see DielectricStack)
-    cfg.stack(cfg.L0)
+    # constructors, the solver mesh (cached, so the solves reuse it) and growth
+    # estimates state their rules; L > 0 is stricter (see DielectricStack)
+    _checked(solver_mesh, cfg.stack(cfg.L0), cfg.z_max)
     for dL in cfg.delta_L:
         for R in cfg.R:
             _checked(PillarProfile, cfg.L0, dL, R, cfg.b)
-    if cfg.z_max <= cfg.cutoff_zc:
-        raise ConfigError("z_max must exceed the cutoff distance")
     if cfg.z_samples < 1:
         raise ConfigError("z_samples must be >= 1")
     if any(l <= 0.0 for l in cfg.L):
         raise ConfigError("layer thicknesses must be positive (or inf for bulk)")
     if cfg.rho_max is not None and cfg.rho_max <= 0.0:
         raise ConfigError("rho_max must be a positive length (or auto)")
-    if cfg.n_knots < 20:
-        raise ConfigError("n_knots must be >= 20")
     if cfg.alpha_max < 1:
         raise ConfigError("alpha_max must be >= 1")
     for r_c in cfg.r_c:

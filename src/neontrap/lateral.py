@@ -69,11 +69,9 @@ class EnergyCurve:
 
     The nodes l_knots are solved directly, for the values w_knots (meV) and
     the slopes dw_knots = dW^G/dL (meV/nm); build_energy_curve validates the
-    interpolant against fresh solves at held-out points (budget 0.01 meV).
+    interpolant against fresh solves at held-out points (VALIDATION_BUDGET_MEV).
     first_state, the ground state at the first node, starts the next curve.
     """
-
-    VALIDATION_BUDGET_MEV = 0.01  # unannotated: a class attribute, not a field
 
     l_knots: np.ndarray
     w_knots: np.ndarray
@@ -114,6 +112,8 @@ def _log_hermite(l_nodes: np.ndarray, w_nodes: np.ndarray, dw_nodes: np.ndarray)
 
 CURVE_L_LIMITS = (1.0, 200.0)  # nm; thickness span an energy curve may cover
 NODE_TOL_MEV = 1e-8  # held-out agreement that stops node doubling, ~10x solver rounding
+MAX_CURVE_NODES = 33  # node doubling (5, 9, 17, 33) stops before it would exceed this
+VALIDATION_BUDGET_MEV = 0.01  # held-out error above which a curve is refused
 
 
 def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
@@ -121,61 +121,60 @@ def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
     return L0 - delta_L - 0.5, L0 + 0.5
 
 
-def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, float],
-                       n_knots: int = 60, *, z_max: float = Z_MAX,
-                       start: EnergyCurve | None = None) -> EnergyCurve:
+def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, float], *,
+                       z_max: float = Z_MAX, start: EnergyCurve | None = None) -> EnergyCurve:
     """Interpolate W^G and dW^G/dL at nested Chebyshev-Lobatto nodes in log L over l_range.
 
     The next level's new nodes are held out; while their worst error exceeds
-    NODE_TOL_MEV and n_knots allows, they join the nodes (5, 9, 17, 33, ...).
+    NODE_TOL_MEV, they join the nodes (5, 9, 17, 33), up to MAX_CURVE_NODES.
     Each solve takes stack_template, its field included, at the node's
     thickness, runs on its own solver_mesh(stack, z_max), starts from the
     previous solve's ground state and raises UnboundStateError if that state
-    escapes (perpendicular.require_bound); its slope is
-    perpendicular.energy_derivative.  start, a previous curve, seeds the
+    escapes (perpendicular.require_bound).  Only nodes take a slope
+    (perpendicular.energy_derivative).  start, a previous curve, seeds the
     first solve with its first_state.
     """
     lo, hi = l_range
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
         raise ValueError("l_range must lie within [%g, %g] nm" % CURVE_L_LIMITS)
-    if n_knots < 20:
-        raise ValueError("need at least 20 knots")
     mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    # chain[-1] starts the next solve; chain[1] is the first node's state
-    chain = [start.first_state if start is not None else None]
+    # (stack, ground state) per solve: chain[-1] starts the next solve, chain[1] is the first node
+    chain = [(None, start.first_state if start is not None else None)]
 
-    def solve_at(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_at(l: np.ndarray) -> np.ndarray:
         # l ascends, so an unbound field fails on its first (thinnest) solve;
         # each solve starts from the ground state of the solve before it
-        w, dw = np.empty(l.size), np.empty(l.size)
-        for i, L in enumerate(l):
+        for L in l:
             stack = replace(stack_template, thickness_L=float(L))
-            chain.append(require_bound(
-                solve_perpendicular(stack, z_max=z_max, start=chain[-1]), stack))
-            w[i], dw[i] = chain[-1].energies[0], energy_derivative(stack, chain[-1])
-        return w, dw
+            chain.append((stack, require_bound(
+                solve_perpendicular(stack, z_max=z_max, start=chain[-1][1]), stack)))
+        return np.array([state.energies[0] for _, state in chain[-l.size:]])
+
+    def slopes(count: int) -> np.ndarray:
+        # dW^G/dL of the last count solves: the level that joins the nodes
+        return np.array([energy_derivative(stack, state) for stack, state in chain[-count:]])
 
     n = 4  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
     l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
     l_knots[0], l_knots[-1] = lo, hi
-    w_knots, dw_knots = solve_at(l_knots)
+    w_knots, dw_knots = solve_at(l_knots), slopes(n + 1)
     while True:
         # level 2n adds u = -cos(pi (2k + 1) / 2n) between the current nodes
         l_held = np.exp(mid + half * -np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
-        w_held, dw_held = solve_at(l_held)
+        w_held = solve_at(l_held)
         poly = _log_hermite(l_knots, w_knots, dw_knots)
         validation_error = float(np.max(np.abs(poly(np.log(l_held)) - w_held)))
-        if validation_error <= NODE_TOL_MEV or 2 * n + 1 > n_knots:
+        if validation_error <= NODE_TOL_MEV or 2 * n + 1 > MAX_CURVE_NODES:
             break
         l_knots = np.insert(l_knots, slice(1, n + 1), l_held)
         w_knots = np.insert(w_knots, slice(1, n + 1), w_held)
-        dw_knots = np.insert(dw_knots, slice(1, n + 1), dw_held)
+        dw_knots = np.insert(dw_knots, slice(1, n + 1), slopes(n))
         n *= 2
-    if validation_error > EnergyCurve.VALIDATION_BUDGET_MEV:
+    if validation_error > VALIDATION_BUDGET_MEV:
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
-            f"exceeds {EnergyCurve.VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(l_knots, w_knots, dw_knots, validation_error, chain[1], poly)
+            f"exceeds {VALIDATION_BUDGET_MEV} meV budget")
+    return EnergyCurve(l_knots, w_knots, dw_knots, validation_error, chain[1][1], poly)
 
 
 def lta_potential(curve: EnergyCurve, profile: PillarProfile, rho):

@@ -174,7 +174,7 @@ class SpectralMesh:
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
-        if b.size < 2 or not np.all(np.diff(b) > 0.0):
+        if b.size < 2 or not np.all(b[1:] > b[:-1]):  # no warning at inf - inf
             raise ValueError(f"breakpoints must ascend strictly, got {self.breakpoints}")
         if self.radial and b[0] != 0.0:
             raise ValueError(f"a radial mesh starts on the axis, got {self.breakpoints}")
@@ -217,9 +217,9 @@ class SpectralMesh:
 
 
 @functools.lru_cache(maxsize=16)
-def spectral_mesh(breakpoints: tuple, radial: bool = False,
+def spectral_mesh(breakpoints: tuple, *, radial: bool = False,
                   degree: int = DEGREE) -> SpectralMesh:
-    """The SpectralMesh over breakpoints, built once per call spelling: pass keywords by name."""
+    """The SpectralMesh over breakpoints, built once per call spelling, hence keyword-only."""
     return SpectralMesh(breakpoints, degree, radial)
 
 

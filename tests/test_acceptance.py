@@ -49,7 +49,7 @@ def thin_layer_solution():
 
 @pytest.fixture(scope="module")
 def energy_curve_e0():
-    return build_energy_curve(DielectricStack(SC, 10.0), (6.5, 10.5), n_knots=60)
+    return build_energy_curve(DielectricStack(SC, 10.0), (6.5, 10.5))
 
 
 def test_criterion_01_bulk_binding():
@@ -177,7 +177,7 @@ def test_criterion_08_field_asymmetry():
         bound = []  # only bound fields count, so an unbound one leaves a slope None
         for e_ex in (-1e6, 0.0, 1e6):
             curve = build_energy_curve(DielectricStack(SC, 10.0, e_ex=e_ex),
-                                       curve_range(10.0, 0.5), n_knots=30)
+                                       curve_range(10.0, 0.5))
             spec = pillar_spectrum(curve, profile, start=spec)
             if spec.bound:
                 bound.append((e_ex, spec.delta_u_uev))

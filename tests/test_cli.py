@@ -59,7 +59,6 @@ L0 = 12 nm
 delta_L = 0.3 nm, 1 nm
 R = 70 nm, 90 nm
 b = 3 nm
-n_knots = 30
 alpha_max = 2
 
 [growth]
@@ -76,6 +75,12 @@ threads = 3
 """
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+# tables of the benchmark configs, written by `neontrap <command> --config
+# perfbench/configs/<name>.ini`; README, Tests, says how to regenerate them
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_TABLES = [("ground_sweep.csv", "ground_sweep.ini"),
+                 ("lateral_scan_spectrum.csv", "lateral_scan.ini"),
+                 ("field_sweep.csv", "field_sweep.ini")]
 
 
 def csv_cell_by_cell(table: ResultTable) -> str:
@@ -273,11 +278,18 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
             load_config(path)
 
     def test_retired_keys_parse_and_are_dropped(self, tmp_path, capsys):
-        # [grid] n_points, [grid] n_points_radial and [parallel] threads change
-        # no number: old configs carrying them load, and they are neither
-        # echoed nor hashed, as the output destination is not hashed
+        # [grid] n_points, [grid] n_points_radial, [parallel] threads and
+        # [sweep] n_knots change no number: old configs carrying them load,
+        # and they are neither echoed nor hashed, as the output destination
+        # is not hashed
         body = "[sweep]\nL = 12 nm\n"
         plain = load_config(write_config(tmp_path, body, "plain.ini"))
+        for n_knots in (20, 60):
+            capped = load_config(write_config(tmp_path, body + f"n_knots = {n_knots}\n",
+                                              f"knots{n_knots}.ini"))
+            assert capped == plain
+            assert capped.effective_text() == plain.effective_text()
+            assert capped.config_hash() == plain.config_hash()
         retired = load_config(write_config(
             tmp_path, body + "[grid]\nn_points = 100\nn_points_radial = 7\n"
             "[parallel]\nthreads = -1\n[output]\npath = b.json\nformat = json\n",
@@ -291,12 +303,13 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         out.mkdir()
         assert main(["growth", "--threads", "-1", "--out", str(out / "g.csv")]) == 0
         # a retired key must still be an integer
-        for bad in ("[grid]\nn_points = many\n", "[parallel]\nthreads = x\n"):
+        for bad in ("[grid]\nn_points = many\n", "[parallel]\nthreads = x\n",
+                    "[sweep]\nn_knots = x\n"):
             path = write_config(tmp_path, bad, "bad.ini")
             assert main(["growth", "--config", path, "--out", str(tmp_path / "g.csv")]) == 2
             assert "expected an integer" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "bad.ini", "out", "plain.ini", "retired.ini"]
+            "bad.ini", "knots20.ini", "knots60.ini", "out", "plain.ini", "retired.ini"]
 
     @pytest.mark.parametrize("body", [
         "",
@@ -334,10 +347,10 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert [f.name for f in neontrap.config._FIELDS.values()] == [f.name for f in fields]
 
     @pytest.mark.parametrize("config, digest", [
-        (None, "8b6ca0eb9c789ce5"),
-        ("ground_sweep.ini", "dec85f9fe13ab009"),
-        ("lateral_scan.ini", "cf6acc1e68564d59"),
-        ("field_sweep.ini", "050f96428591fd7b"),
+        (None, "1c75e516190998e7"),
+        ("ground_sweep.ini", "8d3d999eef243288"),
+        ("lateral_scan.ini", "6c92c718b90a0e66"),
+        ("field_sweep.ini", "35128a4247596d9e"),
     ], ids=["default", "ground_sweep", "lateral_scan", "field_sweep"])
     def test_config_hash_pinned(self, config, digest):
         cfg = RunConfig() if config is None else load_config(str(BENCH_CONFIGS / config))
@@ -370,6 +383,13 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         # a config file cannot give an empty list, but Python can
         with pytest.raises(ConfigError, match=key + " needs at least one value"):
             RunConfig(**{name: []})
+
+    @pytest.mark.parametrize("z_max", [math.inf, math.nan])
+    def test_box_rule_in_python(self, z_max):
+        # a config file refuses inf and nan itself; in Python the solver
+        # mesh's rules refuse them, with no warning on the way
+        with pytest.raises(ConfigError):
+            RunConfig(z_max=z_max)
 
     def test_stack_is_the_configured_layer(self):
         cfg = RunConfig(substrate_type="dielectric", eps_b=4.5, eps_neon=1.3,
@@ -585,14 +605,14 @@ class TestCliEndToEnd:
         assert out.read_text() == tampered
 
     def test_verify_compares_table_with_same_axes(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\nn_knots = 20\n")
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\n")
         out = tmp_path / "lat.csv"
         assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
         stored = tmp_path / "lat_R110_dL0.5.csv"
         assert main(["verify", str(stored), "--config", cfg, "--out", str(out)]) == 0
 
     def test_verify_writes_nothing_and_stops_at_match(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\nn_knots = 20\n")
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\n")
         out = tmp_path / "lat.csv"
         assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
@@ -626,7 +646,7 @@ class TestCliEndToEnd:
         """A field-sweep table of three bound fields, with every fit metadata key."""
         tmp_path = tmp_path_factory.mktemp("field_sweep")
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
-                           "E_ex = -1e5 V/m, 0 V/m, 1e5 V/m\nn_knots = 20\n")
+                           "E_ex = -1e5 V/m, 0 V/m, 1e5 V/m\n")
         out = tmp_path / "fs.csv"
         assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
         return cfg, out.read_text()
@@ -682,7 +702,7 @@ class TestCliEndToEnd:
         monkeypatch.setattr(neontrap.lateral, "build_energy_curve", keep)
         monkeypatch.setattr(neontrap.cli, "build_energy_curve", keep)
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
-                           f"n_knots = 20\nE_ex = {fields}\n")
+                           f"E_ex = {fields}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
         metadata = ResultTable.from_csv((tmp_path / f"out{suffix}.csv").read_text()).metadata
         # field-sweep reports the worst of its curves, one per field
@@ -766,7 +786,6 @@ L0 = 3 nm
 delta_L = 0.6 nm
 b = 2 nm
 R = 50 nm
-n_knots = 20
 """)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "thin.csv")]) == 0
         result = ResultTable.from_csv((tmp_path / table).read_text())
@@ -813,6 +832,25 @@ n_knots = 20
         assert main([command, "--config", str(BENCH_CONFIGS / config), "--out", str(out)]) == 0
         assert len(built) == n_meshes and len(set(built)) == n_meshes
 
+    @pytest.mark.parametrize("command, config, n_slopes", [
+        ("lateral", "lateral_scan.ini", 5),  # one curve of 5 nodes
+        ("field-sweep", "field_sweep.ini", 20),  # 5 nodes at each of the 4 bound fields
+    ])
+    def test_slopes_only_at_curve_nodes(self, tmp_path, monkeypatch, command, config,
+                                        n_slopes):
+        # the 4 held-out points of each curve need only their values
+        slopes = []
+        derivative = neontrap.lateral.energy_derivative
+
+        def counting(stack, solution):
+            slopes.append(stack.thickness_L)
+            return derivative(stack, solution)
+
+        monkeypatch.setattr(neontrap.lateral, "energy_derivative", counting)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(BENCH_CONFIGS / config), "--out", str(out)]) == 0
+        assert len(slopes) == n_slopes
+
     def test_injected_eigensolver_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise neontrap.perpendicular.EigensolverError("injected")
@@ -844,10 +882,12 @@ n_knots = 20
          "diffusion time must be non-negative, got -1e-06 s"),
         ("growth", "[growth]\ndelta_h = -1 nm\n",
          "height difference delta_h must be non-negative, got -1 nm"),
+        ("ground-sweep", "[grid]\nz_max = 0.2 nm\n", "z_max must exceed the cutoff distance"),
+        ("lateral", "[sweep]\nalpha_max = 0\n", "alpha_max must be >= 1"),
     ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative",
             "barrier_height_negative", "barrier_height_zero", "eps_neon_one", "eps_b_below_one",
             "delta_L_at_L0", "R_zero", "b_zero", "r_c_zero", "diffusion_time_negative",
-            "delta_h_negative"])
+            "delta_h_negative", "z_max_below_cutoff", "alpha_max_zero"])
     def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
                                                     message):
         cfg = write_config(tmp_path, body)
@@ -886,7 +926,6 @@ n_knots = 20
 [sweep]
 R = 110 nm
 delta_L = 0.5 nm
-n_knots = 20
 """)
         out = tmp_path / "lat.csv"
         assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
@@ -904,14 +943,13 @@ n_knots = 20
 [sweep]
 R = 110 nm
 delta_L = 0.5 nm
-n_knots = 20
 """)
         assert main(["lateral", "--config", cfg, "--out", str(tmp_path / "lat.csv")]) == 0
         spec = ResultTable.from_csv((tmp_path / "lat_spectrum.csv").read_text())
         assert spec.column("bound") == [0.0, 0.0]
         assert all(math.isfinite(v) for v in spec.column("delta_U"))
 
-    FIELD_SWEEP = FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\nn_knots = 20\n"
+    FIELD_SWEEP = FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
 
     def test_field_sweep_reports_asymmetry_and_fit(self, tmp_path):
         cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = -1e6 V/m, 0 V/m, 1e6 V/m\n")
@@ -936,7 +974,7 @@ n_knots = 20
         assert all(math.isfinite(v) for v in bound[1:4])
 
     def test_field_sweep_curve_over_budget_flags_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(neontrap.lateral.EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
+        monkeypatch.setattr(neontrap.lateral, "VALIDATION_BUDGET_MEV", 1e-12)
         cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = 0 V/m\n")
         out = tmp_path / "field.csv"
         assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
@@ -955,6 +993,30 @@ n_knots = 20
         cfg = write_config(tmp_path, self.FIELD_SWEEP + "E_ex = 0 V/m\n")
         with pytest.raises(TypeError, match="bug"):
             main(["field-sweep", "--config", cfg, "--out", str(tmp_path / "field.csv")])
+
+
+@pytest.mark.parametrize("golden, config", GOLDEN_TABLES)
+def test_benchmark_tables_match_golden(tmp_path, golden, config):
+    # rtol 1e-8 lets the 9th printed digit flip by one unit and catches more
+    argv = ["verify", str(GOLDEN / golden), "--config", str(BENCH_CONFIGS / config),
+            "--rtol", "1e-8", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("golden, config", GOLDEN_TABLES[1:])
+def test_golden_table_catches_a_moved_splitting(tmp_path, capsys, golden, config):
+    table = ResultTable.from_csv((GOLDEN / golden).read_text())
+    column = [name for name, _ in table.columns].index("delta_U")
+    row = list(table.rows[1])
+    row[column] *= 1.0 + 1e-7
+    table.rows[1] = tuple(row)
+    moved = tmp_path / golden
+    table.write(moved)
+    argv = ["verify", str(moved), "--config", str(BENCH_CONFIGS / config),
+            "--rtol", "1e-8", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 3
+    assert "row 1:" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

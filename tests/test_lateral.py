@@ -12,15 +12,15 @@ from scipy.special import jn_zeros
 
 import neontrap.lateral
 import neontrap.perpendicular
-from neontrap import (CurveValidationError, DielectricStack,
-                      EnergyCurve, ModelInvalidError, PillarProfile,
+from neontrap import (CurveValidationError, DielectricStack, ModelInvalidError, PillarProfile,
                       Superconductor, UnboundStateError, build_energy_curve,
                       energy_derivative, fit_harmonic_field_model, ground_state_energy,
                       harmonic_field_model, lta_potential, near_zero_slopes,
                       pillar_spectrum, radial_spectrum, solve_perpendicular, thickness_at)
 from fd_oracle import radial_richardson_level, value_only_curve
 from neontrap.constants import HBAR2_OVER_2ME
-from neontrap.lateral import NODE_TOL_MEV, curve_range, default_rho_max, pillar_breakpoints
+from neontrap.lateral import (MAX_CURVE_NODES, NODE_TOL_MEV, VALIDATION_BUDGET_MEV,
+                              curve_range, default_rho_max, pillar_breakpoints)
 from neontrap.perpendicular import EigensolverError, spectral_mesh
 
 C = HBAR2_OVER_2ME
@@ -31,14 +31,14 @@ L0, DL, R_PILLAR, B = 10.0, 0.5, 110.0, 2.0
 
 @pytest.fixture(scope="module")
 def curve():
-    return build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=30)
+    return build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5))
 
 
 @pytest.fixture(scope="module")
 def wide_curve():
     # W^G(L) has a kink at L = 2 nm, where the lower wall switches from -L to
-    # -2 nm, so the node doubling runs into the n_knots cap
-    return build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0), n_knots=60)
+    # -2 nm, so the node doubling runs into the MAX_CURVE_NODES cap
+    return build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0))
 
 
 class TestThicknessProfiles:
@@ -112,7 +112,7 @@ class TestEnergyCurve:
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            build_energy_curve(DielectricStack(SC, 10.0), (0.5, 10.0), n_knots=20)
+            build_energy_curve(DielectricStack(SC, 10.0), (0.5, 10.0))
 
 
 def _held_out(curve):
@@ -158,7 +158,7 @@ class TestHermiteCurve:
             solved.append(stack.thickness_L)
             return solve(stack, *args, **kwargs)
         monkeypatch.setattr(neontrap.lateral, "solve_perpendicular", spy)
-        c = build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0), n_knots=60)
+        c = build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0))
         # 5 nodes, then held-out levels of 4, 8, 16 and 32 points, each once
         levels = np.split(np.array(solved), [5, 9, 17, 33])
         assert [lv.size for lv in levels] == [5, 4, 8, 16, 32]
@@ -171,15 +171,25 @@ class TestHermiteCurve:
         assert curve.validation_error <= NODE_TOL_MEV
 
     def test_wide_range_stops_at_node_cap(self, wide_curve):
-        # 5 -> 9 -> 17 -> 33 nodes; 65 would exceed n_knots = 60
-        assert wide_curve.l_knots.size == 33
-        assert NODE_TOL_MEV < wide_curve.validation_error <= EnergyCurve.VALIDATION_BUDGET_MEV
+        # 5 -> 9 -> 17 -> 33 nodes; 65 would exceed the cap
+        assert wide_curve.l_knots.size == MAX_CURVE_NODES == 33
+        assert NODE_TOL_MEV < wide_curve.validation_error <= VALIDATION_BUDGET_MEV
 
-    def test_thin_layer_range_across_the_wall_kink(self):
+    def test_thin_layer_range_across_the_wall_kink(self, monkeypatch):
         # [1.9, 3.5] nm straddles L = 2 nm, where the lower wall switches from
-        # -L to -2 nm; the curve across that kink still validates to 1e-7 meV
-        c = build_energy_curve(DielectricStack(SC, 3.0), (1.9, 3.5), n_knots=60)
+        # -L to -2 nm; the curve across that kink runs to the node cap and
+        # still validates to 1e-7 meV (measured 1.48e-8 meV)
+        slopes = []
+        derivative = neontrap.lateral.energy_derivative
+        def spy(stack, solution):
+            slopes.append(stack.thickness_L)
+            return derivative(stack, solution)
+        monkeypatch.setattr(neontrap.lateral, "energy_derivative", spy)
+        c = build_energy_curve(DielectricStack(SC, 3.0), (1.9, 3.5))
+        assert c.l_knots.size == MAX_CURVE_NODES
         assert c.validation_error <= 1e-7
+        # one slope per node; the 32 held-out points of the last level take none
+        assert np.array_equal(np.sort(slopes), c.l_knots)
 
     def test_fresh_solves_agree(self, curve):
         ls = 8.5 + 2.0 * (np.arange(20) + 0.5) / 20
@@ -187,9 +197,9 @@ class TestHermiteCurve:
         assert np.max(np.abs(curve(ls) - np.array(direct))) <= 1e-8
 
     def test_budget_exceeded_raises(self, monkeypatch):
-        monkeypatch.setattr(EnergyCurve, "VALIDATION_BUDGET_MEV", 1e-12)
+        monkeypatch.setattr(neontrap.lateral, "VALIDATION_BUDGET_MEV", 1e-12)
         with pytest.raises(CurveValidationError, match="held-out error"):
-            build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5), n_knots=20)
+            build_energy_curve(DielectricStack(SC, L0), (9.0, 10.5))
 
     def test_unbound_field_fails_on_the_thinnest_node(self, monkeypatch):
         solved = []
@@ -403,7 +413,7 @@ class TestPillarTrap:
 
     def test_trap_depth_with_deep_etch(self):
         # Delta L = 3 nm gives a trap of order 10 meV
-        c = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5), n_knots=30)
+        c = build_energy_curve(DielectricStack(SC, L0), (6.5, 10.5))
         p = PillarProfile(L0, 3.0, R_PILLAR, B)
         depth = -lta_potential(c, p, 0.0)
         assert depth == pytest.approx(10.0, rel=0.3)
