@@ -32,7 +32,7 @@ from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_
                       harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
                       thickness_at)
 from .perpendicular import NumericalFailure, mean_height, perpendicular_gap, solve_perpendicular
-from .tables import ResultTable
+from .tables import ResultTable, parse_cell
 
 
 def _fmt_axis(value: float) -> str:
@@ -206,13 +206,6 @@ def _table_identity(table: ResultTable) -> tuple:
 _UNCOMPARED_METADATA = ("tool", "version", "command", "config_sha256")
 
 
-def _as_float(text: str) -> float | None:
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     """Re-run the stored table's command in memory and compare within rtol.
 
@@ -251,12 +244,11 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
         va, vb = stored.metadata[key], fresh.metadata.get(key)
         if vb is None:
             raise NumericalFailure(f"metadata {key}: the regenerated table has no such key")
-        fa, fb = _as_float(va), _as_float(vb)
-        if fa is None or fb is None:
-            cells.append((f"metadata {key}", va, vb))
-        elif not (key == "curve_validation_error_meV"
-                  and abs(fa) <= NODE_TOL_MEV and abs(fb) <= NODE_TOL_MEV):
-            cells.append((f"metadata {key}", fa, fb))
+        va, vb = parse_cell(va), parse_cell(vb)
+        if key == "curve_validation_error_meV" and all(
+                isinstance(v, float) and abs(v) <= NODE_TOL_MEV for v in (va, vb)):
+            continue  # both rounding noise of a converged curve
+        cells.append((f"metadata {key}", va, vb))
     worst = 0.0
     for where, va, vb in cells:
         if isinstance(va, float) and isinstance(vb, float):

@@ -87,7 +87,7 @@ TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
 
 WALL_DEPTH = 2.0  # nm; the lower wall of the perpendicular solve sits at max(-L, -WALL_DEPTH)
-DEGREE = 16  # default polynomial degree of a SpectralMesh, the radial mesh's
+DEGREE = 16  # default polynomial degree of spectral_mesh, the radial mesh's
 # polynomial degree of the perpendicular solver mesh: two states stay within
 # 5.5e-9 meV of degree 24 on the same breakpoints, while at degree 12 spurious
 # ringing in the 9-nm outer element fails the node check at L = 1 nm
@@ -133,14 +133,14 @@ def _gll(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralMesh:
-    """GLL spectral-element mesh with hard walls at both ends.
+    """GLL spectral-element mesh with hard walls at both ends, built by spectral_mesh.
 
     Element e spans [breakpoints[e], breakpoints[e + 1]] and carries degree + 1
     GLL nodes; neighbouring elements share their end node.  A radial mesh
     starts on the axis, breakpoints[0] = 0, and weighs every integral with
     the measure rho drho: rho enters the quadrature as a nodal coefficient.
-    Build meshes with spectral_mesh, which makes each one once.  The derived
-    arrays are built with the mesh:
+    breakpoints, degree and radial identify the mesh; the read-only arrays
+    derived from them are:
 
     nodes:     (n_elements, degree + 1) node coordinates per element, nm
     weights:   quadrature weights per element node, GLL weight times rho on
@@ -160,56 +160,17 @@ class SpectralMesh:
     """
 
     breakpoints: tuple
-    degree: int = DEGREE
-    radial: bool = False
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    index: np.ndarray = field(init=False, repr=False, compare=False)
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-    mass: np.ndarray = field(init=False, repr=False, compare=False)
-    stiffness: np.ndarray = field(init=False, repr=False, compare=False)
-    axis: np.ndarray | None = field(init=False, repr=False, compare=False)
-    band: np.ndarray = field(init=False, repr=False, compare=False)
-    outside: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        if b.size < 2 or not np.all(b[1:] > b[:-1]):  # no warning at inf - inf
-            raise ValueError(f"breakpoints must ascend strictly, got {self.breakpoints}")
-        if self.radial and b[0] != 0.0:
-            raise ValueError(f"a radial mesh starts on the axis, got {self.breakpoints}")
-        if self.degree < 2:
-            raise ValueError("degree must be >= 2")
-        p = self.degree
-        x, w, d = _gll(p)
-        jac = 0.5 * np.diff(b)[:, None]
-        index = p * np.arange(b.size - 1)[:, None] + np.arange(p + 1)
-        n = index[-1, -1] + 1
-        points = np.empty(n)
-        points[index] = b[:-1, None] + jac * (x + 1.0)
-        points[::p] = b  # shared end nodes sit exactly on the breakpoints
-        nodes = points[index]
-        w_local = w * nodes if self.radial else np.broadcast_to(w, nodes.shape)
-        weights = jac * w_local
-        mass = np.bincount(index.ravel(), weights.ravel(), n)
-        k = np.zeros((n, n))
-        for e, j in enumerate(jac[:, 0]):
-            k[e * p:e * p + p + 1, e * p:e * p + p + 1] += d.T @ (w_local[e, :, None] * d) / j
-        s = 1.0 / np.sqrt(mass[1:-1])
-        axis = s * k[1:-1, 0] / np.sqrt(k[0, 0]) if self.radial else None
-        i = np.arange(n - 2) + np.arange(-p, p + 1)[:, None]
-        outside = (i < 0) | (i >= n - 2)
-        band = np.where(outside, 0, i * (n - 2) + np.arange(n - 2))
-        for name, value in (("nodes", nodes), ("weights", weights), ("index", index),
-                            ("points", points), ("mass", mass),
-                            # Fortran order: dsyevr takes a copy of the
-                            # Hamiltonian without transposing it
-                            ("stiffness", np.asfortranarray(s[:, None] * k[1:-1, 1:-1] * s)),
-                            ("axis", axis),
-                            ("band", band), ("outside", outside)):
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+    degree: int
+    radial: bool
+    nodes: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+    index: np.ndarray = field(repr=False, compare=False)
+    points: np.ndarray = field(repr=False, compare=False)
+    mass: np.ndarray = field(repr=False, compare=False)
+    stiffness: np.ndarray = field(repr=False, compare=False)
+    axis: np.ndarray | None = field(repr=False, compare=False)
+    band: np.ndarray = field(repr=False, compare=False)
+    outside: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -219,8 +180,42 @@ class SpectralMesh:
 @functools.lru_cache(maxsize=16)
 def spectral_mesh(breakpoints: tuple, *, radial: bool = False,
                   degree: int = DEGREE) -> SpectralMesh:
-    """The SpectralMesh over breakpoints, built once per call spelling, hence keyword-only."""
-    return SpectralMesh(breakpoints, degree, radial)
+    """The SpectralMesh over breakpoints, its only builder: cached per call spelling,
+    hence keyword-only."""
+    b = np.asarray(breakpoints, dtype=float)
+    if b.size < 2 or not np.all(b[1:] > b[:-1]):  # no warning at inf - inf
+        raise ValueError(f"breakpoints must ascend strictly, got {breakpoints}")
+    if radial and b[0] != 0.0:
+        raise ValueError(f"a radial mesh starts on the axis, got {breakpoints}")
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
+    p = degree
+    x, w, d = _gll(p)
+    jac = 0.5 * np.diff(b)[:, None]
+    index = p * np.arange(b.size - 1)[:, None] + np.arange(p + 1)
+    n = index[-1, -1] + 1
+    points = np.empty(n)
+    points[index] = b[:-1, None] + jac * (x + 1.0)
+    points[::p] = b  # shared end nodes sit exactly on the breakpoints
+    nodes = points[index]
+    w_local = w * nodes if radial else np.broadcast_to(w, nodes.shape)
+    weights = jac * w_local
+    mass = np.bincount(index.ravel(), weights.ravel(), n)
+    k = np.zeros((n, n))
+    for e, j in enumerate(jac[:, 0]):
+        k[e * p:e * p + p + 1, e * p:e * p + p + 1] += d.T @ (w_local[e, :, None] * d) / j
+    s = 1.0 / np.sqrt(mass[1:-1])
+    axis = s * k[1:-1, 0] / np.sqrt(k[0, 0]) if radial else None
+    i = np.arange(n - 2) + np.arange(-p, p + 1)[:, None]
+    outside = (i < 0) | (i >= n - 2)
+    band = np.where(outside, 0, i * (n - 2) + np.arange(n - 2))
+    # Fortran order: dsyevr takes a copy of the Hamiltonian without transposing it
+    stiffness = np.asfortranarray(s[:, None] * k[1:-1, 1:-1] * s)
+    arrays = (nodes, weights, index, points, mass, stiffness, axis, band, outside)
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return SpectralMesh(breakpoints, degree, radial, *arrays)
 
 
 def solver_mesh(stack: DielectricStack, z_max: float = Z_MAX) -> SpectralMesh:

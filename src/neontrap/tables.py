@@ -5,6 +5,8 @@ floats printed with 9 significant digits so identical configurations give
 byte-identical files.  JSON mirrors the CSV schema under a metadata object,
 as strict JSON: NaN is null and +-inf the CSV's "inf" and "-inf".  CSV rows
 are printed a table at a time by ResultTable.write, one %-format per row.
+One printf table (_csv_kind) prints every cell, and parse_cell reads every
+cell back.
 """
 
 from __future__ import annotations
@@ -17,21 +19,30 @@ from itertools import chain
 
 import numpy as np
 
-FLOAT_FMT = "{:.8e}"  # 9 significant digits
+FLOAT_FMT = "%.8e"  # 9 significant digits; prints NaN as "nan"
 
 _HEADER_RE = re.compile(r"^(?P<name>[^\[\]]+)\[(?P<unit>[^\[\]]*)\]$")
 
 
+def _csv_kind(cls) -> str:
+    """printf conversion of a cell of type cls: the one rule that prints cells."""
+    if issubclass(cls, float):  # numpy.float64 too
+        return FLOAT_FMT
+    if cls is int or cls is bool:
+        return "%d"
+    return "%s"
+
+
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return FLOAT_FMT.format(v)
-    return str(v)
+    return _csv_kind(type(v)) % (v,)
+
+
+def parse_cell(text: str):
+    """The float a printed cell spells, or else the text itself."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def parse_quantity(text: str, expected_unit: str | None):
@@ -63,16 +74,6 @@ def emit_quantity(value: float, unit: str | None) -> str:
     return f"{format_value(float(value))} {unit}"
 
 
-def _csv_kind(cls):
-    """printf conversion printing a cell of type cls as format_value does,
-    and the function to apply to the cell first (None: the cell itself)."""
-    if issubclass(cls, float):  # numpy.float64 too; "%.8e" prints NaN as "nan"
-        return "%.8e", None
-    if cls is int or cls is bool:
-        return "%d", None
-    return "%s", format_value
-
-
 def _csv_rows(rows) -> str:
     """CSV text of rows, printed by one %-format built from the column types.
 
@@ -81,9 +82,12 @@ def _csv_rows(rows) -> str:
     conversions, columns = [], []
     for cells in zip(*rows, strict=True):
         kinds = {_csv_kind(cls) for cls in set(map(type, cells))}
-        conversion, convert = kinds.pop() if len(kinds) == 1 else _csv_kind(object)
-        conversions.append(conversion)
-        columns.append(cells if convert is None else list(map(convert, cells)))
+        if len(kinds) == 1:
+            conversions.append(kinds.pop())
+            columns.append(cells)
+        else:
+            conversions.append("%s")
+            columns.append(list(map(format_value, cells)))
     row_fmt = ",".join(conversions)
     return "\n".join([row_fmt] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
 
@@ -134,7 +138,7 @@ class ResultTable:
                     return None
                 if math.isinf(v):
                     return format_value(v)  # strict JSON has no Infinity
-                return float(FLOAT_FMT.format(v))
+                return float(FLOAT_FMT % v)
             return v
         doc = {
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
@@ -169,13 +173,7 @@ class ResultTable:
                         raise ValueError(f"malformed column header {cell!r}")
                     columns.append((m.group("name"), m.group("unit")))
                 continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(tuple(parsed))
+            rows.append(tuple(map(parse_cell, cells)))
         if columns is None:
             raise ValueError("no header row found")
         return cls(columns=columns, rows=rows, metadata=metadata)

@@ -22,7 +22,7 @@ from neontrap import (DielectricStack, UnboundStateError, external_potential,
                       ground_state_energy, perpendicular_potential,
                       solve_perpendicular, total_perpendicular_potential)
 from neontrap.constants import HBAR2_OVER_2ME, Z_MAX
-from neontrap.lateral import NODE_TOL_MEV
+from neontrap.lateral import MAX_CURVE_NODES, NODE_TOL_MEV
 
 C = HBAR2_OVER_2ME
 # Richardson pair of spacings (nm): cutoff_zc = 0.23 nm, 40 nm and any wall
@@ -115,12 +115,12 @@ def hellmann_feynman_check(stack: DielectricStack, delta: float, *,
     return abs(fd - expect) / abs(expect)
 
 
-def value_only_curve(stack_template, l_range, n_knots: int = 60):
+def value_only_curve(stack_template, l_range):
     """W^G(L) interpolated in log L through values alone: (curve, l_knots, validation_error).
 
     Nested Chebyshev-Lobatto nodes in log L (9, 17, 33, ...), each level's new
-    nodes held out until they agree within NODE_TOL_MEV or n_knots stops the
-    doubling, as build_energy_curve does with slopes; every W^G is a dense
+    nodes held out until they agree within NODE_TOL_MEV or MAX_CURVE_NODES stops
+    the doubling, as build_energy_curve does with slopes; every W^G is a dense
     ground_state_energy solve, and curve takes L in nm.
     """
     lo, hi = l_range
@@ -145,7 +145,7 @@ def value_only_curve(stack_template, l_range, n_knots: int = 60):
         w_held = solve_at(l_held)
         poly = fit(l_knots, w_knots)
         error = float(np.max(np.abs(poly(np.log(l_held)) - w_held)))
-        if error <= NODE_TOL_MEV or 2 * n + 1 > n_knots:
+        if error <= NODE_TOL_MEV or 2 * n + 1 > MAX_CURVE_NODES:
             return (lambda L: poly(np.log(L))), l_knots, error
         l_knots = np.insert(l_knots, slice(1, n + 1), l_held)
         w_knots = np.insert(w_knots, slice(1, n + 1), w_held)

@@ -15,7 +15,7 @@ from scipy.special import jn_zeros
 
 from fd_oracle import hellmann_feynman_check
 from neontrap import (Dielectric, DielectricStack, PillarProfile, Superconductor,
-                      SpectralMesh, build_energy_curve, build_hamiltonian, diffusion_length,
+                      build_energy_curve, build_hamiltonian, diffusion_length,
                       fit_harmonic_field_model, gibbs_thomson_coefficient,
                       gibbs_thomson_shift, gravity_potential_difference,
                       ground_state_energy,
@@ -26,6 +26,7 @@ from neontrap import (Dielectric, DielectricStack, PillarProfile, Superconductor
 from neontrap.cli import main as cli_main
 from neontrap.constants import HBAR2_OVER_2ME
 from neontrap.lateral import curve_range
+from neontrap.perpendicular import spectral_mesh
 
 C = HBAR2_OVER_2ME
 SC = Superconductor()
@@ -113,7 +114,7 @@ def test_criterion_05_eigensolver_oracles():
         e1 = -a * a / (4.0 * C)
 
         def solve(vfun, breakpoints, k, degree=16):
-            grid = SpectralMesh(breakpoints, degree)
+            grid = spectral_mesh(breakpoints, degree=degree)
             return solve_lowest(build_hamiltonian(vfun(grid.nodes), grid), grid, k)
 
         # the wall node's value never enters the Hamiltonian

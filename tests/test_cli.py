@@ -99,7 +99,7 @@ def json_cell_by_cell(table: ResultTable) -> str:
                 return None
             if math.isinf(v):
                 return format_value(v)
-            return float(FLOAT_FMT.format(v))
+            return float(FLOAT_FMT % v)
         return v
     doc = {"metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
            "columns": [{"name": n, "unit": u} for n, u in table.columns],
@@ -123,6 +123,17 @@ def cell_tables(draw):
     return ResultTable(columns=[(f"c{i}", "") for i in range(len(kinds))],
                        rows=draw(st.lists(st.tuples(*kinds), max_size=12)),
                        metadata=draw(st.dictionaries(st.text(), st.text(), max_size=3)))
+
+
+def drop_last_row(text: str) -> str:
+    return text[:text.rstrip("\n").rindex("\n") + 1]
+
+
+def rename_first_column(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[header] = "renamed" + lines[header][lines[header].index("["):]
+    return "".join(lines)
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -480,7 +491,7 @@ class TestCliEndToEnd:
             stack = DielectricStack(Superconductor(), L, eps_neon=1.3, barrier_height=650.0,
                                     cutoff_zc=0.25, e_ex=e_ex)
             sol = neontrap.perpendicular.solve_perpendicular(stack, n_states=2)
-            want.append([FLOAT_FMT.format(v) for v in (
+            want.append([FLOAT_FMT % v for v in (
                 sol.energies[0], neontrap.perpendicular.mean_height(sol),
                 neontrap.perpendicular.perpendicular_gap(sol))])
         assert [row[2:5] for row in rows] == want
@@ -526,7 +537,7 @@ class TestCliEndToEnd:
             want = total_perpendicular_potential(stack, np.array(z))
             rows = [line.split(",") for line in Path(path).read_text().splitlines()
                     if not line.startswith("#")][1:]
-            assert [row[3] for row in rows] == [FLOAT_FMT.format(v) for v in want]
+            assert [row[3] for row in rows] == [FLOAT_FMT % v for v in want]
 
     def test_potential_z_bulk_at_nonzero_field_exits_2(self, tmp_path, capsys):
         # the stack states the rule; every stack is built before the first table
@@ -686,6 +697,44 @@ class TestCliEndToEnd:
         assert main(argv) == 3
         assert main(argv + ["--rtol", "1e-6"]) == 0
 
+    @pytest.fixture(scope="class")
+    def stored_tables(self, tmp_path_factory):
+        """CSV text of a two-field field-sweep table and a one-config growth table."""
+        tmp_path = tmp_path_factory.mktemp("stored")
+        cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 110 nm\ndelta_L = 0.5 nm\n"
+                           "E_ex = 0 V/m, 1e5 V/m\n")
+        tables = {}
+        for command in ("field-sweep", "growth"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            tables[command] = out.read_text()
+        return cfg, tables
+
+    @pytest.mark.parametrize("command, edit, code, message", [
+        ("field-sweep", lambda t: t.replace("# command=field-sweep", "# command=verify"), 2,
+         "no re-runnable command"),
+        ("field-sweep", drop_last_row, 3, "row count changed"),
+        ("field-sweep", lambda t: "# extra_key=1\n" + t, 3, "has no such key"),
+        ("field-sweep", lambda t: t.replace("# curve_nodes=5\n", "# curve_nodes=five\n"), 3,
+         "metadata curve_nodes"),
+        ("growth", lambda t: t.replace(",K nm\n", ",K m\n"), 3, "row 0"),
+        ("field-sweep", rename_first_column, 3, "no regenerated table matches"),
+        ("growth", lambda t: "".join(line for line in t.splitlines(keepends=True)
+                                     if line.startswith("#")), 2, "no header row found"),
+    ], ids=["command", "row_dropped", "extra_key", "metadata_text", "row_text",
+            "column_renamed", "no_header"])
+    def test_verify_reports_each_difference(self, tmp_path, capsys, stored_tables, command,
+                                            edit, code, message):
+        cfg, tables = stored_tables
+        text = edit(tables[command])
+        assert text != tables[command]
+        stored = tmp_path / "stored.csv"
+        stored.write_text(text)
+        assert main(["verify", str(stored), "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == code
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [stored]
+
     @pytest.mark.parametrize("command, suffix, fields", [
         ("lateral", "_spectrum", "0 V/m"),
         ("field-sweep", "", "-1e6 V/m, 0 V/m, 1e6 V/m"),
@@ -817,20 +866,15 @@ R = 50 nm
         ("lateral", "lateral_scan.ini", 6),  # one perpendicular mesh, one per pillar radius
         ("field-sweep", "field_sweep.ini", 2),  # one perpendicular mesh, one pillar
     ])
-    def test_one_mesh_build_per_breakpoints(self, tmp_path, monkeypatch, command, config,
-                                            n_meshes):
-        built = []
-        post_init = neontrap.perpendicular.SpectralMesh.__post_init__
-
-        def counting(mesh):
-            built.append((mesh.breakpoints, mesh.radial))
-            post_init(mesh)
-
-        monkeypatch.setattr(neontrap.perpendicular.SpectralMesh, "__post_init__", counting)
-        neontrap.perpendicular.spectral_mesh.cache_clear()
+    def test_one_mesh_build_per_breakpoints(self, tmp_path, command, config, n_meshes):
+        # spectral_mesh is the only builder: each cache miss builds one mesh, and
+        # as many meshes as misses stay cached, so none was built twice
+        spectral_mesh = neontrap.perpendicular.spectral_mesh
+        spectral_mesh.cache_clear()
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(BENCH_CONFIGS / config), "--out", str(out)]) == 0
-        assert len(built) == n_meshes and len(set(built)) == n_meshes
+        info = spectral_mesh.cache_info()
+        assert info.misses == info.currsize == n_meshes
 
     @pytest.mark.parametrize("command, config, n_slopes", [
         ("lateral", "lateral_scan.ini", 5),  # one curve of 5 nodes
@@ -884,10 +928,17 @@ R = 50 nm
          "height difference delta_h must be non-negative, got -1 nm"),
         ("ground-sweep", "[grid]\nz_max = 0.2 nm\n", "z_max must exceed the cutoff distance"),
         ("lateral", "[sweep]\nalpha_max = 0\n", "alpha_max must be >= 1"),
+        ("ground-sweep", "[sweep]\nL = 0 nm\n", "layer thicknesses must be positive"),
+        ("ground-sweep", "[sweep]\nL = -1 nm\n", "layer thicknesses must be positive"),
+        ("ground-sweep", "[substrate]\ntype = metal\n", "expected one of"),
+        ("growth", "[output]\nformat = xml\n", "expected one of"),
+        ("ground-sweep", "[sweep]\nL\n", "malformed config file"),
+        ("ground-sweep", "[sweep]\nL = 5 nm\n[sweep]\nL0 = 10 nm\n", "malformed config file"),
     ], ids=["cutoff_zc_zero", "cutoff_zc_negative", "z_samples_zero", "z_samples_negative",
             "barrier_height_negative", "barrier_height_zero", "eps_neon_one", "eps_b_below_one",
             "delta_L_at_L0", "R_zero", "b_zero", "r_c_zero", "diffusion_time_negative",
-            "delta_h_negative", "z_max_below_cutoff", "alpha_max_zero"])
+            "delta_h_negative", "z_max_below_cutoff", "alpha_max_zero", "L_zero", "L_negative",
+            "unknown_substrate", "unknown_format", "key_without_value", "repeated_section"])
     def test_config_fault_exits_2_before_any_solve(self, tmp_path, capsys, command, body,
                                                     message):
         cfg = write_config(tmp_path, body)
@@ -1002,6 +1053,39 @@ def test_benchmark_tables_match_golden(tmp_path, golden, config):
             "--rtol", "1e-8", "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def _without_version(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("# version=", '    "version": ')))
+
+
+@pytest.mark.parametrize("name, fmt", [("growth.csv", "csv"), ("growth.json", "json")])
+def test_growth_tables_match_golden_bytes(tmp_path, name, fmt):
+    # text cells and closed-form floats: the bytes of the cell printer itself
+    out = tmp_path / name
+    assert main(["growth", "--format", fmt, "--out", str(out)]) == 0
+    assert _without_version(out.read_text()) == _without_version((GOLDEN / name).read_text())
+
+
+def test_ground_sweep_json_matches_golden(tmp_path):
+    out = tmp_path / "ground_sweep.json"
+    assert main(["ground-sweep", "--config", str(BENCH_CONFIGS / "ground_sweep.ini"),
+                 "--format", "json", "--out", str(out)]) == 0
+    fresh, golden = (json.loads(p.read_text(), parse_constant=reject_constant)
+                     for p in (out, GOLDEN / "ground_sweep.json"))
+    for doc in (fresh, golden):
+        del doc["metadata"]["version"]
+    assert fresh["metadata"] == golden["metadata"]
+    assert fresh["columns"] == golden["columns"]
+    assert len(fresh["rows"]) == len(golden["rows"])
+    for row, want in zip(fresh["rows"], golden["rows"]):
+        assert [type(v) for v in row] == [type(v) for v in want]
+        for v, w in zip(row, want):
+            if isinstance(w, float):
+                assert v == pytest.approx(w, rel=1e-8, abs=0.0)
+            else:  # text ("inf"), null and the bound flag
+                assert v == w
 
 
 @pytest.mark.parametrize("golden, config", GOLDEN_TABLES[1:])

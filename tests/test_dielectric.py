@@ -15,7 +15,7 @@ from neontrap import (Dielectric, DielectricStack, Superconductor, external_pote
 import neontrap.dielectric
 from neontrap.constants import IMAGE_PREFACTOR
 from neontrap.dielectric import cached_perpendicular_potential, potential_derivative
-from neontrap.perpendicular import SpectralMesh
+from neontrap.perpendicular import spectral_mesh
 
 SC = Superconductor()
 LAM_BULK = (1.0 - 1.244) / (1.0 + 1.244)  # vacuum/neon coefficient
@@ -300,7 +300,7 @@ class TestTotalPotential:
         # the first element's row is set to the barrier, so it must be the
         # whole of the neon side of z = 0
         with pytest.raises(ValueError, match="z = 0"):
-            cached_perpendicular_potential(DielectricStack(SC, 10.0), SpectralMesh(breakpoints))
+            cached_perpendicular_potential(DielectricStack(SC, 10.0), spectral_mesh(breakpoints))
 
     def test_memo_miss_sums_the_series_once_and_a_hit_never(self, monkeypatch):
         # the benchmark tracer counts a cached call without a nested

@@ -49,7 +49,7 @@ def _oscillator(z, hw=1.0):
 
 
 def _solve(vfun, breakpoints, n_states, degree=perpendicular.DEGREE):
-    grid = SpectralMesh(tuple(breakpoints), degree)
+    grid = spectral_mesh(tuple(breakpoints), degree=degree)
     return solve_lowest(build_hamiltonian(vfun(grid.nodes), grid), grid, n_states)
 
 
@@ -174,12 +174,12 @@ class TestSolverContracts:
         assert np.all(np.diff(sol.energies) > 0.0)
 
     def test_nonfinite_potential_names_offender(self):
-        grid = SpectralMesh((0.0, 5.0, 10.0))
+        grid = spectral_mesh((0.0, 5.0, 10.0))
         with pytest.raises(ValueError, match=r"non-finite potential sample at z = 5\.0 nm"):
             build_hamiltonian(np.where(grid.nodes == 5.0, np.inf, 0.0), grid)
 
     def test_n_states_bounds(self):
-        grid = SpectralMesh((0.0, 10.0))
+        grid = spectral_mesh((0.0, 10.0))
         hamiltonian = build_hamiltonian(np.zeros_like(grid.nodes), grid)
         with pytest.raises(ValueError):
             solve_lowest(hamiltonian, grid, 11)
@@ -187,14 +187,33 @@ class TestSolverContracts:
     @pytest.mark.parametrize("breakpoints", [(0.0,), (0.0, 5.0, 5.0, 10.0), (10.0, 0.0)])
     def test_unordered_breakpoints_rejected(self, breakpoints):
         with pytest.raises(ValueError, match="ascend"):
-            SpectralMesh(breakpoints)
+            spectral_mesh(breakpoints)
 
     def test_radial_mesh_starts_on_the_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            SpectralMesh((1.0, 10.0), radial=True)
+            spectral_mesh((1.0, 10.0), radial=True)
+
+    def test_mesh_is_built_only_by_spectral_mesh(self):
+        # the derived arrays have no defaults: a bare constructor call is refused
+        with pytest.raises(TypeError):
+            SpectralMesh((0.0, 10.0))
+        assert isinstance(spectral_mesh((0.0, 10.0)), SpectralMesh)
+
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            spectral_mesh((0.0, 10.0), degree=1)
+
+    def test_potential_of_wrong_shape_rejected(self):
+        grid = spectral_mesh((0.0, 5.0, 10.0))
+        with pytest.raises(ValueError, match="one value per element node"):
+            build_hamiltonian(np.zeros(grid.n_points), grid)
+
+    def test_gap_needs_two_states(self):
+        with pytest.raises(ValueError, match="at least two solved states"):
+            perpendicular_gap(solve_perpendicular(DielectricStack(SC, 10.0)))
 
     def test_radial_mass_integrates_rho(self):
-        grid = SpectralMesh((0.0, 3.0, 10.0), radial=True)
+        grid = spectral_mesh((0.0, 3.0, 10.0), radial=True)
         assert grid.mass[0] == 0.0
         assert np.sum(grid.mass) == pytest.approx(50.0, rel=1e-14)
         assert np.sum(grid.mass * grid.points ** 2) == pytest.approx(2500.0, rel=1e-14)
@@ -301,7 +320,7 @@ class TestNeonConfigurations:
         # degree 24 on the same breakpoints moves W^G by eigensolver rounding only
         stack = DielectricStack(SC, 10.0, e_ex=1e6)
         mesh = solver_mesh(stack)
-        fine = SpectralMesh(mesh.breakpoints, 24)
+        fine = spectral_mesh(mesh.breakpoints, degree=24)
         v = cached_perpendicular_potential(stack, fine)
         w_fine = solve_lowest(build_hamiltonian(v, fine), fine, 2).energies
         w = solve_perpendicular(stack, n_states=2).energies
@@ -441,8 +460,10 @@ class TestSolverMesh:
     def test_built_once_per_wall_cutoff_and_height(self):
         assert solver_mesh(DielectricStack(SC, 10.0)) is solver_mesh(DielectricStack(SC, 30.0))
         assert solver_mesh(DielectricStack(SC, 1.0)) != solver_mesh(DielectricStack(SC, 10.0))
-        assert hash(solver_mesh(DielectricStack(SC, 1.5))) == hash(SpectralMesh(
-            solver_mesh(DielectricStack(SC, 1.5)).breakpoints, 13))
+        # a mesh built afresh from the same breakpoints and degree is the same mesh
+        mesh = solver_mesh(DielectricStack(SC, 1.5))
+        fresh = spectral_mesh.__wrapped__(mesh.breakpoints, degree=13)
+        assert fresh is not mesh and fresh == mesh and hash(fresh) == hash(mesh)
 
     @pytest.mark.parametrize("substrate, L, e_ex", DEGREE_CASES,
                              ids=[_case_id((*case, 2)) for case in DEGREE_CASES])
@@ -638,6 +659,24 @@ class TestStartedSolve:
         dense = solve_lowest(h, grid, 1)
         _fail_lapack(monkeypatch, "dpbtrf")
         sol = solve_lowest(h, grid, 1, start=start)
+        assert np.array_equal(sol.energies, dense.energies)
+        assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
+
+    @pytest.mark.parametrize("fallback", ["dgbsv_fails", "no_steps"])
+    def test_unrefined_start_falls_back_to_dense(self, monkeypatch, fallback):
+        # a failed banded solve, or steps that run out before the residual
+        # reaches RQI_TOL, leave no refined pair: the dense solve runs
+        start = solve_perpendicular(DielectricStack(SC, 10.0))
+        h, grid = _hamiltonian(DielectricStack(SC, 10.3))
+        assert start.grid == grid
+        dense = solve_lowest(h, grid, 1)
+        if fallback == "dgbsv_fails":
+            _fail_lapack(monkeypatch, "dgbsv")
+        else:
+            monkeypatch.setattr(perpendicular, "RQI_STEPS", 0)
+        calls = _spy_lapack(monkeypatch)
+        sol = solve_lowest(h, grid, 1, start=start)
+        assert [name for name, _ in calls] == ["dgbsv", "dsyevr"]
         assert np.array_equal(sol.energies, dense.energies)
         assert np.array_equal(sol.wavefunctions, dense.wavefunctions)
 
