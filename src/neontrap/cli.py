@@ -24,19 +24,15 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .dielectric import external_potential, perpendicular_potential, total_perpendicular_potential
+from .constants import UEV_PER_MEV
+from .dielectric import external_potential, perpendicular_potential
 from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
-from .lateral import (CURVE_L_LIMITS, NODE_TOL_MEV, PillarProfile, build_energy_curve,
-                      curve_range, default_rho_max, fit_harmonic_field_model,
-                      harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
-                      thickness_at)
+from .lateral import (NODE_TOL_MEV, PillarProfile, build_energy_curve, curve_range,
+                      default_rho_max, fit_harmonic_field_model, harmonic_field_model,
+                      lta_potential, near_zero_slopes, pillar_spectrum, thickness_at)
 from .perpendicular import NumericalFailure, mean_height, perpendicular_gap, solve_perpendicular
 from .tables import ResultTable, parse_cell
-
-
-def _fmt_axis(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:g}"
 
 
 def _out_path(cfg: RunConfig, suffix: str) -> str:
@@ -56,15 +52,6 @@ def _single_field(cfg: RunConfig, command: str) -> float:
     return cfg.E_ex[0]
 
 
-def _curve_range(cfg: RunConfig) -> tuple[float, float]:
-    """Thickness range of the pillar energy curves, checked before any solve."""
-    lo, hi = curve_range(cfg.L0, max(cfg.delta_L))
-    if not (CURVE_L_LIMITS[0] <= lo and hi <= CURVE_L_LIMITS[1]):
-        raise ConfigError(f"L0 and delta_L need an energy curve over [{lo:g}, {hi:g}] nm, "
-                          "outside [%g, %g] nm" % CURVE_L_LIMITS)
-    return lo, hi
-
-
 def _curve_metadata(validation_error: float, nodes: int) -> dict:
     """Table metadata of an energy curve: its held-out error and node count."""
     return {"curve_validation_error_meV": f"{validation_error:.6e}", "curve_nodes": str(nodes)}
@@ -73,7 +60,8 @@ def _curve_metadata(validation_error: float, nodes: int) -> dict:
 def cmd_potential_z(cfg: RunConfig):
     """Perpendicular potential profile V(z); one file per layer thickness.
 
-    Every stack is built, so checked, before the first table."""
+    Every stack is built, so checked, before the first table.  z starts at
+    cutoff_zc, above the barrier, so V_total is V_perp + V_ex."""
     e_ex = _single_field(cfg, "potential-z")
     z = np.linspace(cfg.cutoff_zc, cfg.z_max, cfg.z_samples)
     for stack in [cfg.stack(L, e_ex) for L in cfg.L]:
@@ -81,9 +69,9 @@ def cmd_potential_z(cfg: RunConfig):
         v_ex = external_potential(stack, z)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
-                            metadata={"L_nm": _fmt_axis(stack.thickness_L)})
-        table.add_columns(z, v_perp, v_ex, total_perpendicular_potential(stack, z))
-        yield f"_L{_fmt_axis(stack.thickness_L)}", table
+                            metadata={"L_nm": f"{stack.thickness_L:g}"})
+        table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
+        yield f"_L{stack.thickness_L:g}", table
 
 
 def cmd_ground_sweep(cfg: RunConfig):
@@ -105,7 +93,7 @@ def cmd_ground_sweep(cfg: RunConfig):
 def cmd_lateral(cfg: RunConfig):
     """Lateral potential profile plus the qubit spectrum per (R, delta_L)."""
     e_ex = _single_field(cfg, "lateral")
-    l_range = _curve_range(cfg)
+    l_range = curve_range(cfg.L0, max(cfg.delta_L))
     curve = build_energy_curve(cfg.stack(cfg.L0, e_ex), l_range, z_max=cfg.z_max)
     spectrum = ResultTable(
         columns=[("R", "nm"), ("delta_L", "nm"), ("alpha", ""),
@@ -130,7 +118,7 @@ def cmd_lateral(cfg: RunConfig):
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=rho_max, start=spec)
             for alpha in range(cfg.alpha_max + 1):
-                spectrum.add_row(R, dL, alpha, 1.0e3 * spec.u_alpha[alpha],
+                spectrum.add_row(R, dL, alpha, UEV_PER_MEV * spec.u_alpha[alpha],
                                  spec.delta_u_uev, spec.rho_e, spec.rho_e_line,
                                  spec.bound)
     yield "_spectrum", spectrum
@@ -146,7 +134,7 @@ def cmd_field_sweep(cfg: RunConfig):
     """
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
-    l_range = _curve_range(cfg)
+    l_range = curve_range(cfg.L0, max(cfg.delta_L))
     profile = PillarProfile(cfg.L0, cfg.delta_L[0], cfg.R[0], cfg.b)
     table = ResultTable(columns=[("E_ex", "V/m"), ("delta_U", "ueV"),
                                  ("rho_e", "nm"), ("rho_e_line", "nm"),
@@ -212,9 +200,10 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
     The stored config_sha256 must be the config's own hash.  The run stops at
     the first table with the stored table's identity, which goes through one
     CSV round trip so both sides carry the printed precision.  Every row cell
-    and every stored metadata value but the provenance is compared: numbers
-    within rtol, text exactly.  Two curve validation errors at or below
-    NODE_TOL_MEV, where node doubling stops, are rounding noise and match.
+    and every metadata key of either table but the provenance is compared:
+    numbers within rtol, text exactly, and a key that one side lacks differs.
+    Two curve validation errors at or below NODE_TOL_MEV, where node doubling
+    stops, are rounding noise and match.
     """
     if not 0.0 <= rtol < math.inf:
         raise ConfigError(f"--rtol must be finite and >= 0, got {rtol!r}")
@@ -240,11 +229,11 @@ def cmd_verify(cfg: RunConfig, stored_path: str, rtol: float):
             f"row count changed: {len(stored.rows)} stored vs {len(fresh.rows)} fresh")
     cells = [(f"row {i}", va, vb) for i, (a, b) in enumerate(zip(stored.rows, fresh.rows))
              for va, vb in zip(a, b)]
-    for key in sorted(set(stored.metadata) - set(_UNCOMPARED_METADATA)):
-        va, vb = stored.metadata[key], fresh.metadata.get(key)
-        if vb is None:
-            raise NumericalFailure(f"metadata {key}: the regenerated table has no such key")
-        va, vb = parse_cell(va), parse_cell(vb)
+    for key in sorted(set(stored.metadata).union(fresh.metadata) - set(_UNCOMPARED_METADATA)):
+        for side, table in (("stored", stored), ("regenerated", fresh)):
+            if key not in table.metadata:
+                raise NumericalFailure(f"metadata {key}: the {side} table has no such key")
+        va, vb = parse_cell(stored.metadata[key]), parse_cell(fresh.metadata[key])
         if key == "curve_validation_error_meV" and all(
                 isinstance(v, float) and abs(v) <= NODE_TOL_MEV for v in (va, vb)):
             continue  # both rounding noise of a converged curve

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
 from .dielectric import Dielectric, DielectricStack, Superconductor
 from .growth import diffusion_length, gibbs_thomson_shift, gravity_potential_difference
-from .lateral import PillarProfile
+from .lateral import PillarProfile, curve_range
 from .perpendicular import solver_mesh
 from .tables import emit_quantity, parse_quantity
 
@@ -187,12 +187,14 @@ def _validate(cfg: RunConfig):
     for (section, key), f in _FIELDS.items():
         if f.metadata["kind"] == "float_list" and not getattr(cfg, f.name):
             raise ConfigError(f"[{section}] {key} needs at least one value")
-    # constructors, the solver mesh (cached, so the solves reuse it) and growth
-    # estimates state their rules; L > 0 is stricter (see DielectricStack)
+    # constructors, the solver mesh (cached, so the solves reuse it), the curve
+    # span (after the profiles, whose delta_L < L0 message comes first) and the
+    # growth estimates state their rules; L > 0 is stricter (see DielectricStack)
     _checked(solver_mesh, cfg.stack(cfg.L0), cfg.z_max)
     for dL in cfg.delta_L:
         for R in cfg.R:
             _checked(PillarProfile, cfg.L0, dL, R, cfg.b)
+    _checked(curve_range, cfg.L0, max(cfg.delta_L))
     if cfg.z_samples < 1:
         raise ConfigError("z_samples must be >= 1")
     if any(l <= 0.0 for l in cfg.L):

@@ -9,6 +9,7 @@ from __future__ import annotations
 # Conversion table. Every unit change in the package goes through one of
 # these factors; no module defines its own.
 MEV_PER_EV = 1.0e3
+UEV_PER_MEV = 1.0e3
 V_PER_M_TO_MEV_PER_NM = 1.0e-6  # e * 1 V/m acting over 1 nm, in meV
 J_PER_EV = 1.602176634e-19
 KG_PER_U = 1.66053906660e-27

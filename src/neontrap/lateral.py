@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, polyutils
 from numpy.polynomial.chebyshev import chebder, chebvander
 
-from .constants import HBAR2_OVER_2ME, Z_MAX
+from .constants import HBAR2_OVER_2ME, UEV_PER_MEV, Z_MAX
 from .dielectric import DielectricStack
 from .perpendicular import (BoundStateSolution, NumericalFailure, build_hamiltonian,
                             energy_derivative, require_bound, solve_lowest, solve_perpendicular,
@@ -117,8 +117,13 @@ VALIDATION_BUDGET_MEV = 0.01  # held-out error above which a curve is refused
 
 
 def curve_range(L0: float, delta_L: float) -> tuple[float, float]:
-    """Energy-curve thickness range for steps up to delta_L below L0, 0.5 nm margin each side."""
-    return L0 - delta_L - 0.5, L0 + 0.5
+    """Energy-curve thickness range for steps up to delta_L below L0, 0.5 nm margin each side;
+    a ValueError if it leaves CURVE_L_LIMITS."""
+    lo, hi = L0 - delta_L - 0.5, L0 + 0.5
+    if not (CURVE_L_LIMITS[0] <= lo and hi <= CURVE_L_LIMITS[1]):
+        raise ValueError(f"L0 and delta_L need an energy curve over [{lo:g}, {hi:g}] nm, "
+                         "outside [%g, %g] nm" % CURVE_L_LIMITS)
+    return lo, hi
 
 
 def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, float], *,
@@ -207,7 +212,7 @@ class LateralSpectrum:
 
     @property
     def delta_u_uev(self) -> float:
-        return 1.0e3 * (self.u_alpha[1] - self.u_alpha[0])
+        return UEV_PER_MEV * (self.u_alpha[1] - self.u_alpha[0])
 
 
 def radial_spectrum(potential, alpha_max: int = 1, *, breakpoints,

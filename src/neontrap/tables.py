@@ -154,9 +154,8 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
-        metadata = {}
-        columns = None
-        rows = []
+        """Read to_csv text back; add_row checks each row's arity against the header."""
+        metadata, table = {}, None
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -165,15 +164,16 @@ class ResultTable:
                 metadata[key] = value
                 continue
             cells = line.split(",")
-            if columns is None:
+            if table is None:
                 columns = []
                 for cell in cells:
                     m = _HEADER_RE.match(cell)
                     if not m:
                         raise ValueError(f"malformed column header {cell!r}")
                     columns.append((m.group("name"), m.group("unit")))
+                table = cls(columns=columns, metadata=metadata)
                 continue
-            rows.append(tuple(map(parse_cell, cells)))
-        if columns is None:
+            table.add_row(*map(parse_cell, cells))
+        if table is None:
             raise ValueError("no header row found")
-        return cls(columns=columns, rows=rows, metadata=metadata)
+        return table

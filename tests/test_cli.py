@@ -129,6 +129,19 @@ def drop_last_row(text: str) -> str:
     return text[:text.rstrip("\n").rindex("\n") + 1]
 
 
+def edit_first_row(text: str, edit) -> str:
+    """text with the cells of its first data row replaced by edit(cells)."""
+    lines = text.splitlines(keepends=True)
+    row = [i for i, line in enumerate(lines) if not line.startswith("#")][1]
+    lines[row] = ",".join(edit(lines[row].rstrip("\n").split(","))) + "\n"
+    return "".join(lines)
+
+
+def drop_metadata(text: str, key: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"# {key}="))
+
+
 def rename_first_column(text: str) -> str:
     lines = text.splitlines(keepends=True)
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -193,6 +206,13 @@ class TestResultTable:
         t = ResultTable(columns=[("a", ""), ("b", "")])
         with pytest.raises(ValueError):
             t.add_row(1.0)
+
+    def test_from_csv_skips_blank_lines(self):
+        t = ResultTable(columns=[("a", ""), ("b", "nm")], metadata={"k": "v"})
+        t.add_row(1.0, 2.0)
+        t.add_row(3.0, 4.0)
+        back = ResultTable.from_csv(t.to_csv().replace("\n", "\n\n  \n"))
+        assert (back.columns, back.rows, back.metadata) == (t.columns, t.rows, t.metadata)
 
     def test_json_mirrors_schema(self):
         t = ResultTable(columns=[("z", "nm")], metadata={"command": "demo"})
@@ -401,6 +421,12 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         # mesh's rules refuse them, with no warning on the way
         with pytest.raises(ConfigError):
             RunConfig(z_max=z_max)
+
+    def test_curve_span_rule_in_python(self):
+        # a pillar whose energy curve would leave [1, 200] nm is refused where
+        # the config is built, with lateral.curve_range's message
+        with pytest.raises(ConfigError, match=r"energy curve over \[0.2, 1.7\] nm"):
+            RunConfig(L0=1.2, delta_L=[0.5])
 
     def test_stack_is_the_configured_layer(self):
         cfg = RunConfig(substrate_type="dielectric", eps_b=4.5, eps_neon=1.3,
@@ -721,8 +747,14 @@ class TestCliEndToEnd:
         ("field-sweep", rename_first_column, 3, "no regenerated table matches"),
         ("growth", lambda t: "".join(line for line in t.splitlines(keepends=True)
                                      if line.startswith("#")), 2, "no header row found"),
+        ("field-sweep", lambda t: edit_first_row(t, lambda cells: cells[:-1]), 2,
+         "expected 5 values, got 4"),
+        ("field-sweep", lambda t: edit_first_row(t, lambda cells: cells + ["1"]), 2,
+         "expected 5 values, got 6"),
+        ("field-sweep", lambda t: drop_metadata(t, "harmonic_fit_max_residual_ueV"), 3,
+         "metadata harmonic_fit_max_residual_ueV: the stored table has no such key"),
     ], ids=["command", "row_dropped", "extra_key", "metadata_text", "row_text",
-            "column_renamed", "no_header"])
+            "column_renamed", "no_header", "cell_dropped", "cell_added", "metadata_dropped"])
     def test_verify_reports_each_difference(self, tmp_path, capsys, stored_tables, command,
                                             edit, code, message):
         cfg, tables = stored_tables
@@ -787,8 +819,9 @@ class TestCliEndToEnd:
             metadata = ResultTable.from_csv(Path(path).read_text()).metadata
             assert {k: metadata.get(k) for k in want} == want
 
-    @pytest.mark.parametrize("command", ["lateral", "field-sweep"])
+    @pytest.mark.parametrize("command", list(neontrap.cli._COMMANDS))
     def test_curve_range_outside_limits_exits_2(self, tmp_path, capsys, command):
+        # the span is a config rule, so every command refuses it before any file
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nL0 = 1.2 nm\ndelta_L = 0.5 nm\n")
         out = tmp_path / "x.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2

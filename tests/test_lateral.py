@@ -114,6 +114,12 @@ class TestEnergyCurve:
         with pytest.raises(ValueError):
             build_energy_curve(DielectricStack(SC, 10.0), (0.5, 10.0))
 
+    def test_curve_range_margins_and_limits(self):
+        assert curve_range(10, 0.5) == (9.0, 10.5)
+        for L0 in (1.2, 199.8):  # [0.2, 1.7] and [198.8, 200.3] nm leave [1, 200] nm
+            with pytest.raises(ValueError, match="outside \\[1, 200\\] nm"):
+                curve_range(L0, 0.5)
+
 
 def _held_out(curve):
     """Points build_energy_curve solved to validate the accepted nodes."""
@@ -533,6 +539,11 @@ class TestHarmonicFieldModel:
         w0_fit, b1_fit = fit_harmonic_field_model(e, du)
         assert w0_fit == pytest.approx(w0, rel=1e-6)
         assert b1_fit == pytest.approx(b1, rel=1e-6)
+
+    def test_fit_with_negative_intercept_raises(self):
+        # Delta U^2 = 1 and 3 at 1e6 and 2e6 V/m extrapolate to -1 at zero field
+        with pytest.raises(ModelInvalidError, match="negative zero-field stiffness"):
+            fit_harmonic_field_model([1e6, 2e6], [1.0, 3 ** 0.5])
 
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
