@@ -28,9 +28,10 @@ from .constants import UEV_PER_MEV
 from .dielectric import external_potential, perpendicular_potential
 from .growth import (diffusion_length, gibbs_thomson_coefficient, gibbs_thomson_shift,
                      gravity_potential_difference)
-from .lateral import (NODE_TOL_MEV, PillarProfile, build_energy_curve, curve_range,
-                      default_rho_max, fit_harmonic_field_model, harmonic_field_model,
-                      lta_potential, near_zero_slopes, pillar_spectrum, thickness_at)
+from .lateral import (NODE_TOL_MEV, ModelInvalidError, PillarProfile, build_energy_curve,
+                      curve_range, default_rho_max, fit_harmonic_field_model,
+                      harmonic_field_model, lta_potential, near_zero_slopes, pillar_spectrum,
+                      thickness_at)
 from .perpendicular import NumericalFailure, mean_height, perpendicular_gap, solve_perpendicular
 from .tables import ResultTable, parse_cell
 
@@ -130,7 +131,8 @@ def cmd_field_sweep(cfg: RunConfig):
     One energy curve and pillar spectrum per field, ascending, each curve and
     spectrum started from the last one built.  A field that fails numerically
     keeps a flagged NaN row and adds no curve; the bound fields feed the slopes
-    and fit.
+    and fit.  A fit the harmonic model cannot take keeps the table and states
+    its reason in harmonic_fit_error.
     """
     if len(cfg.R) != 1 or len(cfg.delta_L) != 1:
         raise ConfigError("field-sweep needs exactly one R and one delta_L")
@@ -163,11 +165,16 @@ def cmd_field_sweep(cfg: RunConfig):
         table.metadata["slope_pos_ueV_per_V_per_m"] = f"{slope_pos:.6e}"
         table.metadata["asymmetry_ratio"] = f"{abs(slope_neg) / abs(slope_pos):.6f}"
     if len(e_fit) >= 2:
-        w0, b1 = fit_harmonic_field_model(e_fit, du_fit)
-        resid = max(abs(harmonic_field_model(w0, b1, e) - du) for e, du in zip(e_fit, du_fit))
-        table.metadata["harmonic_fit_hbar_omega0_ueV"] = f"{w0:.6e}"
-        table.metadata["harmonic_fit_beta1_ueV2_per_V_per_m"] = f"{b1:.6e}"
-        table.metadata["harmonic_fit_max_residual_ueV"] = f"{resid:.6e}"
+        try:
+            w0, b1 = fit_harmonic_field_model(e_fit, du_fit)
+            resid = max(abs(harmonic_field_model(w0, b1, e) - du)
+                        for e, du in zip(e_fit, du_fit))
+        except ModelInvalidError as exc:  # the solved rows stand without the model
+            table.metadata["harmonic_fit_error"] = str(exc)
+        else:
+            table.metadata["harmonic_fit_hbar_omega0_ueV"] = f"{w0:.6e}"
+            table.metadata["harmonic_fit_beta1_ueV2_per_V_per_m"] = f"{b1:.6e}"
+            table.metadata["harmonic_fit_max_residual_ueV"] = f"{resid:.6e}"
     yield "", table
 
 

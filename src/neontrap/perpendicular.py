@@ -87,9 +87,12 @@ TAIL_FRACTION = 0.02
 TAIL_DENSITY_THRESHOLD = 1e-6
 
 WALL_DEPTH = 2.0  # nm; the lower wall of the perpendicular solve sits at max(-L, -WALL_DEPTH)
-DEGREE = 16  # default polynomial degree of spectral_mesh, the radial mesh's
+
+# default polynomial degree of spectral_mesh, which the radial mesh takes
+DEGREE = 16
+
 # polynomial degree of the perpendicular solver mesh: two states stay within
-# 5.5e-9 meV of degree 24 on the same breakpoints, while at degree 12 spurious
+# 5.6e-9 meV of degree 24 on the same breakpoints, while at degree 12 spurious
 # ringing in the 9-nm outer element fails the node check at L = 1 nm
 PERPENDICULAR_DEGREE = 13
 # relative lengths of the elements from cutoff_zc to z_max: growing by a

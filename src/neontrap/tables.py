@@ -11,7 +11,6 @@ cell back.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -132,6 +131,8 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # only a JSON run loads it
+
         def norm(v):
             if isinstance(v, float):
                 if math.isnan(v):

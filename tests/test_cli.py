@@ -75,6 +75,9 @@ threads = 3
 """
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+# config_sha256 of the default config (None) and of each committed benchmark config
+PINNED_DIGESTS = {None: "1c75e516190998e7", "ground_sweep.ini": "8d3d999eef243288",
+                  "lateral_scan.ini": "6c92c718b90a0e66", "field_sweep.ini": "35128a4247596d9e"}
 # tables of the benchmark configs, written by `neontrap <command> --config
 # perfbench/configs/<name>.ini`; README, Tests, says how to regenerate them
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -377,12 +380,8 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert len(set(keys)) == len(fields)
         assert [f.name for f in neontrap.config._FIELDS.values()] == [f.name for f in fields]
 
-    @pytest.mark.parametrize("config, digest", [
-        (None, "1c75e516190998e7"),
-        ("ground_sweep.ini", "8d3d999eef243288"),
-        ("lateral_scan.ini", "6c92c718b90a0e66"),
-        ("field_sweep.ini", "35128a4247596d9e"),
-    ], ids=["default", "ground_sweep", "lateral_scan", "field_sweep"])
+    @pytest.mark.parametrize("config, digest", PINNED_DIGESTS.items(),
+                             ids=["default", "ground_sweep", "lateral_scan", "field_sweep"])
     def test_config_hash_pinned(self, config, digest):
         cfg = RunConfig() if config is None else load_config(str(BENCH_CONFIGS / config))
         assert cfg.config_hash() == digest
@@ -711,6 +710,27 @@ class TestCliEndToEnd:
             == code
         if code:
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fit, reason", [
+        # Delta U^2 = 1 and 3 at 1e6 and 2e6 V/m extrapolate to -1 at zero field
+        (lambda e_ex, du: neontrap.lateral.fit_harmonic_field_model([1e6, 2e6], [1.0, 3 ** 0.5]),
+         "fit produced a negative zero-field stiffness"),
+        # a model with no real Delta U at +1e5 V/m
+        (lambda e_ex, du: (1.0, -1.0), "field 100000.0 V/m destroys the harmonic trap"),
+    ], ids=["fit", "model"])
+    def test_failed_harmonic_fit_keeps_the_table(self, tmp_path, monkeypatch, field_sweep_table,
+                                                 fit, reason):
+        cfg, text = field_sweep_table
+        monkeypatch.setattr(neontrap.cli, "fit_harmonic_field_model", fit)
+        out = tmp_path / "fs.csv"
+        assert main(["field-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert (tmp_path / "fs.effective.ini").is_file()
+        table, fitted = ResultTable.from_csv(out.read_text()), ResultTable.from_csv(text)
+        assert table.rows == fitted.rows and len(table.rows) == 3
+        assert table.metadata.pop("harmonic_fit_error").startswith(reason)
+        assert table.metadata == {k: v for k, v in fitted.metadata.items()
+                                  if not k.startswith("harmonic_fit_")}
+        assert main(["verify", str(out), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_verify_compares_metadata_numbers_within_rtol(self, tmp_path, field_sweep_table):
         cfg, text = field_sweep_table
@@ -1163,6 +1183,42 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
              "scipy.optimize", "scipy.integrate")
     code = f"import neontrap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_csv_run_loads_neither_openssl_nor_json(tmp_path):
+    """The config hash takes CPython's builtin SHA-256, and only a JSON run imports json.
+
+    A module the bare interpreter already holds (a site hook's, say) does not count.
+    """
+    code = f"""
+import sys
+bare = set(sys.modules)
+def loaded():
+    print([m for m in ("_hashlib", "hashlib", "json") if m in sys.modules and m not in bare])
+import neontrap.cli
+loaded()
+assert neontrap.cli.main(["ground-sweep", "--out", {str(tmp_path / "g.csv")!r}]) == 0
+loaded()
+"""
+    after_import, written, after_run = _fresh_interpreter(code).splitlines()
+    assert (after_import, after_run) == ("[]", "[]")
+    assert written == str(tmp_path / "g.csv")
+
+
+def test_hashlib_fallback_gives_the_pinned_digests():
+    # with neither builtin SHA-256 module importable, config takes hashlib's
+    code = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from neontrap import config
+print(config.sha256 is hashlib.sha256)
+for path in {[None if name is None else str(BENCH_CONFIGS / name) for name in PINNED_DIGESTS]!r}:
+    print((config.RunConfig() if path is None else config.load_config(path)).config_hash())
+"""
+    fallback, *digests = _fresh_interpreter(code).splitlines()
+    assert fallback == "True"
+    assert digests == list(PINNED_DIGESTS.values())
 
 
 # W_G cases for the LAPACK loader: two dense solves, then a warm chain whose

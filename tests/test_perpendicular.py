@@ -468,8 +468,9 @@ class TestSolverMesh:
     @pytest.mark.parametrize("substrate, L, e_ex", DEGREE_CASES,
                              ids=[_case_id((*case, 2)) for case in DEGREE_CASES])
     def test_degree_converged_against_degree_24(self, substrate, L, e_ex):
-        # measured over 1-200 nm and inf, |E_ex| <= 2e6 V/m, three substrates:
-        # |dE| <= 5.5e-9 meV, |dh_e| <= 1.7e-11 nm, every node check passed
+        # measured on 769 bound rows (44 thicknesses over 1-200 nm and inf, nine
+        # fields over |E_ex| <= 2e6 V/m, a superconductor and eps_b = 12 and 4.5):
+        # |dE| <= 5.6e-9 meV, |dh_e| <= 1.7e-11 nm, every node check passed
         stack = DielectricStack(substrate, L, e_ex=e_ex)
         sol = solve_perpendicular(stack, n_states=2)
         fine = spectral_mesh(sol.grid.breakpoints, degree=24)
