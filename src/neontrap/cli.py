@@ -287,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="run configuration file (INI)")
     p.add_argument("--out", help="output path (overrides [output] path)")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="output format (overrides [output] format)")
+    p.add_argument("--format", help="output format, csv or json (overrides [output] format)")
     p.add_argument("--threads", type=int,
                    help="ignored, since every run is serial; kept because "
                         "perfbench/make_reference.py passes it")

@@ -46,8 +46,9 @@ def _key(section: str, kind, default, unit: str | None = None, key: str | None =
     """A RunConfig field that is config key `key` (default: the field's name) of [section].
 
     kind: float | float_or_auto (auto -> None) | float_list | int | str, or a
-    tuple of the allowed strings.  unit is the unit its values are written in.
-    A list default is copied for each instance.
+    tuple of the allowed strings; _validate enforces its rule for every
+    RunConfig.  unit is the unit its values are written in.  A list default is
+    copied for each instance.
     """
     meta = {"section": section, "kind": kind, "unit": unit, "key": key}
     if isinstance(default, list):
@@ -125,30 +126,17 @@ _RETIRED = {("grid", "n_points"), ("grid", "n_points_radial"), ("parallel", "thr
 def _parse_value(section: str, key: str, raw: str):
     f = _FIELDS.get((section, key))  # None for a retired key, which is an integer
     kind, unit = (f.metadata["kind"], f.metadata["unit"]) if f else ("int", None)
-
-    def number(text: str) -> float:
-        value = parse_quantity(text, unit)
-        # nan means nothing, and inf only the bulk sentinel of [sweep] L
-        if not math.isfinite(value) and (value != math.inf or (section, key) != ("sweep", "L")):
-            raise ValueError(f"expected a finite value, got {text.strip()!r}")
-        return value
-
     try:
-        if kind == "float":
-            return number(raw)
-        if kind == "float_or_auto":
-            return None if raw.strip() == "auto" else number(raw)
+        if kind == "float_or_auto" and raw.strip() == "auto":
+            return None
+        if kind in ("float", "float_or_auto"):
+            return parse_quantity(raw, unit)
         if kind == "float_list":
-            return [number(part) for part in raw.split(",")]
+            return [parse_quantity(part, unit) for part in raw.split(",")]
         if kind == "int":
             if not raw.strip().lstrip("+-").isdigit():
                 raise ValueError(f"expected an integer, got {raw!r}")
             return int(raw)
-        if isinstance(kind, tuple):
-            val = raw.strip()
-            if val not in kind:
-                raise ValueError(f"expected one of {kind}, got {val!r}")
-            return val
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
@@ -195,8 +183,18 @@ def load_config(path: str) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     for (section, key), f in _FIELDS.items():
-        if f.metadata["kind"] == "float_list" and not getattr(cfg, f.name):
-            raise ConfigError(f"[{section}] {key} needs at least one value")
+        kind, value, where = f.metadata["kind"], getattr(cfg, f.name), f"[{section}] {key}"
+        if kind == "float_list" and not value:
+            raise ConfigError(f"{where} needs at least one value")
+        if kind in ("float", "float_or_auto", "float_list"):
+            for v in value if kind == "float_list" else [] if value is None else [value]:
+                # nan means nothing, and inf only the bulk sentinel of [sweep] L
+                if not math.isfinite(v) and (v != math.inf or where != "[sweep] L"):
+                    raise ConfigError(f"{where}: expected a finite value, got {v!r}")
+        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"{where}: expected one of {kind}, got {value!r}")
     # constructors, the solver mesh (cached, so the solves reuse it), the curve
     # span (after the profiles, whose delta_L < L0 message comes first) and the
     # growth estimates state their rules; L > 0 is stricter (see DielectricStack)

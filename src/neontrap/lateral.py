@@ -51,6 +51,8 @@ class PillarProfile:
             raise ValueError(f"need 0 < delta_L < L0, got {self.delta_L:g} and {self.L0:g} nm")
         if self.R <= 0.0 or self.b <= 0.0:
             raise ValueError(f"R and b must be positive, got R = {self.R:g} nm, b = {self.b:g} nm")
+        if not (self.R < math.inf and self.b < math.inf):  # and not nan
+            raise ValueError(f"R and b must be finite, got R = {self.R:g} nm, b = {self.b:g} nm")
 
 
 def thickness_at(profile: PillarProfile, rho):

@@ -234,7 +234,7 @@ def solver_mesh(stack: DielectricStack, z_max: float = Z_MAX) -> SpectralMesh:
     z_c = stack.cutoff_zc
     if not z_c < z_max:
         raise ValueError("z_max must exceed the cutoff distance")
-    outer = [z_c + (z_max - z_c) * c / sum(OUTER_ELEMENTS) for c in _OUTER_CUMSUM[:-1]]
+    outer = [z_c + (z_max - z_c) * c / _OUTER_CUMSUM[-1] for c in _OUTER_CUMSUM[:-1]]
     return spectral_mesh((max(-stack.thickness_L, -WALL_DEPTH), 0.0, z_c, *outer, z_max),
                          degree=PERPENDICULAR_DEGREE)
 

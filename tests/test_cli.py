@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neontrap
@@ -414,10 +415,66 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         with pytest.raises(ConfigError, match=key + " needs at least one value"):
             RunConfig(**{name: []})
 
+    @pytest.mark.parametrize("kwargs, body, message", [
+        ({"b": math.nan}, "[sweep]\nb = nan nm\n", "[sweep] b: expected a finite value"),
+        ({"R": [math.nan]}, "[sweep]\nR = nan nm\n", "[sweep] R: expected a finite value"),
+        ({"R": [math.inf]}, "[sweep]\nR = inf\n", "[sweep] R: expected a finite value"),
+        ({"b": math.inf}, "[sweep]\nb = inf\n", "[sweep] b: expected a finite value"),
+        ({"rho_max": math.nan}, "[grid]\nrho_max = nan nm\n",
+         "[grid] rho_max: expected a finite value"),
+        ({"rho_max": math.inf}, "[grid]\nrho_max = inf\n",
+         "[grid] rho_max: expected a finite value"),
+        ({"r_c": [math.nan]}, "[growth]\nr_c = nan nm\n", "[growth] r_c: expected a finite value"),
+        ({"diffusion_time": math.nan}, "[growth]\ndiffusion_time = nan s\n",
+         "[growth] diffusion_time: expected a finite value"),
+        ({"delta_h": math.nan}, "[growth]\ndelta_h = nan nm\n",
+         "[growth] delta_h: expected a finite value"),
+        ({"E_ex": [math.nan]}, "[sweep]\nE_ex = nan V/m\n", "[sweep] E_ex: expected a finite value"),
+        ({"alpha_max": 1.5}, "[sweep]\nalpha_max = 1.5\n", "[sweep] alpha_max: expected an integer"),
+        ({"z_samples": 2.5}, "[grid]\nz_samples = 2.5\n", "[grid] z_samples: expected an integer"),
+        ({"substrate_type": "metal"}, "[substrate]\ntype = metal\n",
+         "[substrate] type: expected one of ('superconductor', 'dielectric')"),
+        ({"out_format": "xml"}, "[output]\nformat = xml\n",
+         "[output] format: expected one of ('csv', 'json')"),
+    ], ids=["b_nan", "R_nan", "R_inf", "b_inf", "rho_max_nan", "rho_max_inf", "r_c_nan",
+            "diffusion_time_nan", "delta_h_nan", "E_ex_nan", "alpha_max_float",
+            "z_samples_float", "unknown_substrate", "unknown_format"])
+    def test_kind_rule_in_python(self, tmp_path, kwargs, body, message):
+        # a RunConfig made in Python meets each key's kind rule, with the
+        # message that a config file carrying the same value gets
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**kwargs)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, body))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        "substrate_type": st.sampled_from(["superconductor", "dielectric", "metal"]),
+        "eps_b": st.floats(1.0, 1e3) | st.floats(),
+        "z_samples": st.integers(1, 500) | st.sampled_from([0, 2.5, True]),
+        "rho_max": st.none() | st.floats(1.0, 1e3) | st.floats(),
+        "L": st.lists(st.floats(1.0, 1e3) | st.floats(), min_size=1, max_size=3),
+        "E_ex": st.lists(st.floats(-1e7, 1e7) | st.floats(), min_size=1, max_size=3),
+        "b": st.floats(1.0, 1e3) | st.floats(),
+        "alpha_max": st.integers(1, 4) | st.sampled_from([0, 1.5, False]),
+        "out_format": st.sampled_from(["csv", "json", "xml"]),
+    }))
+    def test_every_config_that_builds_loads_from_its_echo(self, kwargs):
+        # whatever RunConfig accepts, its echo loads back: the same echo, so
+        # the same hash
+        try:
+            cfg = RunConfig(**kwargs)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            echoed = load_config(write_config(Path(tmp), cfg.effective_text()))
+        assert echoed.effective_text() == cfg.effective_text()
+        assert echoed.config_hash() == cfg.config_hash()
+
     @pytest.mark.parametrize("z_max", [math.inf, math.nan])
     def test_box_rule_in_python(self, z_max):
-        # a config file refuses inf and nan itself; in Python the solver
-        # mesh's rules refuse them, with no warning on the way
+        # inf and nan break z_max's kind rule, in Python as in a config file,
+        # before the solver mesh sees them
         with pytest.raises(ConfigError):
             RunConfig(z_max=z_max)
 
@@ -853,7 +910,7 @@ class TestCliEndToEnd:
     def test_bad_rho_max_exits_2(self, tmp_path, capsys, command, rho_max):
         cfg = write_config(tmp_path, FAST_GRID + f"rho_max = {rho_max}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        # inf is refused by the parser, like every non-finite value
+        # inf breaks the kind rule, like every non-finite value
         expected = ("rho_max: expected a finite value" if rho_max == "inf"
                     else "rho_max must be a positive")
         assert expected in capsys.readouterr().err
@@ -1011,6 +1068,13 @@ R = 50 nm
         out = tmp_path / "no" / "such" / "o.csv"
         assert main(["lateral", "--out", str(out)]) == 2
         assert f"output directory {out.parent} does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_format_flag_exits_2(self, tmp_path, capsys):
+        # --format meets the config's rule, in the config's words, before any file
+        assert main(["growth", "--format", "xml", "--out", str(tmp_path / "g.csv")]) == 2
+        assert ("config error: [output] format: expected one of ('csv', 'json'), got 'xml'"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_across_thread_counts(self, tmp_path):

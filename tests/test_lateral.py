@@ -71,6 +71,13 @@ class TestThicknessProfiles:
         with pytest.raises(ValueError):
             thickness_at(p, -1.0)
 
+    @pytest.mark.parametrize("R, b", [(math.inf, 2.0), (math.nan, 2.0), (110.0, math.inf),
+                                      (110.0, math.nan)], ids=["R_inf", "R_nan", "b_inf", "b_nan"])
+    def test_non_finite_pillar_rejected(self, R, b):
+        # an infinite b flattens the step and an infinite R has no radial mesh
+        with pytest.raises(ValueError, match="R and b must be finite"):
+            PillarProfile(10.0, 3.0, R, b)
+
 
 class TestEnergyCurve:
     def test_exact_at_knots(self, curve):
