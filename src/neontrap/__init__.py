@@ -8,7 +8,7 @@ Library layout:
     cli           - deterministic sweep driver (`neontrap` entry point)
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .dielectric import (Dielectric, DielectricStack, Superconductor,
                          external_potential, perpendicular_potential,

@@ -47,6 +47,11 @@ def _write_effective_config(cfg: RunConfig):
         fh.write(cfg.effective_text())
 
 
+def _label(v: float) -> str:
+    """v for a file name, axis metadata or row name: :g where it reads back equal, else in full."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
 def _single_field(cfg: RunConfig, command: str) -> float:
     if len(cfg.E_ex) != 1:
         raise ConfigError(f"{command} needs exactly one E_ex")
@@ -70,9 +75,9 @@ def cmd_potential_z(cfg: RunConfig):
         v_ex = external_potential(stack, z)
         table = ResultTable(columns=[("z", "nm"), ("V_perp", "meV"),
                                      ("V_ex", "meV"), ("V_total", "meV")],
-                            metadata={"L_nm": f"{stack.thickness_L:g}"})
+                            metadata={"L_nm": _label(stack.thickness_L)})
         table.add_columns(z, v_perp, v_ex, v_perp + v_ex)
-        yield f"_L{stack.thickness_L:g}", table
+        yield f"_L{_label(stack.thickness_L)}", table
 
 
 def cmd_ground_sweep(cfg: RunConfig):
@@ -111,10 +116,10 @@ def cmd_lateral(cfg: RunConfig):
             v_par = np.asarray(lta_potential(curve, profile, rho))
             prof_table = ResultTable(
                 columns=[("rho", "nm"), ("L_rho", "nm"), ("V_par", "meV")],
-                metadata={"R_nm": f"{R:g}", "delta_L_nm": f"{dL:g}"})
+                metadata={"R_nm": _label(R), "delta_L_nm": _label(dL)})
             lr = np.asarray(thickness_at(profile, rho))
             prof_table.add_columns(rho, lr, v_par)
-            yield f"_R{R:g}_dL{dL:g}", prof_table
+            yield f"_R{_label(R)}_dL{_label(dL)}", prof_table
 
             spec = pillar_spectrum(curve, profile, alpha_max=cfg.alpha_max,
                                    rho_max=rho_max, start=spec)
@@ -183,10 +188,10 @@ def cmd_growth(cfg: RunConfig):
     table = ResultTable(columns=[("quantity", ""), ("value", ""), ("unit", "")])
     table.add_row("gibbs_thomson_coefficient", gibbs_thomson_coefficient(), "K nm")
     for r_c in cfg.r_c:
-        table.add_row(f"gibbs_thomson_shift_rc_{r_c:g}nm", gibbs_thomson_shift(r_c), "K")
-    table.add_row(f"diffusion_length_t_{cfg.diffusion_time:g}s",
+        table.add_row(f"gibbs_thomson_shift_rc_{_label(r_c)}nm", gibbs_thomson_shift(r_c), "K")
+    table.add_row(f"diffusion_length_t_{_label(cfg.diffusion_time)}s",
                   diffusion_length(cfg.diffusion_time), "nm")
-    table.add_row(f"gravity_potential_dh_{cfg.delta_h:g}nm",
+    table.add_row(f"gravity_potential_dh_{_label(cfg.delta_h)}nm",
                   gravity_potential_difference(cfg.delta_h), "meV")
     yield "", table
 

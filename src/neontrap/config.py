@@ -1,8 +1,9 @@
-"""Strict run-configuration parsing for the sweep CLI.
+"""Strict run-configuration parsing for the sweep CLI, and its exact echo.
 
 Config files are INI-style `key = value` sections.  Every physical value
 carries an explicit unit string (`L = 10 nm`); unknown sections or keys,
 missing units, and malformed values are rejected before any computation.
+This module states the whole text format: `.effective.ini` reads back equal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .dielectric import Dielectric, DielectricStack, Superconductor
 from .growth import diffusion_length, gibbs_thomson_shift, gravity_potential_difference
 from .lateral import PillarProfile, curve_range
 from .perpendicular import solver_mesh
-from .tables import emit_quantity, parse_quantity
 
 # CPython's builtin SHA-256, _sha2 since 3.12 and _sha256 before: hashlib loads
 # OpenSSL's libcrypto, about 3.5 MB of RSS and 3 ms per run, to hash one config
@@ -121,6 +121,9 @@ _FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fiel
 # so each must parse as an integer and is then dropped: neither echoed nor hashed
 _RETIRED = {("grid", "n_points"), ("grid", "n_points_radial"), ("parallel", "threads"),
             ("sweep", "n_knots")}
+# the echo's float spelling, 9 significant digits wherever they hold the value
+# exactly: every pinned config_sha256 hashes this spelling
+_ECHO_FMT = "%.8e"
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -130,9 +133,9 @@ def _parse_value(section: str, key: str, raw: str):
         if kind == "float_or_auto" and raw.strip() == "auto":
             return None
         if kind in ("float", "float_or_auto"):
-            return parse_quantity(raw, unit)
+            return _quantity(raw, unit)
         if kind == "float_list":
-            return [parse_quantity(part, unit) for part in raw.split(",")]
+            return [_quantity(part, unit) for part in raw.split(",")]
         if kind == "int":
             if not raw.strip().lstrip("+-").isdigit():
                 raise ValueError(f"expected an integer, got {raw!r}")
@@ -142,15 +145,35 @@ def _parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
+def _quantity(text: str, unit: str | None) -> float:
+    """A bare number where unit is None, else "<value> <unit>" or "inf" (bulk)."""
+    parts = text.split()
+    if parts == ["inf"]:
+        return math.inf
+    if unit is None and len(parts) != 1:
+        raise ValueError(f"expected a bare number, got {text!r}")
+    if unit is not None and len(parts) != 2:
+        raise ValueError(f"expected '<value> {unit}', got {text!r}")
+    if len(parts) == 2 and parts[1] != unit:
+        raise ValueError(f"expected unit {unit!r}, got {parts[1]!r} in {text!r}")
+    return float(parts[0])
+
+
 def _emit_value(kind, unit, value) -> str:
-    """Text that `_parse_value` reads back as `value`."""
-    if kind == "float_list":
-        return ", ".join(emit_quantity(v, unit) for v in value)
+    """Text that `_parse_value` reads back as exactly `value`: each float in 9
+    digits (_ECHO_FMT) where they read back equal and in full (repr) otherwise,
+    so configs that differ in any digit echo, and hash, apart."""
     if kind == "float_or_auto" and value is None:
         return "auto"
-    if kind in ("float", "float_or_auto"):
-        return emit_quantity(value, unit)
-    return str(value)
+    if kind not in ("float", "float_or_auto", "float_list"):
+        return str(value)
+    texts = []
+    for v in value if kind == "float_list" else [value]:
+        t = _ECHO_FMT % v
+        if float(t) != v:
+            t = repr(float(v))
+        texts.append(t if unit is None or t == "inf" else f"{t} {unit}")
+    return ", ".join(texts)
 
 
 def load_config(path: str) -> RunConfig:

@@ -44,35 +44,6 @@ def parse_cell(text: str):
         return text
 
 
-def parse_quantity(text: str, expected_unit: str | None):
-    """Parse a "value unit" pair; emit_quantity round-trips it losslessly.
-
-    Dimensionless quantities (expected_unit None) must be bare numbers.
-    "inf" is accepted for lengths (bulk sentinel).
-    """
-    parts = text.strip().split()
-    if expected_unit is None:
-        if len(parts) != 1:
-            raise ValueError(f"expected a bare number, got {text!r}")
-        return float(parts[0])
-    if len(parts) == 1 and parts[0] == "inf":
-        return math.inf
-    if len(parts) != 2:
-        raise ValueError(f"expected '<value> {expected_unit}', got {text!r}")
-    value, unit = parts
-    if unit != expected_unit:
-        raise ValueError(f"expected unit {expected_unit!r}, got {unit!r} in {text!r}")
-    return float(value)
-
-
-def emit_quantity(value: float, unit: str | None) -> str:
-    if unit is None:
-        return format_value(float(value))
-    if math.isinf(value):
-        return "inf"
-    return f"{format_value(float(value))} {unit}"
-
-
 def _csv_rows(rows) -> str:
     """CSV text of rows, printed by one %-format built from the column types.
 

@@ -21,11 +21,10 @@ import neontrap.config
 import neontrap.lateral
 import neontrap.perpendicular
 from neontrap.cli import main
-from neontrap.config import ConfigError, RunConfig, load_config
+from neontrap.config import ConfigError, RunConfig, _emit_value, _quantity, load_config
 from neontrap.dielectric import (Dielectric, DielectricStack, Superconductor,
                                  total_perpendicular_potential)
-from neontrap.tables import (FLOAT_FMT, ResultTable, emit_quantity, format_value,
-                             parse_quantity)
+from neontrap.tables import FLOAT_FMT, ResultTable, format_value
 
 FAST_GRID = """\
 [grid]
@@ -161,29 +160,30 @@ def write_config(tmp_path, body, name="run.ini"):
 
 class TestQuantities:
     def test_parse_with_unit(self):
-        assert parse_quantity("10 nm", "nm") == 10.0
-        assert parse_quantity("-2.5e6 V/m", "V/m") == -2.5e6
+        assert _quantity("10 nm", "nm") == 10.0
+        assert _quantity("-2.5e6 V/m", "V/m") == -2.5e6
 
     def test_inf_sentinel(self):
-        assert parse_quantity("inf", "nm") == math.inf
-        assert emit_quantity(math.inf, "nm") == "inf"
+        assert _quantity("inf", "nm") == math.inf
+        assert _emit_value("float", "nm", math.inf) == "inf"
 
     def test_missing_unit_rejected(self):
         with pytest.raises(ValueError):
-            parse_quantity("10", "nm")
+            _quantity("10", "nm")
 
     def test_wrong_unit_rejected(self):
         with pytest.raises(ValueError):
-            parse_quantity("10 um", "nm")
+            _quantity("10 um", "nm")
 
     def test_dimensionless_must_be_bare(self):
-        assert parse_quantity("1.244", None) == 1.244
+        assert _quantity("1.244", None) == 1.244
         with pytest.raises(ValueError):
-            parse_quantity("1.244 nm", None)
+            _quantity("1.244 nm", None)
 
     def test_round_trip_lossless(self):
-        for v in (0.23, 1.0 / 3.0, -44.3726, 9.12805346):
-            assert parse_quantity(emit_quantity(v, "nm"), "nm") == pytest.approx(v, rel=1e-8)
+        for v in (0.23, 1.0 / 3.0, -44.3726, 9.12805346, 0.1 + 0.2):
+            assert _quantity(_emit_value("float", "nm", v), "nm") == v
+            assert _quantity(_emit_value("float", None, v), None) == v
 
 
 class TestResultTable:
@@ -368,6 +368,19 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         assert echoed == cfg
         assert echoed.config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("kwargs, rounded", [
+        ({"L": [0.1 + 0.2, 10.123456789012], "b": 2.0000000001},
+         {"L": [0.3, 10.1234568], "b": 2.0}),
+        ({"E_ex": [1 / 3]}, {"E_ex": [0.333333333]}),
+        ({"eps_neon": 1.2440000001}, {"eps_neon": 1.244}),
+    ], ids=["L_and_b", "E_ex", "eps_neon"])
+    def test_echo_is_exact_past_nine_digits(self, tmp_path, kwargs, rounded):
+        # a value that 9 digits do not hold is echoed in full: it reloads
+        # equal, and its config hashes apart from the 9-digit-rounded one
+        cfg = RunConfig(**kwargs)
+        assert load_config(write_config(tmp_path, cfg.effective_text())) == cfg
+        assert RunConfig(**rounded).config_hash() != cfg.config_hash()
+
     def test_every_field_declares_one_key(self):
         # each RunConfig field is its own schema entry: a section, a kind
         # that _parse_value reads, and a (section, key) no other field takes
@@ -505,6 +518,16 @@ class TestCliEndToEnd:
         table = ResultTable.from_csv(out.read_text())
         values = dict(zip(table.column("quantity"), table.column("value")))
         assert values["diffusion_length_t_0s"] == 0.0
+
+    def test_growth_rows_name_their_inputs_exactly(self, tmp_path):
+        # two radii that share six digits name two rows, each its own radius
+        cfg = write_config(tmp_path, "[growth]\nr_c = 10.000001 nm, 10.000002 nm\n"
+                           "diffusion_time = 1.0000001e-05 s\n")
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--config", cfg, "--out", str(out)]) == 0
+        assert ResultTable.from_csv(out.read_text()).column("quantity")[1:4] == [
+            "gibbs_thomson_shift_rc_10.000001nm", "gibbs_thomson_shift_rc_10.000002nm",
+            "diffusion_length_t_1.0000001e-05s"]
 
     def test_growth_runs(self, tmp_path):
         out = tmp_path / "growth.csv"
@@ -703,6 +726,22 @@ class TestCliEndToEnd:
         assert main(["lateral", "--config", cfg, "--out", str(out)]) == 0
         stored = tmp_path / "lat_R110_dL0.5.csv"
         assert main(["verify", str(stored), "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command, body, names", [
+        ("lateral", "[sweep]\nR = 110.00001 nm, 110.00002 nm\n",
+         ["out_R110.00001_dL0.5.csv", "out_R110.00002_dL0.5.csv"]),
+        ("potential-z", "[sweep]\nL = 10.000001 nm, 10.000002 nm\n",
+         ["out_L10.000001.csv", "out_L10.000002.csv"]),
+    ], ids=["lateral_R", "potential_z_L"])
+    def test_axes_that_share_six_digits_get_their_own_files(self, tmp_path, command, body,
+                                                           names):
+        # a :g label keeps 6 digits, so these two pillars or layers would share
+        # one file; an exact label keeps both tables, and each verifies
+        cfg = write_config(tmp_path, FAST_GRID + body)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in names:
+            assert main(["verify", str(tmp_path / name), "--config", cfg, "--out", str(out)]) == 0
 
     def test_verify_writes_nothing_and_stops_at_match(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FAST_GRID + "[sweep]\nR = 60 nm, 110 nm\n")

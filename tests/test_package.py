@@ -65,3 +65,14 @@ LINTED = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
 @pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert _unused_imports(path) == []
+
+
+def test_config_imports_nothing_from_tables():
+    # config states the whole config text format, and tables only table text
+    tree = ast.parse((SRC / "config.py").read_text())
+    named = set()  # last dotted part of every module and name an import statement gives
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            named |= {part.rpartition(".")[2] for part in parts}
+    assert "tables" not in named
