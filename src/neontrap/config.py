@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .constants import BARRIER_HEIGHT, CUTOFF_ZC, EPS_NEON, Z_MAX
@@ -47,8 +48,8 @@ def _key(section: str, kind, default, unit: str | None = None, key: str | None =
 
     kind: float | float_or_auto (auto -> None) | float_list | int | str, or a
     tuple of the allowed strings; _validate enforces its rule for every
-    RunConfig.  unit is the unit its values are written in.  A list default is
-    copied for each instance.
+    RunConfig and stores each float-kind value as a Python float.  unit is the
+    unit its values are written in.  A list default is copied for each instance.
     """
     meta = {"section": section, "kind": kind, "unit": unit, "key": key}
     if isinstance(default, list):
@@ -171,7 +172,7 @@ def _emit_value(kind, unit, value) -> str:
     for v in value if kind == "float_list" else [value]:
         t = _ECHO_FMT % v
         if float(t) != v:
-            t = repr(float(v))
+            t = repr(v)
         texts.append(t if unit is None or t == "inf" else f"{t} {unit}")
     return ", ".join(texts)
 
@@ -207,13 +208,21 @@ def load_config(path: str) -> RunConfig:
 def _validate(cfg: RunConfig):
     for (section, key), f in _FIELDS.items():
         kind, value, where = f.metadata["kind"], getattr(cfg, f.name), f"[{section}] {key}"
+        if kind == "float_list" and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
         if kind == "float_list" and not value:
             raise ConfigError(f"{where} needs at least one value")
         if kind in ("float", "float_or_auto", "float_list"):
-            for v in value if kind == "float_list" else [] if value is None else [value]:
+            values = value if kind == "float_list" else [] if value is None else [value]
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ConfigError(f"{where}: expected a number, got {v!r}")
                 # nan means nothing, and inf only the bulk sentinel of [sweep] L
                 if not math.isfinite(v) and (v != math.inf or where != "[sweep] L"):
                     raise ConfigError(f"{where}: expected a finite value, got {v!r}")
+            if values:  # stored as Python floats: equal configs print equal table cells
+                floats = [float(v) for v in values]
+                object.__setattr__(cfg, f.name, floats if kind == "float_list" else floats[0])
         elif kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         elif isinstance(kind, tuple) and value not in kind:

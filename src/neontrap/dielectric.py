@@ -40,6 +40,11 @@ class Dielectric:
 
 Substrate = Superconductor | Dielectric
 
+# image terms a stack may need (_series_terms): each term is a row of every
+# potential array, so the cap bounds their memory; it admits eps_neon up to 51
+# over a superconductor, where the default 1.244 needs 18
+MAX_IMAGE_TERMS = 1000
+
 
 @dataclass(frozen=True)
 class DielectricStack:
@@ -52,7 +57,8 @@ class DielectricStack:
     z < 0 and the image cutoff_zc (nm), both positive and finite.  e_ex is
     the uniform external field in V/m, finite, positive pointing away from
     the substrate; bulk neon has no grounded substrate to fix the field's
-    gauge, so it takes only e_ex = 0.
+    gauge, so it takes only e_ex = 0.  A stack whose image series needs more
+    than MAX_IMAGE_TERMS terms is refused.
     """
 
     substrate: Substrate
@@ -74,6 +80,9 @@ class DielectricStack:
             raise ValueError(f"e_ex must be finite, got {self.e_ex}")
         if self.is_bulk and self.e_ex != 0.0:
             raise ValueError(f"bulk neon (L = inf) needs E_ex = 0 V/m, got {self.e_ex:g} V/m")
+        if (terms := _series_terms(*_lambda_mu(self))) > MAX_IMAGE_TERMS:
+            raise ValueError(f"eps_neon = {self.eps_neon} over this substrate needs {terms} "
+                             f"image terms, above the cap of {MAX_IMAGE_TERMS}")
 
     @property
     def is_bulk(self) -> bool:
@@ -113,7 +122,7 @@ def reflection_coefficient(stack: DielectricStack, k):
     else:
         q = np.exp(-2.0 * k_arr * stack.thickness_L)
         out = (lam + mu * q) / (1.0 + lam * mu * q)
-    return float(out) if np.isscalar(k) else out
+    return float(out) if np.ndim(k) == 0 else out
 
 
 def _series_terms(lam: float, mu: float) -> int:
@@ -161,7 +170,7 @@ def perpendicular_potential(stack: DielectricStack, z):
     # cumsum adds the terms in order, leading image first, so every z gets
     # the same sum whatever the shape of z (a pairwise .sum would not)
     out = IMAGE_PREFACTOR * np.cumsum(terms, axis=0)[-1].reshape(z_arr.shape)
-    return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def external_potential(stack: DielectricStack, z):
@@ -178,7 +187,7 @@ def external_potential(stack: DielectricStack, z):
     s, eps = stack.e_ex * V_PER_M_TO_MEV_PER_NM, stack.eps_neon
     out = np.zeros_like(z_arr) if stack.is_bulk else np.where(
         z_arr < 0.0, s * (z_arr + L) / eps, s * (L / eps + z_arr))
-    return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _field_free_potential(stack: DielectricStack, z: np.ndarray) -> np.ndarray:
@@ -201,7 +210,7 @@ def total_perpendicular_potential(stack: DielectricStack, z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     v_ex = external_potential(stack, z_arr)
     out = _field_free_potential(stack, z_arr) + v_ex
-    return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _field_free_key(stack: DielectricStack) -> tuple:

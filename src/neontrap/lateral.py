@@ -62,7 +62,7 @@ def thickness_at(profile: PillarProfile, rho):
         raise ValueError("rho must be non-negative")
     x = r - profile.R
     out = profile.L0 - 0.5 * profile.delta_L * (1.0 - x / np.hypot(x, profile.b))
-    return float(out) if np.isscalar(rho) else out
+    return float(out) if np.ndim(rho) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +92,7 @@ class EnergyCurve:
         if np.any(L_arr < lo) or np.any(L_arr > hi):
             raise ValueError(f"thickness outside tabulated range [{lo}, {hi}] nm")
         out = self._poly(np.log(L_arr))
-        return float(out) if np.isscalar(L) else out
+        return float(out) if np.ndim(L) == 0 else out
 
 
 def _log_hermite(l_nodes: np.ndarray, w_nodes: np.ndarray, dw_nodes: np.ndarray) -> Chebyshev:
@@ -145,21 +145,20 @@ def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, fl
     if not (CURVE_L_LIMITS[0] <= lo < hi <= CURVE_L_LIMITS[1]):
         raise ValueError("l_range must lie within [%g, %g] nm" % CURVE_L_LIMITS)
     mid, half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    # (stack, ground state) per solve: chain[-1] starts the next solve, chain[1] is the first node
-    chain = [(None, start.first_state if start is not None else None)]
+    # ground state per solve: chain[-1] starts the next solve, chain[1] is the first node
+    chain = [start.first_state if start is not None else None]
 
     def solve_at(l: np.ndarray) -> np.ndarray:
         # l ascends, so an unbound field fails on its first (thinnest) solve;
         # each solve starts from the ground state of the solve before it
         for L in l:
             stack = replace(stack_template, thickness_L=float(L))
-            chain.append((stack, require_bound(
-                solve_perpendicular(stack, z_max=z_max, start=chain[-1][1]), stack)))
-        return np.array([state.energies[0] for _, state in chain[-l.size:]])
+            chain.append(require_bound(solve_perpendicular(stack, z_max=z_max, start=chain[-1])))
+        return np.array([state.energies[0] for state in chain[-l.size:]])
 
     def slopes(count: int) -> np.ndarray:
         # dW^G/dL of the last count solves: the level that joins the nodes
-        return np.array([energy_derivative(stack, state) for stack, state in chain[-count:]])
+        return np.array([energy_derivative(state) for state in chain[-count:]])
 
     n = 4  # Lobatto level: n + 1 nodes, u = -cos(pi k / n)
     l_knots = np.exp(mid + half * -np.cos(np.pi * np.arange(n + 1) / n))
@@ -181,7 +180,7 @@ def build_energy_curve(stack_template: DielectricStack, l_range: tuple[float, fl
         raise CurveValidationError(
             f"held-out error {validation_error:.4f} meV with {l_knots.size} nodes "
             f"exceeds {VALIDATION_BUDGET_MEV} meV budget")
-    return EnergyCurve(l_knots, w_knots, dw_knots, validation_error, chain[1][1], poly)
+    return EnergyCurve(l_knots, w_knots, dw_knots, validation_error, chain[1], poly)
 
 
 def lta_potential(curve: EnergyCurve, profile: PillarProfile, rho):

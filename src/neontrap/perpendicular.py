@@ -26,7 +26,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -266,12 +266,14 @@ class BoundStateSolution:
 
     energies are in meV, ascending; wavefunctions hold real nodal values on
     grid.points, the wall zeros included, L2-normalized by GLL quadrature
-    (sum grid.mass * psi^2 = 1).
+    (sum grid.mass * psi^2 = 1).  stack is the DielectricStack that
+    solve_perpendicular solved on grid, and None for any other solve.
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray  # shape (n_states, grid.n_points)
     grid: SpectralMesh
+    stack: DielectricStack | None = None
 
     @property
     def converged(self) -> list[bool]:
@@ -384,27 +386,27 @@ def solve_perpendicular(stack: DielectricStack, *, n_states: int = 1, z_max: flo
     start, a previous solution, seeds the ground state as in solve_lowest.
     """
     grid = solver_mesh(stack, z_max)
-    v = cached_perpendicular_potential(stack, grid)
-    return solve_lowest(build_hamiltonian(v, grid), grid, n_states, start=start)
+    h = build_hamiltonian(cached_perpendicular_potential(stack, grid), grid)
+    return replace(solve_lowest(h, grid, n_states, start=start), stack=stack)
 
 
-def require_bound(solution: BoundStateSolution, stack: DielectricStack) -> BoundStateSolution:
-    """solution, the stack's perpendicular solve; raises UnboundStateError if a state escapes."""
+def require_bound(solution: BoundStateSolution) -> BoundStateSolution:
+    """solution, a perpendicular solve; raises UnboundStateError if a state escapes."""
     if not solution.is_bound():
         raise UnboundStateError(
             f"a held state leaks to the outer wall (peak tail density "
-            f"{solution.tail_density():.2e} 1/nm) for L={stack.thickness_L} nm, "
-            f"E_ex={stack.e_ex} V/m")
+            f"{solution.tail_density():.2e} 1/nm) for L={solution.stack.thickness_L} nm, "
+            f"E_ex={solution.stack.e_ex} V/m")
     return solution
 
 
 def ground_state_energy(stack: DielectricStack, *, z_max: float = Z_MAX) -> float:
     """Ground-state energy W^G(L, E_ex) in meV; raises UnboundStateError if escaping."""
-    return float(require_bound(solve_perpendicular(stack, z_max=z_max), stack).energies[0])
+    return float(require_bound(solve_perpendicular(stack, z_max=z_max)).energies[0])
 
 
-def energy_derivative(stack: DielectricStack, solution: BoundStateSolution) -> float:
-    """dW^G/dL (meV/nm) of solution, the stack's perpendicular solve (solve_perpendicular).
+def energy_derivative(solution: BoundStateSolution) -> float:
+    """dW^G/dL (meV/nm) of solution, a perpendicular solve (solve_perpendicular), on its stack.
 
     The Hellmann-Feynman quadrature sum weights * dV/dL * psi^2, with dV/dL
     from dielectric.potential_derivative; at or above WALL_DEPTH the mesh
@@ -414,12 +416,11 @@ def energy_derivative(stack: DielectricStack, solution: BoundStateSolution) -> f
     the field inside it, zero at the wall, as L.  That adds
     (1/L) (-(hbar^2/2m_e) int psi'^2 + int (V - E) psi^2) over the element,
     and makes the field's slope there V_ex / L, not e E_ex / eps_Ne: the
-    discrete form of Hadamard's wall term.
+    discrete form of Hadamard's wall term.  A solution with no stack raises ValueError.
     """
+    if (stack := solution.stack) is None:
+        raise ValueError("energy_derivative needs a perpendicular solve, which carries its stack")
     g, L = solution.grid, stack.thickness_L
-    if g.breakpoints[0] != max(-L, -WALL_DEPTH):
-        raise ValueError(f"solution's mesh, wall at {g.breakpoints[0]} nm, is not the "
-                         f"solver mesh of L = {L} nm")
     psi = solution.wavefunctions[0][g.index]
     dv = potential_derivative(stack, g)
     wall = 0.0

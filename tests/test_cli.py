@@ -460,6 +460,45 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"b": "2"}, "[sweep] b: expected a number, got '2'"),
+        ({"b": True}, "[sweep] b: expected a number, got True"),
+        ({"rho_max": "auto"}, "[grid] rho_max: expected a number, got 'auto'"),
+        ({"L": [10.0, False]}, "[sweep] L: expected a number, got False"),
+        ({"R": 110.0}, "[sweep] R: expected a list of numbers, got 110.0"),
+    ], ids=["b_text", "b_bool", "rho_max_text", "L_bool", "R_scalar"])
+    def test_float_kind_takes_only_numbers(self, kwargs, message):
+        # a config file cannot spell these, but Python can: each was a
+        # TypeError traceback, or a bool taken as a number
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**kwargs)
+
+    def test_float_kinds_are_stored_as_floats(self):
+        # integers hash like the floats they equal, so they must print the
+        # same table bytes too
+        ints, floats = RunConfig(L=[10], E_ex=[0], R=[110]), RunConfig()
+        assert ints == floats and ints.config_hash() == floats.config_hash()
+        as_int = lambda v: int(v) if v.is_integer() else v
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(floats, f.name)
+            if f.metadata["kind"] == "float":
+                assert type(getattr(RunConfig(**{f.name: as_int(value)}), f.name)) is float
+            elif f.metadata["kind"] == "float_list":
+                value = getattr(RunConfig(**{f.name: [as_int(v) for v in value]}), f.name)
+                assert [type(v) for v in value] == [float] * len(value), f.name
+        for command, suffix in (("ground-sweep", ""), ("lateral", "_spectrum")):
+            tables = [dict(neontrap.cli._COMMANDS[command](cfg))[suffix].to_csv()
+                      for cfg in (ints, floats)]
+            assert tables[0] == tables[1], command
+
+    def test_image_series_cap_is_config_error(self, tmp_path):
+        # eps_neon = 1e6 needs 19571974 image terms, and its potential array
+        # on the solver mesh would not fit in memory
+        with pytest.raises(ConfigError, match="needs 19571974 image terms"):
+            RunConfig(eps_neon=1e6)
+        with pytest.raises(ConfigError, match="needs 19571974 image terms"):
+            load_config(write_config(tmp_path, "[constants]\neps_neon = 1e6\n"))
+
     @settings(max_examples=60, deadline=None)
     @given(st.fixed_dictionaries({}, optional={
         "substrate_type": st.sampled_from(["superconductor", "dielectric", "metal"]),
@@ -1035,9 +1074,9 @@ R = 50 nm
         slopes = []
         derivative = neontrap.lateral.energy_derivative
 
-        def counting(stack, solution):
-            slopes.append(stack.thickness_L)
-            return derivative(stack, solution)
+        def counting(solution):
+            slopes.append(solution.stack.thickness_L)
+            return derivative(solution)
 
         monkeypatch.setattr(neontrap.lateral, "energy_derivative", counting)
         out = tmp_path / "out.csv"

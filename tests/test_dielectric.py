@@ -14,7 +14,8 @@ from neontrap import (Dielectric, DielectricStack, Superconductor, external_pote
                       total_perpendicular_potential)
 import neontrap.dielectric
 from neontrap.constants import IMAGE_PREFACTOR
-from neontrap.dielectric import cached_perpendicular_potential, potential_derivative
+from neontrap.dielectric import (MAX_IMAGE_TERMS, cached_perpendicular_potential,
+                                 potential_derivative)
 from neontrap.perpendicular import spectral_mesh
 
 SC = Superconductor()
@@ -78,6 +79,20 @@ class TestStackConstruction:
         with pytest.raises(ValueError, match="bulk"):
             replace(DielectricStack(SC, math.inf), e_ex=e_ex)
         assert DielectricStack(SC, math.inf, e_ex=-0.0).is_bulk
+
+    @pytest.mark.parametrize("eps_neon, terms",
+                             [(1.244, 18), (51.0, 999), (52.0, 1018), (1e6, 19571974)])
+    def test_image_series_size_is_capped(self, eps_neon, terms):
+        # every image term is a row of each potential array on the solver
+        # mesh, so a stack needing more than MAX_IMAGE_TERMS is refused when
+        # built; only the term count is computed here, never a potential
+        lam = (1.0 - eps_neon) / (1.0 + eps_neon)
+        assert neontrap.dielectric._series_terms(lam, -1.0) == terms
+        if terms <= MAX_IMAGE_TERMS:
+            assert DielectricStack(SC, 10.0, eps_neon=eps_neon).eps_neon == eps_neon
+            return
+        with pytest.raises(ValueError, match=f"needs {terms} image terms, above the cap of 1000"):
+            DielectricStack(SC, 10.0, eps_neon=eps_neon)
 
 
 class TestReflectionCoefficient:

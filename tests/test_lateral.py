@@ -15,8 +15,10 @@ import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack, ModelInvalidError, PillarProfile,
                       Superconductor, UnboundStateError, build_energy_curve,
                       energy_derivative, fit_harmonic_field_model, ground_state_energy,
-                      harmonic_field_model, lta_potential, near_zero_slopes,
-                      pillar_spectrum, radial_spectrum, solve_perpendicular, thickness_at)
+                      external_potential, harmonic_field_model, lta_potential,
+                      near_zero_slopes, perpendicular_potential, pillar_spectrum,
+                      radial_spectrum, reflection_coefficient, solve_perpendicular,
+                      thickness_at, total_perpendicular_potential)
 from fd_oracle import radial_richardson_level, value_only_curve
 from neontrap.constants import HBAR2_OVER_2ME
 from neontrap.lateral import (MAX_CURVE_NODES, NODE_TOL_MEV, VALIDATION_BUDGET_MEV,
@@ -36,8 +38,9 @@ def curve():
 
 @pytest.fixture(scope="module")
 def wide_curve():
-    # W^G(L) has a kink at L = 2 nm, where the lower wall switches from -L to
-    # -2 nm, so the node doubling runs into the MAX_CURVE_NODES cap
+    # at L = 2 nm, where the lower wall switches from -L to -2 nm, W^G(L) and
+    # its slope stay continuous but its higher derivatives change, so the node
+    # doubling runs into the MAX_CURVE_NODES cap
     return build_energy_curve(DielectricStack(SC, L0), (1.0, 200.0))
 
 
@@ -87,10 +90,9 @@ class TestEnergyCurve:
     def test_knots_hold_their_solves(self, curve):
         # each node keeps the value and Hellmann-Feynman slope of its own solve
         for L, w, dw in zip(curve.l_knots, curve.w_knots, curve.dw_knots):
-            stack = DielectricStack(SC, float(L))
-            sol = solve_perpendicular(stack)
+            sol = solve_perpendicular(DielectricStack(SC, float(L)))
             assert w == pytest.approx(sol.energies[0], rel=0.0, abs=1e-9)
-            assert dw == pytest.approx(energy_derivative(stack, sol), rel=1e-7)
+            assert dw == pytest.approx(energy_derivative(sol), rel=1e-7)
         assert curve.first_state.grid.points[0] == -2.0
         assert curve.first_state.energies[0] == curve.w_knots[0]
 
@@ -190,13 +192,14 @@ class TestHermiteCurve:
 
     def test_thin_layer_range_across_the_wall_kink(self, monkeypatch):
         # [1.9, 3.5] nm straddles L = 2 nm, where the lower wall switches from
-        # -L to -2 nm; the curve across that kink runs to the node cap and
-        # still validates to 1e-7 meV (measured 1.48e-8 meV)
+        # -L to -2 nm; W^G and its slope are continuous there, but the curve
+        # across that switch runs to the node cap and still validates to
+        # 1e-7 meV (measured 1.48e-8 meV)
         slopes = []
         derivative = neontrap.lateral.energy_derivative
-        def spy(stack, solution):
-            slopes.append(stack.thickness_L)
-            return derivative(stack, solution)
+        def spy(solution):
+            slopes.append(solution.stack.thickness_L)
+            return derivative(solution)
         monkeypatch.setattr(neontrap.lateral, "energy_derivative", spy)
         c = build_energy_curve(DielectricStack(SC, 3.0), (1.9, 3.5))
         assert c.l_knots.size == MAX_CURVE_NODES
@@ -258,6 +261,32 @@ class TestLtaPotential:
                   - ground_state_energy(DielectricStack(SC, L0)))
         assert v0 == pytest.approx(direct, abs=0.02)
         assert v0 < 0.0
+
+
+SCALAR_STACK = DielectricStack(SC, L0, e_ex=1e5)
+# every evaluator of a scalar or an array, at an x (nm, or nm^-1 for k) it takes
+EVALUATORS = {
+    "reflection_coefficient": lambda curve, x: reflection_coefficient(SCALAR_STACK, x),
+    "perpendicular_potential": lambda curve, x: perpendicular_potential(SCALAR_STACK, x),
+    "external_potential": lambda curve, x: external_potential(SCALAR_STACK, x),
+    "total_perpendicular_potential":
+        lambda curve, x: total_perpendicular_potential(SCALAR_STACK, x),
+    "thickness_at": lambda curve, x: thickness_at(PillarProfile(L0, DL, R_PILLAR, B), x),
+    "EnergyCurve": lambda curve, x: curve(x),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "float64", "0-d array", "list"])
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_one_scalar_rule(curve, name, kind):
+    # np.ndim(x) == 0 gives a Python float, anything else an array of x's shape
+    x = {"float": 10.0, "float64": np.float64(10.0), "0-d array": np.array(10.0),
+         "list": [10.0, 9.0]}[kind]
+    r, listed = EVALUATORS[name](curve, x), EVALUATORS[name](curve, [10.0, 9.0])
+    if kind == "list":
+        assert isinstance(r, np.ndarray) and r.shape == (2,)
+    else:
+        assert type(r) is float and r == listed[0]
 
 
 def _oscillator_breakpoints(ell):

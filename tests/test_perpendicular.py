@@ -130,11 +130,10 @@ class TestSolverContracts:
         grid = spectral_mesh((0.0, 50.0, 100.0))
         psi = np.zeros((2, grid.n_points))
         psi[1, -2] = 1e-2
-        sol = BoundStateSolution(np.zeros(2), psi, grid)
+        sol = BoundStateSolution(np.zeros(2), psi, grid, DielectricStack(SC, 10.0))
         assert sol.tail_density() == pytest.approx(1e-4, rel=1e-15) and not sol.is_bound()
-        stack = DielectricStack(SC, 10.0)
         with pytest.raises(UnboundStateError, match=r"peak tail density 1.00e-04 1/nm"):
-            require_bound(sol, stack)
+            require_bound(sol)
         ground = BoundStateSolution(np.zeros(1), psi[:1], grid)
         assert ground.tail_density() == 0.0 and ground.is_bound()
 
@@ -415,7 +414,7 @@ class TestEnergyDerivative:
         # measured 1.2e-7 relative below 2 nm, where the wall term enters, and
         # 2.2e-6 at 10 nm, the central difference's own rounding
         stack = DielectricStack(substrate, L, e_ex=e_ex)
-        slope = energy_derivative(stack, solve_perpendicular(stack))
+        slope = energy_derivative(solve_perpendicular(stack))
         h = 1e-4
         w = [ground_state_energy(DielectricStack(substrate, L + d, e_ex=e_ex)) for d in (h, -h)]
         assert slope == pytest.approx((w[0] - w[1]) / (2.0 * h), rel=5e-6)
@@ -424,14 +423,23 @@ class TestEnergyDerivative:
         stack = DielectricStack(SC, 10.0)
         dense = solve_perpendicular(stack)
         refined = solve_perpendicular(stack, start=solve_perpendicular(DielectricStack(SC, 9.8)))
-        assert energy_derivative(stack, refined) == pytest.approx(
-            energy_derivative(stack, dense), rel=1e-9)
+        assert energy_derivative(refined) == pytest.approx(energy_derivative(dense), rel=1e-9)
 
-    @pytest.mark.parametrize("L, other", [(10.0, 1.5), (1.5, 1.6)])
-    def test_another_mesh_is_rejected(self, L, other):
-        sol = solve_perpendicular(DielectricStack(SC, other))
-        with pytest.raises(ValueError, match="not the solver mesh"):
-            energy_derivative(DielectricStack(SC, L), sol)
+    def test_slope_is_that_of_the_solved_stack(self):
+        # L = 10 and 20 nm share the -2 nm wall, so a mesh check cannot tell
+        # their solves apart; each solve carries its own stack instead
+        assert energy_derivative(solve_perpendicular(DielectricStack(SC, 20.0))) == \
+            pytest.approx(0.7090, abs=5e-5)
+        assert energy_derivative(solve_perpendicular(DielectricStack(SC, 10.0))) == \
+            pytest.approx(2.509, abs=5e-4)
+
+    def test_solution_without_a_stack_is_refused(self):
+        # a radial spectrum's states, like every bare solve_lowest, carry no stack
+        spectrum = neontrap.lateral.radial_spectrum(np.zeros_like, breakpoints=(0.0, 50.0, 100.0))
+        for state in spectrum.states:
+            assert state.stack is None
+            with pytest.raises(ValueError, match="needs a perpendicular solve"):
+                energy_derivative(state)
 
 
 # the bulk stack takes no external field
@@ -634,11 +642,11 @@ class TestStartedSolve:
     def test_require_bound_passes_a_bound_solution_through(self):
         stack = DielectricStack(SC, 10.0)
         sol = solve_perpendicular(stack)
-        assert require_bound(sol, stack) is sol
+        assert require_bound(sol) is sol and sol.stack is stack
         assert ground_state_energy(stack) == sol.energies[0]
         leaky = DielectricStack(SC, 10.0, e_ex=-5e6)
         with pytest.raises(UnboundStateError, match=r"tail density .* L=10.0 nm, E_ex=-5000000.0"):
-            require_bound(solve_perpendicular(leaky), leaky)
+            require_bound(solve_perpendicular(leaky))
 
     def test_excited_start_is_rejected(self, monkeypatch):
         stack = DielectricStack(SC, 10.0)
