@@ -48,7 +48,7 @@ def _key(section: str, kind, default, unit: str | None = None, key: str | None =
 
     kind: float | float_or_auto (auto -> None) | float_list | int | str, or a
     tuple of the allowed strings; _validate enforces its rule for every
-    RunConfig and stores each float-kind value as a Python float.  unit is the
+    RunConfig and stores each number as a Python int or float.  unit is the
     unit its values are written in.  A list default is copied for each instance.
     """
     meta = {"section": section, "kind": kind, "unit": unit, "key": key}
@@ -212,19 +212,18 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
         if kind == "float_list" and not value:
             raise ConfigError(f"{where} needs at least one value")
-        if kind in ("float", "float_or_auto", "float_list"):
-            values = value if kind == "float_list" else [] if value is None else [value]
+        if kind in ("int", "float", "float_list") or kind == "float_or_auto" and value is not None:
+            number, cast, noun = (numbers.Integral, int, "an integer") if kind == "int" \
+                else (numbers.Real, float, "a number")
+            values = value if kind == "float_list" else [value]
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ConfigError(f"{where}: expected a number, got {v!r}")
+                if isinstance(v, bool) or not isinstance(v, number):
+                    raise ConfigError(f"{where}: expected {noun}, got {v!r}")
                 # nan means nothing, and inf only the bulk sentinel of [sweep] L
-                if not math.isfinite(v) and (v != math.inf or where != "[sweep] L"):
+                if not -math.inf < v < math.inf and (v != math.inf or where != "[sweep] L"):
                     raise ConfigError(f"{where}: expected a finite value, got {v!r}")
-            if values:  # stored as Python floats: equal configs print equal table cells
-                floats = [float(v) for v in values]
-                object.__setattr__(cfg, f.name, floats if kind == "float_list" else floats[0])
-        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+            stored = [cast(v) for v in values]  # equal configs print equal table cells
+            object.__setattr__(cfg, f.name, stored if kind == "float_list" else stored[0])
         elif isinstance(kind, tuple) and value not in kind:
             raise ConfigError(f"{where}: expected one of {kind}, got {value!r}")
     # constructors, the solver mesh (cached, so the solves reuse it), the curve

@@ -114,7 +114,7 @@ def reflection_coefficient(stack: DielectricStack, k):
     k in nm^-1; scalar or array.
     """
     k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0.0):
+    if not np.all(k_arr >= 0.0):
         raise ValueError("wavenumber k must be non-negative")
     lam, mu = _lambda_mu(stack)
     if stack.is_bulk:
@@ -162,7 +162,7 @@ def perpendicular_potential(stack: DielectricStack, z):
     the neon-surface image; L = 0 sums to the bare substrate mirror.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr <= 0.0):
+    if not np.all(z_arr > 0.0):
         raise ValueError("perpendicular_potential requires z > 0 (divergent integrand)")
     lam, c, n = _image_series(stack)
     z_row = z_arr.reshape(1, -1)
@@ -182,7 +182,7 @@ def external_potential(stack: DielectricStack, z):
     """
     L = stack.thickness_L
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < -L):
+    if not np.all(z_arr >= -L):
         raise ValueError("z < -L lies inside the substrate")
     s, eps = stack.e_ex * V_PER_M_TO_MEV_PER_NM, stack.eps_neon
     out = np.zeros_like(z_arr) if stack.is_bulk else np.where(

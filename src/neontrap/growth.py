@@ -33,14 +33,14 @@ def gibbs_thomson_shift(r_c: float) -> float:
     Positive r_c (bump) lowers the local melting temperature, negative r_c
     (valley) raises it.
     """
-    if r_c == 0.0:
+    if not (r_c < 0.0 or r_c > 0.0):
         raise ValueError(f"curvature radius r_c must be nonzero, got {r_c:g} nm")
     return -gibbs_thomson_coefficient() / r_c
 
 
 def diffusion_length(t: float) -> float:
     """Diffusion length sqrt(D t) in nm after time t (seconds)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"diffusion time must be non-negative, got {t:g} s")
     d_nm2_per_s = DIFFUSION_COEFFICIENT * NM2_PER_S_PER_MM2_PER_S
     return math.sqrt(d_nm2_per_s * t)
@@ -48,7 +48,7 @@ def diffusion_length(t: float) -> float:
 
 def gravity_potential_difference(delta_h: float) -> float:
     """Gravitational energy m_Ne g delta_h in meV for a height step delta_h (nm)."""
-    if delta_h < 0.0:
+    if not delta_h >= 0.0:
         raise ValueError(f"height difference delta_h must be non-negative, got {delta_h:g} nm")
     mass_kg = ATOMIC_MASS * KG_PER_U
     energy_j = mass_kg * G_EARTH_M_PER_S2 * delta_h / NM_PER_M

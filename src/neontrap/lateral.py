@@ -56,10 +56,10 @@ class PillarProfile:
 
 
 def thickness_at(profile: PillarProfile, rho):
-    """Local layer thickness L(rho) in nm; rho >= 0, scalar or array."""
+    """Local layer thickness L(rho) in nm; finite rho >= 0, scalar or array."""
     r = np.asarray(rho, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("rho must be non-negative")
+    if not np.all((r >= 0.0) & (r < math.inf)):
+        raise ValueError("rho must be non-negative and finite")
     x = r - profile.R
     out = profile.L0 - 0.5 * profile.delta_L * (1.0 - x / np.hypot(x, profile.b))
     return float(out) if np.ndim(rho) == 0 else out
@@ -89,7 +89,7 @@ class EnergyCurve:
     def __call__(self, L):
         L_arr = np.asarray(L, dtype=float)
         lo, hi = self.l_range
-        if np.any(L_arr < lo) or np.any(L_arr > hi):
+        if not np.all((L_arr >= lo) & (L_arr <= hi)):
             raise ValueError(f"thickness outside tabulated range [{lo}, {hi}] nm")
         out = self._poly(np.log(L_arr))
         return float(out) if np.ndim(L) == 0 else out

@@ -466,12 +466,27 @@ E_ex = -1e6 V/m, 0 V/m, 1e6 V/m
         ({"rho_max": "auto"}, "[grid] rho_max: expected a number, got 'auto'"),
         ({"L": [10.0, False]}, "[sweep] L: expected a number, got False"),
         ({"R": 110.0}, "[sweep] R: expected a list of numbers, got 110.0"),
-    ], ids=["b_text", "b_bool", "rho_max_text", "L_bool", "R_scalar"])
+        ({"b": None}, "[sweep] b: expected a number, got None"),
+    ], ids=["b_text", "b_bool", "rho_max_text", "L_bool", "R_scalar", "b_none"])
     def test_float_kind_takes_only_numbers(self, kwargs, message):
         # a config file cannot spell these, but Python can: each was a
         # TypeError traceback, or a bool taken as a number
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_int_kinds_take_any_integral(self, integer):
+        # numpy integers count as integers, as numpy floats count as numbers, and
+        # are stored as Python ints, so the config echoes and hashes as if typed
+        typed = RunConfig(z_samples=integer(50), alpha_max=integer(2))
+        plain = RunConfig(z_samples=50, alpha_max=2)
+        assert typed == plain and type(typed.z_samples) is int and type(typed.alpha_max) is int
+        assert typed.effective_text() == plain.effective_text()
+        assert typed.config_hash() == plain.config_hash()
+        for key in ("z_samples", "alpha_max"):
+            for value in (np.float64(2.0), True, np.bool_(True)):
+                with pytest.raises(ConfigError, match="expected an integer"):
+                    RunConfig(**{key: value})
 
     def test_float_kinds_are_stored_as_floats(self):
         # integers hash like the floats they equal, so they must print the

@@ -4,6 +4,7 @@ disk oracles and the finite-volume oracle."""
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import neontrap.lateral
 import neontrap.perpendicular
 from neontrap import (CurveValidationError, DielectricStack, ModelInvalidError, PillarProfile,
                       Superconductor, UnboundStateError, build_energy_curve,
-                      energy_derivative, fit_harmonic_field_model, ground_state_energy,
+                      diffusion_length, energy_derivative, fit_harmonic_field_model,
+                      gibbs_thomson_shift, gravity_potential_difference, ground_state_energy,
                       external_potential, harmonic_field_model, lta_potential,
                       near_zero_slopes, perpendicular_potential, pillar_spectrum,
                       radial_spectrum, reflection_coefficient, solve_perpendicular,
@@ -287,6 +289,33 @@ def test_one_scalar_rule(curve, name, kind):
         assert isinstance(r, np.ndarray) and r.shape == (2,)
     else:
         assert type(r) is float and r == listed[0]
+
+
+# every input guard with the message it raises; each names the set it accepts, so
+# NaN (and rho = inf) falls outside it
+GUARDS = {
+    "reflection_coefficient": "wavenumber k must be non-negative",
+    "perpendicular_potential": "perpendicular_potential requires z > 0",
+    "external_potential": "z < -L lies inside the substrate",
+    "total_perpendicular_potential": "z < -L lies inside the substrate",
+    "thickness_at": "rho must be non-negative",
+    "EnergyCurve": "thickness outside tabulated range [6.5, 10.5] nm",
+    "gibbs_thomson_shift": "curvature radius r_c must be nonzero, got nan nm",
+    "diffusion_length": "diffusion time must be non-negative, got nan s",
+    "gravity_potential_difference": "height difference delta_h must be non-negative, got nan nm",
+}
+GROWTH = {"gibbs_thomson_shift": gibbs_thomson_shift, "diffusion_length": diffusion_length,
+          "gravity_potential_difference": gravity_potential_difference}
+
+
+@pytest.mark.parametrize("name, x", [
+    *(pytest.param(name, math.nan, id=f"{name}-nan") for name in GUARDS),
+    *(pytest.param(name, [10.0, math.nan], id=f"{name}-nan_in_array") for name in EVALUATORS),
+    pytest.param("thickness_at", math.inf, id="thickness_at-inf")])
+def test_guard_refuses_nan(curve, name, x):
+    evaluate = EVALUATORS.get(name) or (lambda curve, x: GROWTH[name](x))
+    with pytest.raises(ValueError, match=re.escape(GUARDS[name])):
+        evaluate(curve, x)
 
 
 def _oscillator_breakpoints(ell):
